@@ -22,9 +22,9 @@ from .codegen import (
 )
 from .encoding import stable_digest
 from .engine import EngineConfig, ask_until_valid
-from .errors import ExecutionError, NotCodable, SchemaError, UnboundParameter, UnknownParameter
+from .errors import NotCodable, SchemaError, UnboundParameter, UnknownParameter
 from .prompts import Example
-from .runner import Worker
+from .runner import ForkServer, Worker
 from .template import parse
 from .types import TypeSchema, VoidType, render
 
@@ -198,9 +198,11 @@ def compile(
 class CompiledFunction:
     """A task backed by validated generated code; calls never touch the client.
 
-    Calls go through a lazily started warm harness process (restarted if it
-    dies); call_isolated() runs one fresh process per call instead. Close()
-    or use as a context manager to reap the worker eagerly.
+    Calls go through a lazily started warm harness process; a worker found
+    dead before a call is replaced, and a call that kills its worker is not
+    run again. call_isolated() runs each call in a fresh process forked by
+    this function's own fork server, started at the first such call.
+    Close() or use as a context manager to reap both eagerly.
     """
 
     def __init__(self, spec: TaskSpec, generated: GeneratedFunction, config: CodegenConfig):
@@ -208,6 +210,7 @@ class CompiledFunction:
         self._generated = generated
         self._config = config
         self._worker: Worker | None = None
+        self._server = ForkServer()
         self._lock = threading.Lock()
 
     @property
@@ -221,26 +224,24 @@ class CompiledFunction:
     def __call__(self, args: Mapping[str, Any] | None = None, /, **kwargs) -> Any:
         merged = self._check_binding(_merge_args(args, kwargs))
         with self._lock:
-            worker = self._ensure_worker()
-            try:
-                return worker.call(self._generated.entry, merged)
-            except ExecutionError:
-                if worker.alive:
-                    raise  # the generated function failed; the worker is fine
+            if self._worker is not None and not self._worker.alive:
+                self._worker.close()
                 self._worker = None
-                worker.close()
-                return self._ensure_worker().call(self._generated.entry, merged)
+            return self._ensure_worker().call(self._generated.entry, merged)
 
     def call_isolated(self, args: Mapping[str, Any] | None = None, /, **kwargs) -> Any:
-        """One fresh harness process for this call only."""
+        """One fresh forked harness process for this call only."""
         merged = self._check_binding(_merge_args(args, kwargs))
-        return invoke(self._generated, merged, timeout=self._config.invoke_timeout)
+        return invoke(
+            self._generated, merged, timeout=self._config.invoke_timeout, server=self._server
+        )
 
     def close(self) -> None:
         with self._lock:
             if self._worker is not None:
                 self._worker.close()
                 self._worker = None
+        self._server.close()
 
     def __enter__(self):
         return self

@@ -1,24 +1,27 @@
 """Code generation: prompt, vet, cache, execute.
 
 A task is turned into a one-shot prompt; candidate code from the model is
-checked syntactically (target-language checker in a child process) and
-semantically (test examples run through the execution harness). The first
-candidate passing every check is written to the on-disk cache; retries
-re-send the identical prompt and rely on sampling temperature for variation.
-Generation for a given cache key happens once: lookups hit the cached source
-and never touch the client.
+checked syntactically (Python: ast.parse in this process; TypeScript: tsc in
+a child process) and semantically (each test example runs in a fresh child
+forked by the execution harness's fork server). generate owns that server:
+it starts it at the first test example it runs and closes it before it
+returns or raises. The first candidate passing every check is written to the
+on-disk cache; retries re-send the identical prompt and rely on sampling
+temperature for variation. Generation for a given cache key happens once:
+lookups hit the cached source and never touch the client.
 """
 
 from __future__ import annotations
 
+import ast
 import fcntl
 import json
 import math
 import re
 import shutil
 import subprocess
-import sys
 import tempfile
+import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,18 +39,12 @@ from .errors import (
     ToolchainUnavailable,
 )
 from .prompts import Example, Violation, ViolationKind, build_codegen, extract_block
-from .runner import run_once
+from .runner import ForkServer, run_once
 from .template import PromptTemplate, substitute_comment
 from .types import IDENT_RE, TypeSchema, VoidType, render
 
 DEFAULT_MAX_RETRIES = 9
 DEFAULT_CACHE_DIR = "askit"
-
-_PY_CHECK_SNIPPET = (
-    "import ast, sys\n"
-    "with open(sys.argv[1], encoding='utf-8') as handle:\n"
-    "    ast.parse(handle.read(), filename=sys.argv[1])\n"
-)
 
 
 @dataclass(frozen=True)
@@ -206,40 +203,47 @@ def cache_lookup(spec: TaskSpec, config: CodegenConfig) -> GeneratedFunction | N
 
 
 def syntax_check(source: str, language: str) -> Violation | None:
-    """Run the target language's checker in a child process.
+    """Check that a candidate parses in the target language.
 
-    Returns None when the code parses, a syntax-error Violation with the
-    checker's diagnostics otherwise. Raises ToolchainUnavailable when the
-    checker itself is missing.
+    Python is parsed in this process with ast.parse, which never runs the
+    code; TypeScript goes through `tsc --noEmit` in a child process. Returns
+    None when the code parses, a syntax-error Violation with the diagnostics
+    otherwise. Raises ToolchainUnavailable when tsc is missing.
     """
     if language not in LANGUAGES:
         raise SchemaError(f"unsupported target language {language!r}")
-    extension = LANGUAGES[language].extension
+    if language == "python":
+        try:
+            ast.parse(source, filename="candidate.py")
+        except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+            # ValueError: null bytes on older Pythons; RecursionError and
+            # MemoryError: nesting too deep for the parser.
+            diagnostics = "".join(traceback.format_exception_only(type(exc), exc)).strip()
+            return Violation(ViolationKind.SYNTAX_ERROR, diagnostics[-500:])
+        return None
+    tsc = shutil.which("tsc")
+    if tsc is None:
+        raise ToolchainUnavailable("tsc is not installed; cannot check typescript sources")
     with tempfile.TemporaryDirectory(prefix="askit-check-") as scratch:
-        path = Path(scratch) / f"candidate.{extension}"
+        path = Path(scratch) / f"candidate.{LANGUAGES[language].extension}"
         path.write_text(source if source.endswith("\n") else source + "\n", encoding="utf-8")
-        command = _checker_command(language, path)
-        proc = subprocess.run(command, capture_output=True, cwd=scratch, timeout=60)
+        proc = subprocess.run([tsc, "--noEmit", str(path)], capture_output=True, cwd=scratch, timeout=60)
     if proc.returncode == 0:
         return None
     diagnostics = (proc.stderr + proc.stdout).decode("utf-8", errors="replace").strip()
     return Violation(ViolationKind.SYNTAX_ERROR, diagnostics[-500:])
 
 
-def _checker_command(language: str, path: Path) -> list[str]:
-    if language == "python":
-        return [sys.executable, "-I", "-c", _PY_CHECK_SNIPPET, str(path)]
-    tsc = shutil.which("tsc")
-    if tsc is None:
-        raise ToolchainUnavailable("tsc is not installed; cannot check typescript sources")
-    return [tsc, "--noEmit", str(path)]
-
-
-def invoke(fn: GeneratedFunction, args: Mapping[str, Any], timeout: float = 10.0) -> Any:
-    """Run a cached function in a fresh harness process and return its value."""
+def invoke(
+    fn: GeneratedFunction,
+    args: Mapping[str, Any],
+    timeout: float = 10.0,
+    server: ForkServer | None = None,
+) -> Any:
+    """Run a cached function in a fresh forked process and return its value."""
     if not LANGUAGES[fn.language].runnable:
         raise ToolchainUnavailable(f"no execution harness for {fn.language}")
-    return run_once(fn.cache_path, fn.entry, args, timeout=timeout)
+    return run_once(fn.cache_path, fn.entry, args, timeout=timeout, server=server)
 
 
 def output_equal(expected: Any, actual: Any) -> bool:
@@ -279,8 +283,10 @@ def generate(client, spec: TaskSpec, config: CodegenConfig | None = None) -> Gen
     code, syntax-check it, run every test example through the harness. The
     winning candidate is cached and returned with its retry count. Raises
     GenerationFailed with the last violation and the full attempt transcript.
-    Concurrent calls for the same cache key are serialized by a file lock;
-    whoever enters second finds the cache populated.
+    Test examples run on one fork server, started at the first of them and
+    closed before this returns or raises. Concurrent calls for the same
+    cache key are serialized by a file lock; whoever enters second finds the
+    cache populated.
     """
     config = config or CodegenConfig()
     prompt = build_codegen(spec)
@@ -291,24 +297,25 @@ def generate(client, spec: TaskSpec, config: CodegenConfig | None = None) -> Gen
         messages = [Message("user", prompt.text)]
         transcript: list[tuple[str, Violation]] = []
         violation: Violation | None = None
-        for attempt in range(config.max_retries + 1):
-            response = client.complete(messages, temperature=config.temperature)
-            source, violation = _vet_candidate(response, spec, config)
-            if source is not None:
-                path = cache_store(spec, source, config, retries_used=attempt)
-                return GeneratedFunction(
-                    source=source,
-                    entry=spec.name,
-                    language=spec.target_language,
-                    cache_path=path,
-                    retries_used=attempt,
-                )
-            transcript.append((response, violation))
+        with ForkServer() as server:
+            for attempt in range(config.max_retries + 1):
+                response = client.complete(messages, temperature=config.temperature)
+                source, violation = _vet_candidate(response, spec, config, server)
+                if source is not None:
+                    path = cache_store(spec, source, config, retries_used=attempt)
+                    return GeneratedFunction(
+                        source=source,
+                        entry=spec.name,
+                        language=spec.target_language,
+                        cache_path=path,
+                        retries_used=attempt,
+                    )
+                transcript.append((response, violation))
         raise GenerationFailed(violation, transcript)
 
 
 def _vet_candidate(
-    response: str, spec: TaskSpec, config: CodegenConfig
+    response: str, spec: TaskSpec, config: CodegenConfig, server: ForkServer | None = None
 ) -> tuple[str | None, Violation | None]:
     try:
         source = extract_block(response, LANGUAGES[spec.target_language].name)
@@ -319,13 +326,15 @@ def _vet_candidate(
     violation = syntax_check(source, spec.target_language)
     if violation is not None:
         return None, violation
-    violation = _run_test_examples(source, spec, config)
+    violation = _run_test_examples(source, spec, config, server)
     if violation is not None:
         return None, violation
     return source, None
 
 
-def _run_test_examples(source: str, spec: TaskSpec, config: CodegenConfig) -> Violation | None:
+def _run_test_examples(
+    source: str, spec: TaskSpec, config: CodegenConfig, server: ForkServer | None
+) -> Violation | None:
     if not spec.tests:
         return None
     if not LANGUAGES[spec.target_language].runnable:
@@ -339,7 +348,9 @@ def _run_test_examples(source: str, spec: TaskSpec, config: CodegenConfig) -> Vi
         for example in spec.tests:
             shown = canonical_json(dict(example.input))
             try:
-                actual = run_once(path, spec.name, example.input, timeout=config.invoke_timeout)
+                actual = run_once(
+                    path, spec.name, example.input, timeout=config.invoke_timeout, server=server
+                )
             except (ExecutionError, ExecutionTimeout, ProtocolError) as exc:
                 return Violation(ViolationKind.TEST_FAILURE, f"input {shown} raised: {exc}")
             if not output_equal(example.output, actual):

@@ -4,6 +4,7 @@ Run as a plain script, never imported by the parent:
 
     python harness.py SOURCE_FILE          one request, one response, exit
     python harness.py SOURCE_FILE --serve  one request per input line, loop
+    python harness.py --fork-server        one forked child per input line
 
 Wire protocol, one JSON document per direction:
 
@@ -15,12 +16,26 @@ The harness keeps the protocol channel to itself: the real stdout/stdin file
 descriptors are duplicated away before user code runs, fd 1 is pointed at
 stderr (so stray prints cannot corrupt responses) and fd 0 at /dev/null.
 
+The fork server is a zygote: it never loads generated code itself. Each of
+its requests also names the source file, a scratch directory and a timeout
+in seconds:
+
+    {"source": <path>, "scratch": <dir>, "timeout": <s>, "entry": ..., "args": ...}
+
+For each one it forks a child that changes into the scratch directory
+(which becomes its TMPDIR and HOME as well), installs the sandbox, loads the
+source, answers the request exactly as the one-shot mode does and leaves
+with os._exit. The zygote waits for that child, kills it on timeout or when
+its response grows past MAX_RESPONSE_BYTES, and relays exactly one response
+line; a timeout is reported as {"ok": false, "timeout": true, ...}. The
+parent (runner.ForkServer) creates every scratch directory and removes it.
+
 Before executing the generated source an audit-hook sandbox is installed in
-this process: file writes, renames and deletes outside the scratch directory
-(the working directory) are denied, as are sockets and subprocesses. This is
-containment against careless generated code, not a security boundary against
-a determined adversary; the parent additionally enforces a wall-clock
-timeout.
+the process that runs it: file writes, renames and deletes outside the
+scratch directory (the working directory) are denied, as are sockets,
+subprocesses, exec and signals to other processes. This is containment
+against careless generated code, not a security boundary against a
+determined adversary; a wall-clock timeout is enforced from outside.
 
 This file is intentionally self-contained (stdlib only) so it works no matter
 how the parent package was installed.
@@ -28,8 +43,14 @@ how the parent package was installed.
 
 import json
 import os
+import select
+import signal
 import sys
+import time
 import traceback
+
+# Longest response line, newline excluded, that either side of a pipe accepts.
+MAX_RESPONSE_BYTES = 16 << 20
 
 WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_TRUNC | os.O_EXCL
 
@@ -41,10 +62,14 @@ DENIED_ALWAYS = {
     "socket.sendmsg",
     "subprocess.Popen",
     "os.system",
+    "os.exec",
     "os.posix_spawn",
     "os.spawn",
     "os.fork",
     "os.forkpty",
+    "os.kill",
+    "os.killpg",
+    "signal.pthread_kill",
 }
 
 PATH_EVENTS = {
@@ -101,6 +126,15 @@ def load_module(source_path):
     return namespace
 
 
+def load(source_path):
+    """The module's namespace and None, or an empty one and the load error."""
+    try:
+        return load_module(source_path), None
+    except BaseException as exc:  # noqa: BLE001
+        line = traceback.format_exception_only(type(exc), exc)[-1].strip()
+        return {}, f"generated source failed to load: {line}"
+
+
 def handle_request(namespace, load_error, request):
     if load_error is not None:
         return {"ok": False, "error": load_error}
@@ -127,12 +161,86 @@ def encode_response(response):
         return json.dumps({"ok": False, "error": f"result is not JSON-serializable: {exc}"})
 
 
+def answer(source_path, request):
+    """Load the source fresh and answer one request: the one-shot run."""
+    return encode_response(handle_request(*load(source_path), request))
+
+
+def write_line(fd, text):
+    data = memoryview((text + "\n").encode("utf-8"))
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def read_line(fd, timeout, limit):
+    """The first line on `fd`, without its newline, read within `timeout`
+    seconds (None: no limit). Returns (line, None) or (b"", why), where why
+    is "timeout", "closed" (end of file first) or "oversize" (over `limit`)."""
+    deadline = None if timeout is None else time.monotonic() + timeout
+    data = bytearray()
+    while (end := data.find(b"\n")) < 0 and len(data) <= limit:
+        remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+        if not select.select([fd], [], [], remaining)[0]:
+            return b"", "timeout"
+        chunk = os.read(fd, 65536)
+        if not chunk:
+            return b"", "closed"
+        data += chunk
+    if end < 0 or end > limit:
+        return b"", "oversize"
+    return bytes(data[:end]), None
+
+
+def run_forked(request, protocol_fds):
+    """Answer `request` in a forked child; the response line it wrote, or an
+    error document when it wrote none in time."""
+    scratch, timeout = request["scratch"], request["timeout"]
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            for fd in (read_fd, *protocol_fds):
+                os.close(fd)
+            os.chdir(scratch)
+            os.environ["TMPDIR"] = os.environ["HOME"] = scratch
+            install_sandbox(scratch)
+            write_line(write_fd, answer(request["source"], request))
+            status = 0
+        except BaseException:  # noqa: BLE001
+            traceback.print_exc()
+        finally:
+            try:
+                sys.stdout.flush()  # stray prints reach the stderr log
+                sys.stderr.flush()
+            finally:
+                os._exit(status)
+    os.close(write_fd)
+    try:
+        line, why = read_line(read_fd, timeout, MAX_RESPONSE_BYTES)
+    finally:
+        # Reap the child on every path; one still running here has answered,
+        # closed its pipe, overrun its time or outgrown the response limit.
+        os.close(read_fd)
+        os.kill(pid, signal.SIGKILL)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if why is None:
+        return line.decode("utf-8", errors="replace")
+    if why == "timeout":
+        error = {"ok": False, "timeout": True, "error": f"{request.get('entry')} exceeded {timeout}s"}
+    elif why == "oversize":
+        error = {"ok": False, "error": f"response exceeds {MAX_RESPONSE_BYTES} bytes"}
+    else:
+        error = {"ok": False, "error": f"harness exited with status {status}"}
+    return encode_response(error)
+
+
 def main(argv):
-    if len(argv) < 2:
-        print("usage: harness.py SOURCE_FILE [--serve]", file=sys.stderr)
+    fork_server = argv[1:] == ["--fork-server"]
+    if len(argv) < 2 or (argv[1].startswith("--") and not fork_server):
+        print("usage: harness.py SOURCE_FILE [--serve] | harness.py --fork-server", file=sys.stderr)
         return 2
-    source_path = argv[1]
-    serve = "--serve" in argv[2:]
 
     # Claim the protocol descriptors before any user code can touch them.
     protocol_out = os.dup(1)
@@ -144,40 +252,49 @@ def main(argv):
     requests = os.fdopen(protocol_in, "r", encoding="utf-8")
 
     def respond(response):
-        os.write(protocol_out, (encode_response(response) + "\n").encode("utf-8"))
+        write_line(protocol_out, encode_response(response))
 
-    install_sandbox(os.getcwd())
-
-    def load():
-        try:
-            return load_module(source_path), None
-        except BaseException as exc:  # noqa: BLE001
-            line = traceback.format_exception_only(type(exc), exc)[-1].strip()
-            return {}, f"generated source failed to load: {line}"
-
-    if serve:
-        namespace, load_error = load()
+    def lines():
         for line in requests:
             line = line.strip()
             if not line:
                 continue
             try:
-                request = json.loads(line)
+                yield json.loads(line)
             except ValueError as exc:
                 respond({"ok": False, "error": f"request is not valid JSON: {exc}"})
-                continue
-            respond(handle_request(namespace, load_error, request))
-    else:
-        # Drain the request before touching user code so a large payload can
-        # never deadlock against a module that is slow to load.
-        raw = requests.read()
+
+    if fork_server:
+        # A terminated zygote still reaps the child it is waiting for, then
+        # leaves at once: it holds nothing worth finalizing.
+        signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(0))
         try:
-            request = json.loads(raw)
-        except ValueError as exc:
-            respond({"ok": False, "error": f"request is not valid JSON: {exc}"})
-            return 0
-        namespace, load_error = load()
-        respond(handle_request(namespace, load_error, request))
+            for request in lines():
+                try:
+                    response = run_forked(request, (protocol_in, protocol_out))
+                except (TypeError, KeyError) as exc:
+                    response = encode_response({"ok": False, "error": f"fork request is malformed: {exc!r}"})
+                write_line(protocol_out, response)
+        except SystemExit:
+            pass
+        os._exit(0)
+
+    source_path = argv[1]
+    install_sandbox(os.getcwd())
+    if "--serve" in argv[2:]:
+        namespace, load_error = load(source_path)
+        for request in lines():
+            respond(handle_request(namespace, load_error, request))
+        return 0
+    # Drain the request before touching user code so a large payload can
+    # never deadlock against a module that is slow to load.
+    raw = requests.read()
+    try:
+        request = json.loads(raw)
+    except ValueError as exc:
+        respond({"ok": False, "error": f"request is not valid JSON: {exc}"})
+        return 0
+    write_line(protocol_out, answer(source_path, request))
     return 0
 
 

@@ -8,6 +8,7 @@ from askit.api import AskResult, ask, define
 from askit.clients import ScriptedClient
 from askit.codegen import CodegenConfig, output_equal
 from askit.errors import (
+    ExecutionError,
     NotCodable,
     SchemaError,
     UnboundParameter,
@@ -209,6 +210,26 @@ class TestCompile:
             compiled._worker._proc.kill()
             compiled._worker._proc.wait(timeout=5)
             assert compiled(n=5) == 120
+
+    def test_call_that_kills_its_worker_runs_once(self, tmp_path, monkeypatch):
+        source = "import os\ndef crash(*, n):\n    os._exit(1)"
+        client = ScriptedClient([code_response(source)])
+        defined = define(INT, "Crash on {{n}}", param_schemas={"n": INT}, name="crash", client=client)
+        started = []
+
+        class CountingWorker(api.Worker):
+            def __init__(self, *args, **kwargs):
+                started.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(api, "Worker", CountingWorker)
+        with defined.compile(CodegenConfig(cache_dir=tmp_path)) as compiled:
+            with pytest.raises(ExecutionError):
+                compiled(n=1)
+            assert len(started) == 1
+            with pytest.raises(ExecutionError):
+                compiled(n=2)  # the dead worker is replaced before sending
+            assert len(started) == 2
 
     def test_call_isolated(self, tmp_path):
         client = ScriptedClient([code_response(FACTORIAL_CODE)])

@@ -1,10 +1,14 @@
 import json
 import re
+import subprocess
 import threading
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import askit.codegen as codegen_mod
+from askit.api import define
 from askit.clients import ScriptedClient
 from askit.codegen import (
     CodegenConfig,
@@ -29,6 +33,21 @@ from askit.errors import (
 from askit.prompts import Example, ViolationKind
 from askit.template import parse
 from askit.types import INT, STR, list_of
+
+
+def live_children():
+    """Process ids of this process's children that are still running."""
+    pids = set()
+    for task in Path("/proc/self/task").iterdir():
+        try:
+            pids.update((task / "children").read_text().split())
+        except OSError:
+            continue
+    return pids
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a child process was started")
 
 ADD_TS = (
     "export function func({x, y}: {x: number, y: number}): number {\n"
@@ -208,6 +227,19 @@ class TestSyntaxCheck:
         with pytest.raises(ToolchainUnavailable):
             syntax_check(ADD_TS, "typescript")
 
+    def test_python_check_starts_no_process(self, monkeypatch):
+        monkeypatch.setattr(subprocess, "run", refuse)
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        assert syntax_check(ADD_PY, "python") is None
+        assert syntax_check("def f(:\n    pass", "python").kind is ViolationKind.SYNTAX_ERROR
+
+    @pytest.mark.parametrize("source", ["x = 1\x00\n", "[" * 5000, "-" * 100_000 + "1"],
+                             ids=["null_byte", "deep_brackets", "deep_unary"])
+    def test_python_parser_limits_are_syntax_errors(self, source):
+        violation = syntax_check(source, "python")
+        assert violation is not None and violation.kind is ViolationKind.SYNTAX_ERROR
+        assert re.search(r"\w+Error", violation.detail)
+
     @pytest.mark.skipif(codegen_mod.shutil.which("tsc") is None, reason="tsc not installed")
     def test_typescript_add_function_passes(self):
         assert syntax_check(ADD_TS, "typescript") is None
@@ -331,6 +363,60 @@ class TestGenerate:
         assert not errors
         assert client.call_count == 1
         assert results[0].source == results[1].source
+
+
+class TestForkServerOwnership:
+    """generate and CompiledFunction own their fork servers: no harness
+    process outlives them."""
+
+    def test_no_child_left_after_generate_returns(self, tmp_path):
+        before = live_children()
+        client = ScriptedClient([code_response(FIB_WRONG), code_response(FIB_RIGHT)])
+        generated = generate(client, fib_spec(), CodegenConfig(cache_dir=tmp_path))
+        assert generated.retries_used == 1
+        assert live_children() - before == set()
+
+    def test_no_child_left_after_generation_fails(self, tmp_path):
+        before = live_children()
+        client = ScriptedClient([code_response(FIB_WRONG)] * 2)
+        with pytest.raises(GenerationFailed):
+            generate(client, fib_spec(), CodegenConfig(cache_dir=tmp_path, max_retries=1))
+        assert live_children() - before == set()
+
+    def test_no_child_left_after_compiled_function_closes(self, tmp_path):
+        before = live_children()
+        defined = define(INT, "add {{x}} and {{y}}", param_schemas={"x": INT, "y": INT},
+                         tests=[{"input": {"x": 1, "y": 2}, "output": 3}], name="add",
+                         client=ScriptedClient([code_response(ADD_PY)]))
+        compiled = defined.compile(CodegenConfig(cache_dir=tmp_path))
+        assert compiled(x=2, y=3) == 5
+        assert compiled.call_isolated(x=2, y=3) == 5
+        assert compiled.call_isolated(x=4, y=3) == 7
+        assert len(live_children() - before) == 2  # the warm worker and the zygote
+        compiled.close()
+        assert live_children() - before == set()
+
+    def test_no_test_examples_start_no_harness(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        client = ScriptedClient(["def  broken(((", code_response(ADD_PY)])
+        generated = generate(client, add_spec(tests=()), CodegenConfig(cache_dir=tmp_path))
+        assert generated.retries_used == 1
+
+    def test_test_examples_share_one_fork_server(self, tmp_path, monkeypatch):
+        servers = []
+        real = codegen_mod.run_once
+
+        def spy(*args, server=None, **kwargs):
+            servers.append(server)
+            return real(*args, server=server, **kwargs)
+
+        monkeypatch.setattr(codegen_mod, "run_once", spy)
+        spec = replace(fib_spec(), tests=fib_spec().tests + (Example({"n": 1}, [0, 1, 1]),))
+        client = ScriptedClient([code_response(FIB_WRONG), code_response(FIB_RIGHT)])
+        generate(client, spec, CodegenConfig(cache_dir=tmp_path))
+        assert len(servers) == 3  # one for the wrong candidate, two for the right one
+        assert servers[0] is not None and all(server is servers[0] for server in servers)
+        assert not servers[0].alive
 
 
 class TestInvoke:

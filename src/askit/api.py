@@ -22,10 +22,10 @@ from .codegen import (
 )
 from .encoding import stable_digest
 from .engine import EngineConfig, ask_until_valid
-from .errors import NotCodable, SchemaError, UnboundParameter, UnknownParameter
+from .errors import NotCodable, SchemaError
 from .prompts import Example
 from .runner import ForkServer, Worker
-from .template import parse
+from .template import _check_binding, parse
 from .types import TypeSchema, VoidType, render
 
 
@@ -222,7 +222,8 @@ class CompiledFunction:
         return self._generated
 
     def __call__(self, args: Mapping[str, Any] | None = None, /, **kwargs) -> Any:
-        merged = self._check_binding(_merge_args(args, kwargs))
+        merged = _merge_args(args, kwargs)
+        _check_binding(self._spec.template, merged)
         with self._lock:
             if self._worker is not None and not self._worker.alive:
                 self._worker.close()
@@ -231,7 +232,8 @@ class CompiledFunction:
 
     def call_isolated(self, args: Mapping[str, Any] | None = None, /, **kwargs) -> Any:
         """One fresh forked harness process for this call only."""
-        merged = self._check_binding(_merge_args(args, kwargs))
+        merged = _merge_args(args, kwargs)
+        _check_binding(self._spec.template, merged)
         return invoke(
             self._generated, merged, timeout=self._config.invoke_timeout, server=self._server
         )
@@ -255,13 +257,3 @@ class CompiledFunction:
                 self._generated.cache_path, call_timeout=self._config.invoke_timeout
             )
         return self._worker
-
-    def _check_binding(self, args: dict) -> dict:
-        declared = set(self._spec.template.params)
-        for name in declared:
-            if name not in args:
-                raise UnboundParameter(f"parameter {name!r} is not bound")
-        for name in args:
-            if name not in declared:
-                raise UnknownParameter(f"argument {name!r} is not a task parameter")
-        return args

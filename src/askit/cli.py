@@ -32,7 +32,7 @@ from .clients import (
     ReplayClient,
 )
 from .codegen import CodegenConfig, cache_lookup, generate
-from .engine import EngineConfig, ask_until_valid
+from .engine import DEFAULT_MAX_RETRIES, EngineConfig, ask_until_valid
 from .errors import (
     AskitError,
     ClientError,
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     codegen_cmd.add_argument("--cache-dir", default="askit")
     codegen_cmd.add_argument("--target", default=None)
     codegen_cmd.add_argument("--jobs", type=int, default=1)
-    codegen_cmd.add_argument("--max-retries", type=int, default=9)
+    codegen_cmd.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)
     _add_backend_options(codegen_cmd)
     codegen_cmd.set_defaults(func=_cmd_codegen)
 

@@ -36,7 +36,7 @@ from .errors import (
     ResponseTooLarge,
     ScriptExhausted,
 )
-from .engine import Message
+from .engine import Message, check_temperature
 
 MODEL_ENV_VAR = "ASKIT_MODEL"
 API_KEY_ENV_VAR = "OPENAI_API_KEY"
@@ -54,8 +54,7 @@ class ClientConfig:
     max_response_bytes: int = 4 * 1024 * 1024
 
     def __post_init__(self):
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError("temperature must be within [0.0, 2.0]")
+        check_temperature(self.temperature)
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
 

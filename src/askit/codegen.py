@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .encoding import canonical_json, stable_digest
-from .engine import Message
+from .engine import DEFAULT_MAX_RETRIES, Message, check_temperature
 from .errors import (
     BlockNotFound,
     ExecutionError,
@@ -43,7 +43,6 @@ from .runner import ForkServer, run_once
 from .template import PromptTemplate, substitute_comment
 from .types import IDENT_RE, TypeSchema, VoidType, render
 
-DEFAULT_MAX_RETRIES = 9
 DEFAULT_CACHE_DIR = "askit"
 
 
@@ -108,8 +107,7 @@ class CodegenConfig:
     def __post_init__(self):
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError("temperature must be within [0.0, 2.0]")
+        check_temperature(self.temperature)
         object.__setattr__(self, "cache_dir", Path(self.cache_dir))
         if self.codable_allowlist is not None:
             object.__setattr__(self, "codable_allowlist", frozenset(self.codable_allowlist))

@@ -32,6 +32,11 @@ DEFAULT_MAX_RETRIES = 9
 DEFAULT_TEMPERATURE = 1.0
 
 
+def check_temperature(temperature: float) -> None:
+    if not 0.0 <= temperature <= 2.0:
+        raise ValueError("temperature must be within [0.0, 2.0]")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     max_direct_retries: int = DEFAULT_MAX_RETRIES
@@ -40,8 +45,7 @@ class EngineConfig:
     def __post_init__(self):
         if self.max_direct_retries < 0:
             raise ValueError("max_direct_retries must be >= 0")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError("temperature must be within [0.0, 2.0]")
+        check_temperature(self.temperature)
 
 
 @dataclass(frozen=True)

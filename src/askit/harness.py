@@ -1,10 +1,10 @@
 """Child-process harness that loads generated source and calls one function.
 
-Run as a plain script, never imported by the parent:
+Run as a plain script by `python -I -S -B`, never imported by the parent:
 
-    python harness.py SOURCE_FILE          one request, one response, exit
-    python harness.py SOURCE_FILE --serve  one request per input line, loop
-    python harness.py --fork-server        one forked child per input line
+    python -I -S -B harness.py SOURCE_FILE          one request, one response
+    python -I -S -B harness.py SOURCE_FILE --serve  one request per line, loop
+    python -I -S -B harness.py --fork-server        one forked child per line
 
 Wire protocol, one JSON document per direction:
 
@@ -29,6 +29,8 @@ with os._exit. The zygote waits for that child, kills it on timeout or when
 its response grows past MAX_RESPONSE_BYTES, and relays exactly one response
 line; a timeout is reported as {"ok": false, "timeout": true, ...}. The
 parent (runner.ForkServer) creates every scratch directory and removes it.
+Before its first request the zygote compiles an empty string, so that its
+children inherit the compiler's lazy state instead of each building it.
 
 Before executing the generated source an audit-hook sandbox is installed in
 the process that runs it: file writes, renames and deletes outside the
@@ -37,8 +39,9 @@ subprocesses, exec and signals to other processes. This is containment
 against careless generated code, not a security boundary against a
 determined adversary; a wall-clock timeout is enforced from outside.
 
-This file is intentionally self-contained (stdlib only) so it works no matter
-how the parent package was installed.
+This file is intentionally self-contained (stdlib only): the parent starts it
+without `site`, so neither the harness nor generated code sees site-packages
+or runs .pth hooks, and generated code can import the standard library only.
 """
 
 import json
@@ -268,6 +271,9 @@ def main(argv):
         # A terminated zygote still reaps the child it is waiting for, then
         # leaves at once: it holds nothing worth finalizing.
         signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(0))
+        # Without `site` nothing has compiled yet; a child would spend about
+        # 2 ms building the compiler's lazy state in its first compile().
+        compile("", "<warm-up>", "exec")
         try:
             for request in lines():
                 try:

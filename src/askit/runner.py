@@ -15,10 +15,11 @@ runs on one server are serialized. Whoever creates a ForkServer closes it:
 codegen.generate around the vetting of its candidates, CompiledFunction in
 close(). run_once without a server starts one for that single call.
 
-Both share one plumbing: the interpreter launch with a minimal environment,
-one request line out and one response line back under a deadline and a size
-cap (MAX_RESPONSE_BYTES), a stderr log for error messages, and a shutdown
-that also runs when the owner is garbage-collected.
+Both share one plumbing: the interpreter launch without `site` (so generated
+code sees the standard library only) and with a minimal environment, one
+request line out and one response line back under a deadline and a size cap
+(MAX_RESPONSE_BYTES), a stderr log for error messages, and a shutdown that
+also runs when the owner is garbage-collected.
 """
 
 from __future__ import annotations
@@ -106,10 +107,10 @@ class _HarnessProcess:
         scratch = tempfile.TemporaryDirectory(prefix="askit-worker-")
         self._stderr_path = Path(scratch.name) / "stderr.log"
         stderr_handle = open(self._stderr_path, "wb")
-        # -I: isolated mode keeps the harness directory off sys.path and
-        # ignores PYTHON* env vars; -B never writes bytecode caches.
+        # -I: harness directory off sys.path, PYTHON* env vars ignored; -S: no
+        # `site`, no .pth hooks (over half the start-up); -B: no bytecode.
         self._proc = subprocess.Popen(
-            [python or sys.executable, "-I", "-B", str(HARNESS_PATH), *harness_args],
+            [python or sys.executable, "-I", "-S", "-B", str(HARNESS_PATH), *harness_args],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=stderr_handle,

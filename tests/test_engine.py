@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from askit.clients import ScriptedClient
-from askit.engine import EngineConfig, Message, ask_until_valid, feedback_text
+from askit.cli import build_parser
+from askit.clients import ClientConfig, ScriptedClient
+from askit.codegen import CodegenConfig
+from askit.engine import DEFAULT_MAX_RETRIES, EngineConfig, Message, ask_until_valid, feedback_text
 from askit.errors import RetriesExhausted
 from askit.prompts import Violation, ViolationKind
 from askit.template import parse
@@ -129,6 +131,16 @@ class TestEngineConfig:
             EngineConfig(max_direct_retries=-1)
         with pytest.raises(ValueError):
             EngineConfig(temperature=2.5)
+
+    @pytest.mark.parametrize("config", [EngineConfig, CodegenConfig, ClientConfig])
+    @pytest.mark.parametrize("temperature", [-0.1, 2.5])
+    def test_every_config_checks_temperature_alike(self, config, temperature):
+        with pytest.raises(ValueError, match=r"^temperature must be within \[0\.0, 2\.0\]$"):
+            config(temperature=temperature)
+
+    def test_one_retry_default(self):
+        assert CodegenConfig().max_retries == EngineConfig().max_direct_retries == DEFAULT_MAX_RETRIES
+        assert build_parser().parse_args(["codegen", "tasks.json"]).max_retries == DEFAULT_MAX_RETRIES
 
 
 def test_message_wire_shape():

@@ -345,6 +345,30 @@ class TestForkServer:
         assert run_once(source, "add", {"x": 1, "y": 2}, server=None) == 3
 
 
+def _run_by_worker(source, entry, args):
+    with Worker(source) as worker:
+        return worker.call(entry, args)
+
+
+def _run_by_fork_server(source, entry, args):
+    with ForkServer() as server:
+        return server.run(source, entry, args)
+
+
+class TestStdlibOnly:
+    SITE_SOURCE = (
+        "import sys\n"
+        "def f():\n"
+        "    return [sys.flags.no_site, [p for p in sys.path if 'site-packages' in p]]\n"
+    )
+
+    @pytest.mark.parametrize(
+        "run", [run_once, _run_by_fork_server, _run_by_worker], ids=["run_once", "fork_server", "worker"]
+    )
+    def test_generated_code_runs_without_site(self, tmp_path, run):
+        assert run(write_source(tmp_path, self.SITE_SOURCE), "f", {}) == [1, []]
+
+
 class TestResponseCap:
     BIG_SOURCE = "def f():\n    return 'x' * 2048\n"
 

@@ -32,7 +32,7 @@ from .clients import (
     ReplayClient,
 )
 from .codegen import CodegenConfig, cache_lookup, generate
-from .engine import DEFAULT_MAX_RETRIES, EngineConfig, ask_until_valid
+from .engine import DEFAULT_MAX_RETRIES, DEFAULT_TEMPERATURE, EngineConfig, ask_until_valid
 from .errors import (
     AskitError,
     ClientError,
@@ -62,10 +62,6 @@ def _emit(document) -> None:
     sys.stdout.write(json.dumps(document, ensure_ascii=False) + "\n")
 
 
-def _load(path: str) -> TaskFile:
-    return load_task_file(path)
-
-
 def _entry(task_file: TaskFile, name: str):
     try:
         return task_file.get(name)
@@ -90,7 +86,7 @@ def _add_backend_options(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--fixtures", help="fixture store path for replay/record")
     sub.add_argument("--model", help=f"model id (default: ${MODEL_ENV_VAR} or {DEFAULT_MODEL_ID})")
-    sub.add_argument("--temperature", type=float, default=1.0)
+    sub.add_argument("--temperature", type=float, default=DEFAULT_TEMPERATURE)
     sub.add_argument(
         "--replay-delay-ms", type=float, default=0.0,
         help="simulated latency per replayed call, in milliseconds",
@@ -112,7 +108,7 @@ def _build_client(args, cycle: bool = False):
 
 
 def _cmd_show_prompt(args) -> int:
-    task_file = _load(args.task_file)
+    task_file = load_task_file(args.task_file)
     entry = _entry(task_file, args.name)
     if args.mode == "codegen":
         spec = entry.to_spec(target_language=args.target)
@@ -128,7 +124,7 @@ def _cmd_show_prompt(args) -> int:
 
 
 def _cmd_ask(args) -> int:
-    task_file = _load(args.task_file)
+    task_file = load_task_file(args.task_file)
     entry = _entry(task_file, args.name)
     spec = entry.to_spec()
     if isinstance(spec.return_schema, VoidType):
@@ -153,7 +149,7 @@ def _loc(source: str, language: str) -> int:
 
 
 def _cmd_codegen(args) -> int:
-    task_file = _load(args.task_file)
+    task_file = load_task_file(args.task_file)
     if args.only:
         entries = [_entry(task_file, name) for name in args.only]
     else:
@@ -207,7 +203,7 @@ def _cmd_codegen(args) -> int:
 def _cmd_bench(args) -> int:
     if args.repeat < 1:
         return _fail("--repeat must be >= 1", EXIT_USAGE)
-    task_file = _load(args.task_file)
+    task_file = load_task_file(args.task_file)
     entries = [entry for entry in task_file.entries.values() if entry.codable and entry.tests]
     if args.only:
         only = set(args.only)
@@ -300,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_cmd.add_argument("--cache-dir", default=None)
     bench_cmd.add_argument("--fixtures", required=True)
     bench_cmd.add_argument("--model", default=None)
-    bench_cmd.add_argument("--temperature", type=float, default=1.0)
+    bench_cmd.add_argument("--temperature", type=float, default=DEFAULT_TEMPERATURE)
     bench_cmd.add_argument("--replay-delay-ms", type=float, default=0.0)
     bench_cmd.set_defaults(func=_cmd_bench)
 

@@ -36,7 +36,7 @@ from .errors import (
     ResponseTooLarge,
     ScriptExhausted,
 )
-from .engine import Message, check_temperature
+from .engine import DEFAULT_TEMPERATURE, Message, check_temperature
 
 MODEL_ENV_VAR = "ASKIT_MODEL"
 API_KEY_ENV_VAR = "OPENAI_API_KEY"
@@ -49,7 +49,7 @@ class ClientConfig:
     model_id: str = DEFAULT_MODEL_ID
     api_key: str = ""
     base_url: str = DEFAULT_BASE_URL
-    temperature: float = 1.0
+    temperature: float = DEFAULT_TEMPERATURE
     timeout: float = 60.0
     max_response_bytes: int = 4 * 1024 * 1024
 
@@ -244,7 +244,7 @@ class ReplayClient:
         self,
         path: str | Path,
         model_id: str | None = None,
-        default_temperature: float = 1.0,
+        default_temperature: float = DEFAULT_TEMPERATURE,
         cycle: bool = False,
         delay_s: float = 0.0,
     ):
@@ -288,7 +288,7 @@ class ScriptedClient:
 
     def __init__(self, responses: Sequence[str], model_id: str = "scripted"):
         self.model_id = model_id
-        self.default_temperature = 1.0
+        self.default_temperature = DEFAULT_TEMPERATURE
         self._responses = list(responses)
         self._next = 0
         self._lock = threading.Lock()

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .encoding import canonical_json, stable_digest
-from .engine import DEFAULT_MAX_RETRIES, Message, check_temperature
+from .engine import DEFAULT_MAX_RETRIES, DEFAULT_TEMPERATURE, Message, check_temperature
 from .errors import (
     BlockNotFound,
     ExecutionError,
@@ -39,7 +39,7 @@ from .errors import (
     ToolchainUnavailable,
 )
 from .prompts import Example, Violation, ViolationKind, build_codegen, extract_block
-from .runner import ForkServer, run_once
+from .runner import DEFAULT_INVOKE_TIMEOUT, ForkServer, run_once
 from .template import PromptTemplate, substitute_comment
 from .types import IDENT_RE, TypeSchema, VoidType, render
 
@@ -98,11 +98,11 @@ class TaskSpec:
 @dataclass(frozen=True)
 class CodegenConfig:
     max_retries: int = DEFAULT_MAX_RETRIES
-    temperature: float = 1.0
+    temperature: float = DEFAULT_TEMPERATURE
     cache_dir: Path = field(default_factory=lambda: Path(DEFAULT_CACHE_DIR))
     codable_allowlist: frozenset[str] | None = None
     require_param_schemas: bool = True
-    invoke_timeout: float = 10.0
+    invoke_timeout: float = DEFAULT_INVOKE_TIMEOUT
 
     def __post_init__(self):
         if self.max_retries < 0:
@@ -235,7 +235,7 @@ def syntax_check(source: str, language: str) -> Violation | None:
 def invoke(
     fn: GeneratedFunction,
     args: Mapping[str, Any],
-    timeout: float = 10.0,
+    timeout: float = DEFAULT_INVOKE_TIMEOUT,
     server: ForkServer | None = None,
 ) -> Any:
     """Run a cached function in a fresh forked process and return its value."""

@@ -30,7 +30,8 @@ its response grows past MAX_RESPONSE_BYTES, and relays exactly one response
 line; a timeout is reported as {"ok": false, "timeout": true, ...}. The
 parent (runner.ForkServer) creates every scratch directory and removes it.
 Before its first request the zygote compiles an empty string, so that its
-children inherit the compiler's lazy state instead of each building it.
+children inherit the compiler's lazy state instead of each building it, and
+before each fork it runs preload on the request's source.
 
 Before executing the generated source an audit-hook sandbox is installed in
 the process that runs it: file writes, renames and deletes outside the
@@ -42,15 +43,20 @@ determined adversary; a wall-clock timeout is enforced from outside.
 This file is intentionally self-contained (stdlib only): the parent starts it
 without `site`, so neither the harness nor generated code sees site-packages
 or runs .pth hooks, and generated code can import the standard library only.
+At start it imports only built-in and C modules (os, sys, select, time,
+_signal, _json): json, re, enum and traceback would add about 25 ms, over
+half of a harness start. loads, dumps and error_line stand in for them, and
+rare paths (malformed JSON, a result that is not serializable, a SyntaxError,
+notes) import the real module.
 """
 
-import json
 import os
 import select
-import signal
 import sys
 import time
-import traceback
+
+import _json
+import _signal
 
 # Longest response line, newline excluded, that either side of a pipe accepts.
 MAX_RESPONSE_BYTES = 16 << 20
@@ -120,6 +126,83 @@ def install_sandbox(scratch_root):
     sys.addaudithook(hook)
 
 
+class _JSONDecoderContext:  # what _json.make_scanner reads from a json.JSONDecoder()
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float, parse_int = float, int
+    parse_constant = {"-Infinity": float("-inf"), "Infinity": float("inf"), "NaN": float("nan")}.__getitem__
+
+
+_scan_json = _json.make_scanner(_JSONDecoderContext)
+JSON_WHITESPACE = " \t\n\r"
+
+
+def loads(text):
+    """json.loads(text) for a str."""
+    try:
+        value, end = _scan_json(text, len(text) - len(text.lstrip(JSON_WHITESPACE)))
+        if end >= len(text.rstrip(JSON_WHITESPACE)):
+            return value
+    except Exception:  # noqa: BLE001 - StopIteration, or SystemError without json.decoder
+        pass
+    import json  # malformed or trailing input: json raises its own error
+    return json.loads(text)
+
+
+def _not_serializable(value):  # json.JSONEncoder.default
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def dumps(value):
+    """json.dumps(value, ensure_ascii=False)."""
+    # markers, default, encoder, indent, separators, sort_keys, skipkeys, allow_nan
+    encode = _json.make_encoder({}, _not_serializable, _json.encode_basestring, None, ": ", ", ", False, False, True)
+    return "".join(encode(value, 0))
+
+
+# Exceptions whose line traceback builds from more than type and str(): the
+# source line of a SyntaxError and, from Python 3.12 on, "Did you mean" hints.
+# Checked up to 3.13; a later Python may hint more, so traceback does it all.
+_TRACEBACK_FORMATS = (SyntaxError, *((ImportError, NameError, AttributeError) if sys.version_info >= (3, 12) else ()))
+if sys.version_info >= (3, 14):
+    _TRACEBACK_FORMATS = BaseException
+
+
+def error_line(exc):
+    """traceback.format_exception_only(type(exc), exc)[-1].strip()."""
+    try:
+        text = str(exc)
+        plain = getattr(exc, "__notes__", None) is None and not isinstance(exc, _TRACEBACK_FORMATS)
+    except BaseException:  # noqa: BLE001 - traceback has its own fallback text
+        plain = False
+    if not plain:
+        import traceback
+        return traceback.format_exception_only(type(exc), exc)[-1].strip()
+    name, module = type(exc).__qualname__, type(exc).__module__
+    if module not in ("__main__", "builtins"):
+        name = f"{module if isinstance(module, str) else '<unknown>'}.{name}"
+    return (f"{name}: {text}" if text else name).strip()
+
+
+def preload(source_path):
+    """Import json and traceback, and with them re, enum, collections,
+    functools, tokenize and linecache, when a line of the source starting
+    with `import` or `from` names a standard-library module not loaded yet.
+    Much of the pure-Python standard library builds on these; each child
+    would otherwise load them again, about 10 ms for re alone."""
+    try:
+        with open(source_path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except (OSError, ValueError):
+        return  # the child reports a source it cannot read
+    for words in (line.replace(",", " ").split() for line in lines):
+        if words[:1] in (["import"], ["from"]):
+            named = {word.partition(".")[0] for word in words[1:]} & sys.stdlib_module_names
+            if named - sys.modules.keys():
+                import json, traceback  # noqa: F401
+                return
+
+
 def load_module(source_path):
     with open(source_path, encoding="utf-8") as handle:
         source = handle.read()
@@ -134,8 +217,7 @@ def load(source_path):
     try:
         return load_module(source_path), None
     except BaseException as exc:  # noqa: BLE001
-        line = traceback.format_exception_only(type(exc), exc)[-1].strip()
-        return {}, f"generated source failed to load: {line}"
+        return {}, f"generated source failed to load: {error_line(exc)}"
 
 
 def handle_request(namespace, load_error, request):
@@ -152,15 +234,15 @@ def handle_request(namespace, load_error, request):
     try:
         result = function(**args)
     except BaseException as exc:  # noqa: BLE001 - everything becomes an error doc
-        line = traceback.format_exception_only(type(exc), exc)[-1].strip()
-        return {"ok": False, "error": line}
+        return {"ok": False, "error": error_line(exc)}
     return {"ok": True, "result": result}
 
 
 def encode_response(response):
     try:
-        return json.dumps(response, ensure_ascii=False)
+        return dumps(response)
     except (TypeError, ValueError) as exc:
+        import json  # this text stays ASCII-escaped
         return json.dumps({"ok": False, "error": f"result is not JSON-serializable: {exc}"})
 
 
@@ -198,12 +280,13 @@ def run_forked(request, protocol_fds):
     """Answer `request` in a forked child; the response line it wrote, or an
     error document when it wrote none in time."""
     scratch, timeout = request["scratch"], request["timeout"]
+    preload(request["source"])
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
             for fd in (read_fd, *protocol_fds):
                 os.close(fd)
             os.chdir(scratch)
@@ -212,7 +295,7 @@ def run_forked(request, protocol_fds):
             write_line(write_fd, answer(request["source"], request))
             status = 0
         except BaseException:  # noqa: BLE001
-            traceback.print_exc()
+            sys.__excepthook__(*sys.exc_info())
         finally:
             try:
                 sys.stdout.flush()  # stray prints reach the stderr log
@@ -226,7 +309,7 @@ def run_forked(request, protocol_fds):
         # Reap the child on every path; one still running here has answered,
         # closed its pipe, overrun its time or outgrown the response limit.
         os.close(read_fd)
-        os.kill(pid, signal.SIGKILL)
+        os.kill(pid, _signal.SIGKILL)
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if why is None:
         return line.decode("utf-8", errors="replace")
@@ -263,14 +346,14 @@ def main(argv):
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                yield loads(line)
             except ValueError as exc:
                 respond({"ok": False, "error": f"request is not valid JSON: {exc}"})
 
     if fork_server:
         # A terminated zygote still reaps the child it is waiting for, then
         # leaves at once: it holds nothing worth finalizing.
-        signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(0))
+        _signal.signal(_signal.SIGTERM, lambda signum, frame: sys.exit(0))
         # Without `site` nothing has compiled yet; a child would spend about
         # 2 ms building the compiler's lazy state in its first compile().
         compile("", "<warm-up>", "exec")
@@ -296,7 +379,7 @@ def main(argv):
     # never deadlock against a module that is slow to load.
     raw = requests.read()
     try:
-        request = json.loads(raw)
+        request = loads(raw)
     except ValueError as exc:
         respond({"ok": False, "error": f"request is not valid JSON: {exc}"})
         return 0

@@ -48,7 +48,6 @@ def _child_env(scratch: str) -> dict[str, str]:
     # Deliberately minimal: no API keys, no PYTHONPATH, temp dir inside scratch.
     return {
         "PATH": os.environ.get("PATH", ""),
-        "PYTHONDONTWRITEBYTECODE": "1",
         "TMPDIR": scratch,
         "HOME": scratch,
         "LANG": os.environ.get("LANG", "C.UTF-8"),

@@ -1,13 +1,23 @@
+import inspect
 import json
 
 import pytest
 
+from askit import codegen
 from askit.cli import build_parser
-from askit.clients import ClientConfig, ScriptedClient
+from askit.clients import ClientConfig, ReplayClient, ScriptedClient
 from askit.codegen import CodegenConfig
-from askit.engine import DEFAULT_MAX_RETRIES, EngineConfig, Message, ask_until_valid, feedback_text
+from askit.engine import (
+    DEFAULT_MAX_RETRIES,
+    DEFAULT_TEMPERATURE,
+    EngineConfig,
+    Message,
+    ask_until_valid,
+    feedback_text,
+)
 from askit.errors import RetriesExhausted
 from askit.prompts import Violation, ViolationKind
+from askit.runner import DEFAULT_INVOKE_TIMEOUT
 from askit.template import parse
 from askit.types import INT, STR, ValidationReport, validate
 
@@ -141,6 +151,24 @@ class TestEngineConfig:
     def test_one_retry_default(self):
         assert CodegenConfig().max_retries == EngineConfig().max_direct_retries == DEFAULT_MAX_RETRIES
         assert build_parser().parse_args(["codegen", "tasks.json"]).max_retries == DEFAULT_MAX_RETRIES
+
+    def test_one_temperature_default(self, tmp_path):
+        fixtures = tmp_path / "fixtures.jsonl"
+        fixtures.write_text("", encoding="utf-8")
+        defaults = [
+            EngineConfig().temperature,
+            CodegenConfig().temperature,
+            ClientConfig().temperature,
+            ReplayClient(fixtures).default_temperature,
+            ScriptedClient([]).default_temperature,
+            build_parser().parse_args(["ask", "tasks.json", "name"]).temperature,
+            build_parser().parse_args(["bench", "tasks.json", "--fixtures", "f"]).temperature,
+        ]
+        assert defaults == [DEFAULT_TEMPERATURE] * len(defaults)
+
+    def test_one_invoke_timeout_default(self):
+        assert CodegenConfig().invoke_timeout == DEFAULT_INVOKE_TIMEOUT
+        assert inspect.signature(codegen.invoke).parameters["timeout"].default == DEFAULT_INVOKE_TIMEOUT
 
 
 def test_message_wire_shape():

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import threading
 import time
+import traceback
 
 import pytest
 
@@ -368,6 +369,39 @@ class TestStdlibOnly:
     def test_generated_code_runs_without_site(self, tmp_path, run):
         assert run(write_source(tmp_path, self.SITE_SOURCE), "f", {}) == [1, []]
 
+    # The harness starts on built-in and C modules only; these pure-Python
+    # ones cost about 25 ms of every harness start.
+    HEAVY_SOURCE = (
+        "import sys\n"
+        "def f():\n"
+        "    return [name for name in ('json', 're', 'enum', 'traceback') if name in sys.modules]\n"
+    )
+
+    @pytest.mark.parametrize(
+        "run", [run_once, _run_by_fork_server, _run_by_worker], ids=["run_once", "fork_server", "worker"]
+    )
+    def test_harness_imports_no_heavy_modules(self, tmp_path, run):
+        assert run(write_source(tmp_path, self.HEAVY_SOURCE), "f", {}) == []
+
+    # A source that imports a standard-library module the zygote lacks
+    # makes it load json and traceback before it forks, once for all children.
+    PRELOAD_SOURCE = (
+        "import sys\n"
+        "FOUND = [name for name in ('json', 'traceback', 're', 'fnmatch') if name in sys.modules]\n"
+        "import fnmatch\n"
+        "def f():\n"
+        "    return FOUND\n"
+    )
+
+    def test_fork_server_children_inherit_json_and_traceback_for_imports(self, tmp_path):
+        source = write_source(tmp_path, self.PRELOAD_SOURCE)
+        assert _run_by_fork_server(source, "f", {}) == ["json", "traceback", "re"]
+
+    def test_preload_ignores_a_source_it_cannot_read(self, tmp_path):
+        harness.preload(str(tmp_path / "missing.py"))
+        (tmp_path / "latin1.py").write_bytes(b"import re  # \xe9\n")
+        harness.preload(str(tmp_path / "latin1.py"))
+
 
 class TestResponseCap:
     BIG_SOURCE = "def f():\n    return 'x' * 2048\n"
@@ -408,3 +442,172 @@ class TestResponseCap:
             os.close(read_fd)
             if write_fd is not None:
                 os.close(write_fd)
+
+
+def _outcome(function, *args):
+    """The value `function` returns, or the type and text of what it raises."""
+    try:
+        return "value", repr(function(*args))
+    except Exception as exc:  # noqa: BLE001
+        return type(exc), str(exc)
+
+
+class _Circular(dict):
+    pass
+
+
+CIRCULAR = _Circular()
+CIRCULAR["self"] = CIRCULAR
+
+
+class TestJSONMatchesJson:
+    """harness.dumps and harness.loads against json, the reference."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"ok": True, "result": [1, 2.5, -0.0, None, False, "x"]},
+            {1: "int", 2.5: "float", True: "bool", None: "none", "s": "str"},
+            (1, (2, [3, ()])),
+            [float("nan"), float("inf"), float("-inf")],
+            {"big": 10**300, "neg": -(10**40)},
+            10**5000,
+            "héllo ✓ 😀   \x00 \" \\ \n",
+            {"é": {"ü": ["日本"]}},
+            {1, 2},
+            {"result": object()},
+            {(1, 2): "tuple key"},
+            CIRCULAR,
+        ],
+        ids=[
+            "document", "non_string_keys", "tuples", "nan_inf", "big_ints", "int_over_digit_limit",
+            "non_ascii_str", "non_ascii_keys", "set", "object", "tuple_key", "circular",
+        ],
+    )
+    def test_dumps(self, value):
+        assert _outcome(harness.dumps, value) == _outcome(lambda v: json.dumps(v, ensure_ascii=False), value)
+
+    def test_dumps_forgets_a_failed_call(self):
+        response = {"ok": True, "result": object()}
+        with pytest.raises(TypeError):
+            harness.dumps(response)
+        response["result"] = 1  # the same dict, no longer holding the object
+        assert harness.dumps(response) == '{"ok": true, "result": 1}'
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"entry": "add", "args": {"x": 2, "y": 3}}',
+            ' \t\r\n[1, -0, 2.5e3, 1e400, NaN, Infinity, -Infinity, true, null] \n',
+            '"\\ud83d\\ude00 \\u00e9"',
+            '{"é": "✓", "a": {"a": {"a": []}}}',
+            "1" * 5000,
+            "",
+            "   ",
+            "{",
+            '{"a": }',
+            "[1,]",
+            '"a\x01"',
+            '"\\x"',
+            "{} {}",
+            "1 x",
+            '{"a": 1}\n\x0b',
+            "﻿{}",
+        ],
+        ids=[
+            "request", "numbers_and_constants", "escapes", "non_ascii", "int_over_digit_limit",
+            "empty", "blank", "open_brace", "missing_value", "trailing_comma", "control_char",
+            "bad_escape", "extra_document", "extra_word", "extra_vertical_tab", "bom",
+        ],
+    )
+    def test_loads(self, text):
+        assert _outcome(harness.loads, text) == _outcome(json.loads, text)
+
+    def test_encode_response_of_an_unserializable_result_stays_ascii(self):
+        response = {"ok": True, "result": {"ü": {1, 2}}}
+        assert harness.encode_response(response) == (
+            '{"ok": false, "error": "result is not JSON-serializable: Object of type set is not JSON serializable"}'
+        )
+
+
+class _StrFails(Exception):
+    def __str__(self):
+        raise RuntimeError("no text")
+
+
+class _StrNotText(Exception):
+    def __str__(self):
+        return 42
+
+
+class _ElsewhereError(Exception):
+    pass
+
+
+_ElsewhereError.__module__ = "askit_generated"
+
+
+class _NoModuleError(Exception):
+    pass
+
+
+_NoModuleError.__module__ = None
+
+
+def _raised(source):
+    try:
+        exec(compile(source, "<generated>", "exec"), {})
+    except BaseException as exc:  # noqa: BLE001
+        return exc
+    raise AssertionError("source did not raise")
+
+
+def _with_notes(*notes):
+    exc = ValueError("bad")
+    for note in notes:
+        exc.add_note(note)
+    return exc
+
+
+def _with_raw_notes(notes):
+    exc = ValueError("bad")
+    exc.__notes__ = notes
+    return exc
+
+
+ERROR_CASES = [
+    ("message", lambda: ValueError("nope")),
+    ("empty", lambda: ValueError()),
+    ("blank", lambda: ValueError("  ")),
+    ("multi_line", lambda: RuntimeError("first\nsecond\n")),
+    ("key_error", lambda: KeyError("k")),
+    ("str_raises", lambda: _StrFails("x")),
+    ("str_not_text", lambda: _StrNotText()),
+    ("generated_module", lambda: _ElsewhereError("from generated code")),
+    ("non_string_module", lambda: _NoModuleError("where")),
+    ("nested_class", lambda: TestErrorLineMatchesTraceback.Inner("qualname")),
+    ("system_exit", lambda: SystemExit(3)),
+    ("syntax_error", lambda: _raised("def f(:\n    pass\n")),
+    ("indentation_error", lambda: _raised("def f():\nreturn 1\n")),
+    ("name_error", lambda: _raised("lenn([])")),
+    ("attribute_error", lambda: _raised("[].apend(1)")),
+    ("import_error", lambda: _raised("from os import pathh")),
+    ("module_not_found", lambda: _raised("import no_such_module_anywhere")),
+    ("raw_notes", lambda: _with_raw_notes("not a list")),
+]
+if sys.version_info >= (3, 11):
+    ERROR_CASES += [
+        ("exception_group", lambda: ExceptionGroup("several", [ValueError("a"), KeyError("b")])),
+        ("notes", lambda: _with_notes("first note", "second\nnote")),
+        ("empty_note", lambda: _with_notes("")),
+    ]
+
+
+class TestErrorLineMatchesTraceback:
+    class Inner(Exception):
+        pass
+
+    @pytest.mark.parametrize("make", [make for _, make in ERROR_CASES], ids=[name for name, _ in ERROR_CASES])
+    def test_error_line(self, make):
+        exc = make()
+        assert harness.error_line(exc) == traceback.format_exception_only(type(exc), exc)[-1].strip()

@@ -23,7 +23,7 @@ from .codegen import (
 from .encoding import stable_digest
 from .engine import EngineConfig, ask_until_valid
 from .errors import NotCodable, SchemaError
-from .prompts import Example
+from .prompts import examples_from
 from .runner import ForkServer, Worker
 from .template import _check_binding, parse
 from .types import TypeSchema, VoidType, render
@@ -33,19 +33,6 @@ class AskResult(NamedTuple):
     value: Any
     reason: str
     attempts: int
-
-
-def _normalize_examples(examples: Iterable) -> tuple[Example, ...]:
-    normalized = []
-    for item in examples or ():
-        if isinstance(item, Example):
-            normalized.append(item)
-        elif isinstance(item, Mapping):
-            normalized.append(Example(input=dict(item["input"]), output=item["output"]))
-        else:
-            bound, output = item
-            normalized.append(Example(input=dict(bound), output=output))
-    return tuple(normalized)
 
 
 def _default_client():
@@ -80,7 +67,7 @@ def ask(
         template,
         dict(args or {}),
         answer_schema,
-        _normalize_examples(fewshot),
+        examples_from(fewshot, "fewshot"),
         config,
     )
     return AskResult(result.value, result.reason, result.attempts)
@@ -114,13 +101,12 @@ def define(
             schema_items = tuple(param_schemas)
     else:
         schema_items = None
-    fewshot_examples = _normalize_examples(fewshot)
-    test_examples = _normalize_examples(tests)
+    fewshot_examples = examples_from(fewshot, "fewshot")
+    test_examples = examples_from(tests, "tests")
     if not test_examples and reuse_fewshot_as_tests:
         test_examples = fewshot_examples
     if name is None:
-        return_text = "void" if isinstance(answer_schema, VoidType) else render(answer_schema)
-        name = f"task_{stable_digest([template_text, return_text, target_language])}"
+        name = f"task_{stable_digest([template_text, render(answer_schema), target_language])}"
     spec = TaskSpec(
         name=name,
         template=template,

@@ -136,13 +136,15 @@ class GeneratedFunction:
 
 def spec_digest(spec: TaskSpec) -> str:
     """Stable 8-hex digest over template, rendered schemas, and language."""
-    return_text = "void" if isinstance(spec.return_schema, VoidType) else render(spec.return_schema)
-    params = (
-        None
-        if spec.param_schemas is None
-        else [[name, render(schema)] for name, schema in spec.param_schemas]
+    return stable_digest(
+        [spec.template.raw, render(spec.return_schema), _rendered_params(spec), spec.target_language]
     )
-    return stable_digest([spec.template.raw, return_text, params, spec.target_language])
+
+
+def _rendered_params(spec: TaskSpec) -> list[list[str]] | None:
+    if spec.param_schemas is None:
+        return None
+    return [[name, render(schema)] for name, schema in spec.param_schemas]
 
 
 def cache_slug(template: PromptTemplate) -> str:
@@ -165,12 +167,8 @@ def cache_store(spec: TaskSpec, source: str, config: CodegenConfig, retries_used
         "entry": spec.name,
         "language": spec.target_language,
         "template": spec.template.raw,
-        "return_schema": "void" if isinstance(spec.return_schema, VoidType) else render(spec.return_schema),
-        "param_schemas": (
-            None
-            if spec.param_schemas is None
-            else [[name, render(schema)] for name, schema in spec.param_schemas]
-        ),
+        "return_schema": render(spec.return_schema),
+        "param_schemas": _rendered_params(spec),
         "digest": spec_digest(spec),
         "retries_used": retries_used,
     }
@@ -185,12 +183,13 @@ def cache_lookup(spec: TaskSpec, config: CodegenConfig) -> GeneratedFunction | N
     if not code_path.exists():
         return None
     source = code_path.read_text(encoding="utf-8")
-    retries_used = 0
-    if meta_path.exists():
-        try:
-            retries_used = int(json.loads(meta_path.read_text(encoding="utf-8")).get("retries_used", 0))
-        except (ValueError, TypeError):
-            retries_used = 0
+    retries_used = 0  # a missing or damaged sidecar reads as no retries
+    try:
+        metadata = json.loads(meta_path.read_text(encoding="utf-8"))
+        if isinstance(metadata, dict):
+            retries_used = int(metadata.get("retries_used", 0))
+    except (OSError, ValueError, TypeError, OverflowError):
+        pass
     return GeneratedFunction(
         source=source,
         entry=spec.name,
@@ -342,7 +341,7 @@ def _run_test_examples(
     extension = LANGUAGES[spec.target_language].extension
     with tempfile.TemporaryDirectory(prefix="askit-vet-") as scratch:
         path = Path(scratch) / f"candidate.{extension}"
-        path.write_text(source if source.endswith("\n") else source + "\n", encoding="utf-8")
+        path.write_text(source, encoding="utf-8")
         for example in spec.tests:
             shown = canonical_json(dict(example.input))
             try:
@@ -363,9 +362,7 @@ def _run_test_examples(
 @contextmanager
 def _cache_lock(spec: TaskSpec, config: CodegenConfig):
     config.cache_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{cache_slug(spec.template)}_{spec_digest(spec)}"
-    lock_path = config.cache_dir / f"{stem}.lock"
-    with open(lock_path, "w") as handle:
+    with open(cache_paths(spec, config)[1].with_suffix(".lock"), "w") as handle:
         fcntl.flock(handle, fcntl.LOCK_EX)
         try:
             yield

@@ -45,6 +45,31 @@ class Example:
     output: Any
 
 
+def examples_from(items: Any, where: str) -> tuple[Example, ...]:
+    """Examples from Example values, {input, output} objects or (input, output) tuples.
+
+    None reads as no examples. JSON has no tuples, so a task file can only use
+    the object form. Raises SchemaError on anything else.
+    """
+    if items is None:
+        return ()
+    if isinstance(items, (str, bytes, Mapping)) or not isinstance(items, Iterable):
+        raise SchemaError(f"{where} must be a list of {{input, output}} objects")
+    examples = []
+    for item in items:
+        if isinstance(item, Example):
+            examples.append(item)
+            continue
+        if isinstance(item, tuple) and len(item) == 2:
+            item = {"input": item[0], "output": item[1]}
+        if not isinstance(item, Mapping) or "input" not in item or "output" not in item:
+            raise SchemaError(f"{where} entries need 'input' and 'output' fields")
+        if not isinstance(item["input"], Mapping):
+            raise SchemaError(f"{where} input must be an object of named values")
+        examples.append(Example(input=dict(item["input"]), output=item["output"]))
+    return tuple(examples)
+
+
 class ViolationKind(Enum):
     NO_JSON_BLOCK = "no_json_block"
     MISSING_ANSWER_FIELD = "missing_answer_field"
@@ -132,8 +157,6 @@ _ONE_SHOT = {
 
 _COMMENT_PREFIX = {"typescript": "//", "python": "#"}
 
-SUPPORTED_LANGUAGES = tuple(_ONE_SHOT)
-
 
 def build_direct(
     template: PromptTemplate,
@@ -195,8 +218,7 @@ def synthesize_signature(
                 )
         destructured = "{" + ", ".join(names) + "}"
         typed = "{" + ", ".join(f"{n}: {render(s)}" for n, s in params) + "}"
-        returns = "void" if isinstance(return_schema, VoidType) else render(return_schema)
-        return f"export function {name}({destructured}: {typed}): {returns}"
+        return f"export function {name}({destructured}: {typed}): {render(return_schema)}"
     if language == "python":
         if not names:
             return f"def {name}():"

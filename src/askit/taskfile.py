@@ -10,10 +10,16 @@ mirroring the type constructors:
     list(int)
     dict({'x': int, 'y': int})
     union(literal('yes'), literal('no'))
+
+Schema text is a Python expression: `ast` parses it and a walk accepts only
+the names and constructors above, str and number constants (a number may
+carry a minus sign), and `true`/`false` inside `literal`. The text is never
+evaluated; anything else raises TaskFileError.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +27,7 @@ from typing import Any, Mapping
 
 from .codegen import TaskSpec
 from .errors import TaskFileError
-from .prompts import Example
+from .prompts import Example, examples_from
 from .template import parse as parse_template
 from .types import (
     BOOL,
@@ -37,159 +43,74 @@ from .types import (
     VoidType,
 )
 
-_PUNCT = set("(){}:,")
-
-
-class _SchemaParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def parse(self) -> TypeSchema | VoidType:
-        schema = self._schema()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            self._fail(f"unexpected trailing text {self.text[self.pos:]!r}")
-        return schema
-
-    def _schema(self) -> TypeSchema | VoidType:
-        head = self._ident()
-        if head == "int":
-            return INT
-        if head == "float":
-            return FLOAT
-        if head == "bool":
-            return BOOL
-        if head == "str":
-            return STR
-        if head == "void":
-            return VOID
-        if head == "literal":
-            self._expect("(")
-            value = self._scalar()
-            self._expect(")")
-            return Literal(value)
-        if head == "list":
-            self._expect("(")
-            element = self._require_schema(self._schema(), "list element")
-            self._expect(")")
-            return ListOf(element)
-        if head == "dict":
-            self._expect("(")
-            self._expect("{")
-            fields = []
-            if not self._peek_is("}"):
-                while True:
-                    key = self._field_name()
-                    self._expect(":")
-                    fields.append((key, self._require_schema(self._schema(), f"field {key!r}")))
-                    if not self._peek_is(","):
-                        break
-                    self._expect(",")
-            self._expect("}")
-            self._expect(")")
-            return Record(tuple(fields))
-        if head == "union":
-            self._expect("(")
-            members = [self._require_schema(self._schema(), "union member")]
-            while self._peek_is(","):
-                self._expect(",")
-                members.append(self._require_schema(self._schema(), "union member"))
-            self._expect(")")
-            return UnionOf(tuple(members))
-        self._fail(f"unknown type constructor {head!r}")
-
-    def _require_schema(self, schema, where: str) -> TypeSchema:
-        if isinstance(schema, VoidType):
-            self._fail(f"void is not allowed as a {where}")
-        return schema
-
-    def _scalar(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            self._fail("expected a literal value")
-        char = self.text[self.pos]
-        if char in "'\"":
-            return self._string(char)
-        if char.isdigit() or char == "-":
-            return self._number()
-        word = self._ident()
-        if word == "true":
-            return True
-        if word == "false":
-            return False
-        self._fail(f"expected a scalar literal, got {word!r}")
-
-    def _string(self, quote: str) -> str:
-        end = self.pos + 1
-        out = []
-        while end < len(self.text):
-            char = self.text[end]
-            if char == "\\" and end + 1 < len(self.text):
-                out.append(self.text[end + 1])
-                end += 2
-                continue
-            if char == quote:
-                self.pos = end + 1
-                return "".join(out)
-            out.append(char)
-            end += 1
-        self._fail("unterminated string literal")
-
-    def _number(self):
-        start = self.pos
-        end = self.pos + 1 if self.text[self.pos] == "-" else self.pos
-        while end < len(self.text) and (self.text[end].isdigit() or self.text[end] in ".eE+-"):
-            end += 1
-        token = self.text[start:end]
-        self.pos = end
-        try:
-            return int(token)
-        except ValueError:
-            try:
-                return float(token)
-            except ValueError:
-                self._fail(f"bad number literal {token!r}")
-
-    def _ident(self) -> str:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        if start == self.pos:
-            self._fail("expected a type constructor name")
-        return self.text[start:self.pos]
-
-    def _field_name(self) -> str:
-        self._skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] in "'\"":
-            return self._string(self.text[self.pos])
-        return self._ident()
-
-    def _expect(self, char: str) -> None:
-        self._skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != char:
-            found = self.text[self.pos] if self.pos < len(self.text) else "end of text"
-            self._fail(f"expected {char!r}, found {found!r}")
-        self.pos += 1
-
-    def _peek_is(self, char: str) -> bool:
-        self._skip_ws()
-        return self.pos < len(self.text) and self.text[self.pos] == char
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _fail(self, message: str):
-        raise TaskFileError(f"schema text {self.text!r}: {message} (offset {self.pos})")
+_NAMES = {"int": INT, "float": FLOAT, "bool": BOOL, "str": STR, "void": VOID}
+_SCALARS = {"true": True, "false": False}
 
 
 def parse_schema_text(text: str) -> TypeSchema | VoidType:
-    """Parse the textual schema syntax used in task files."""
+    """Read task-file schema text: a Python expression, parsed and never evaluated."""
     if not isinstance(text, str):
         raise TaskFileError(f"schema must be text, got {type(text).__name__}")
-    return _SchemaParser(text).parse()
+    try:
+        return _schema(ast.parse(text.strip(), mode="eval").body)
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        # Like ast.literal_eval, the walk rejects a node with ValueError.
+        raise TaskFileError(f"schema text {text!r}: {exc}") from None
+
+
+def _schema(node: ast.expr) -> TypeSchema | VoidType:
+    if isinstance(node, ast.Name) and node.id in _NAMES:
+        return _NAMES[node.id]
+    if isinstance(node, ast.Name):
+        raise ValueError(f"unknown type name {node.id!r}")
+    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+        raise ValueError(f"unexpected {type(node).__name__} where a type belongs")
+    head, args = node.func.id, node.args
+    if node.keywords or any(isinstance(arg, ast.Starred) for arg in args):
+        raise ValueError(f"{head}(...) takes positional arguments only")
+    if head == "literal" and len(args) == 1:
+        return Literal(_scalar(args[0]))
+    if head == "list" and len(args) == 1:
+        return ListOf(_member(args[0], "list element"))
+    if head == "dict" and len(args) == 1 and isinstance(args[0], ast.Dict):
+        fields = []
+        for key, value in zip(args[0].keys, args[0].values):
+            name = _field_name(key)
+            fields.append((name, _member(value, f"field {name!r}")))
+        return Record(tuple(fields))
+    if head == "union":
+        return UnionOf(tuple(_member(arg, "union member") for arg in args))
+    if head in ("literal", "list", "dict"):
+        raise ValueError(f"wrong arguments to {head}(...)")
+    raise ValueError(f"unknown type constructor {head!r}")
+
+
+def _member(node: ast.expr, where: str) -> TypeSchema:
+    schema = _schema(node)
+    if isinstance(schema, VoidType):
+        raise ValueError(f"void is not allowed as a {where}")
+    return schema
+
+
+def _scalar(node: ast.expr):
+    if isinstance(node, ast.Name) and node.id in _SCALARS:
+        return _SCALARS[node.id]
+    sign = 1
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        sign, node = -1, node.operand
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return sign * node.value
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) and sign == 1:
+        return node.value
+    raise ValueError(f"expected a scalar literal, got {type(node).__name__}")
+
+
+def _field_name(node: ast.expr | None) -> str:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    raise ValueError(f"expected a field name, got {type(node).__name__}")
 
 
 @dataclass(frozen=True)
@@ -226,21 +147,6 @@ class TaskFile:
         return self.entries[name]
 
 
-def _examples_from(raw: Any, where: str) -> tuple[Example, ...]:
-    if raw is None:
-        return ()
-    if not isinstance(raw, list):
-        raise TaskFileError(f"{where} must be a list of {{input, output}} objects")
-    examples = []
-    for item in raw:
-        if not isinstance(item, Mapping) or "input" not in item or "output" not in item:
-            raise TaskFileError(f"{where} entries need 'input' and 'output' fields")
-        if not isinstance(item["input"], Mapping):
-            raise TaskFileError(f"{where} input must be an object of named values")
-        examples.append(Example(input=dict(item["input"]), output=item["output"]))
-    return tuple(examples)
-
-
 def load_task_file(path: str | Path) -> TaskFile:
     """Load and validate a task file; entries keep their file order."""
     try:
@@ -264,26 +170,27 @@ def load_task_file(path: str | Path) -> TaskFile:
             return_text = item["return_schema"]
         except KeyError as exc:
             raise TaskFileError(f"task entry is missing required field {exc}") from exc
+        target_language = item.get("target_language", "python")
+        for field, value in (("name", name), ("template", template_text), ("target_language", target_language)):
+            if not isinstance(value, str):
+                raise TaskFileError(f"task entry field {field!r} must be text, got {type(value).__name__}")
         if name in entries:
             raise TaskFileError(f"duplicate task name {name!r}")
         params_raw = item.get("param_schemas")
-        if params_raw is None:
-            param_schemas = None
-        elif isinstance(params_raw, Mapping):
-            param_schemas = tuple(
-                (key, _param_schema(key, value)) for key, value in params_raw.items()
-            )
-        else:
+        if params_raw is not None and not isinstance(params_raw, Mapping):
             raise TaskFileError(f"task {name!r}: param_schemas must be an object")
+        param_schemas = None if params_raw is None else tuple(
+            (key, _param_schema(key, value)) for key, value in params_raw.items()
+        )
         entry = TaskEntry(
             name=name,
             template_text=template_text,
             return_schema=parse_schema_text(return_text),
             param_schemas=param_schemas,
-            fewshot=_examples_from(item.get("fewshot"), f"task {name!r} fewshot"),
-            tests=_examples_from(item.get("tests"), f"task {name!r} tests"),
+            fewshot=examples_from(item.get("fewshot"), f"task {name!r} fewshot"),
+            tests=examples_from(item.get("tests"), f"task {name!r} tests"),
             codable=bool(item.get("codable", False)),
-            target_language=item.get("target_language", "python"),
+            target_language=target_language,
         )
         entry.to_spec()  # fail fast: template parses, schemas line up
         entries[name] = entry

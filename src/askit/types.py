@@ -160,13 +160,14 @@ class ValidationReport:
         return cls(ok=False, path=path, expected=expected, found=found)
 
 
-def render(schema: TypeSchema) -> str:
+def render(schema: TypeSchema | VoidType) -> str:
     """Render a schema to its type-expression text.
 
-    Integer and Float both render as ``number``; integrality is enforced by
-    validation instead. Records use ``; `` separators with one space inside
-    the braces; union members join with `` | ``; union elements of a list are
-    parenthesized. Deterministic and order-preserving.
+    Void renders as ``void``. Integer and Float both render as ``number``;
+    integrality is enforced by validation instead. Records use ``; ``
+    separators with one space inside the braces; union members join with
+    `` | ``; union elements of a list are parenthesized. Deterministic and
+    order-preserving.
     """
     if isinstance(schema, (Integer, Float)):
         return "number"
@@ -188,6 +189,8 @@ def render(schema: TypeSchema) -> str:
         return "{ " + body + " }"
     if isinstance(schema, UnionOf):
         return " | ".join(render(member) for member in schema.members)
+    if isinstance(schema, VoidType):
+        return "void"
     raise SchemaError(f"cannot render {schema!r}")
 
 

@@ -8,11 +8,13 @@ from askit.api import AskResult, ask, define
 from askit.clients import ScriptedClient
 from askit.codegen import CodegenConfig, output_equal
 from askit.errors import (
+    AskitError,
     ExecutionError,
     NotCodable,
     SchemaError,
     UnboundParameter,
 )
+from askit.prompts import Example
 from askit.types import INT, STR, VOID, list_of, literal, record, union, validate
 
 SENTIMENT = union(literal("positive"), literal("negative"))
@@ -125,6 +127,36 @@ class TestDefine:
         without = define(INT, "fact {{n}}", fewshot=examples)
         assert with_reuse.spec.tests == with_reuse.spec.fewshot
         assert without.spec.tests == ()
+
+    def test_example_spellings_agree(self):
+        spellings = [
+            [Example({"n": 3}, 6)],
+            [{"input": {"n": 3}, "output": 6}],
+            [({"n": 3}, 6)],
+        ]
+        for examples in spellings:
+            assert define(INT, "fact {{n}}", fewshot=examples).spec.fewshot == (Example({"n": 3}, 6),)
+
+    @pytest.mark.parametrize(
+        "examples",
+        [
+            [{"input": {"n": 1}}],
+            [{"output": 1}],
+            [{"input": 1, "output": 2}],
+            [42],
+            [(1, 2)],
+            [({"n": 1}, 2, 3)],
+            [[{"n": 1}, 2]],
+            42,
+        ],
+    )
+    def test_malformed_examples_raise_askit_error(self, examples):
+        with pytest.raises(AskitError):
+            define(INT, "fact {{n}}", fewshot=examples)
+        with pytest.raises(AskitError):
+            define(INT, "fact {{n}}", tests=examples)
+        with pytest.raises(AskitError):
+            ask(INT, "fact {{n}}", {"n": 1}, fewshot=examples, client=ScriptedClient([]))
 
 
 class TestCompile:

@@ -98,6 +98,25 @@ class TestShowPrompt:
         assert code == 2
         assert "subject" in captured.err
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("name", ["addNumbers"]),
+            ("template", 7),
+            ("target_language", ["python"]),
+            ("return_schema", "list(" * 1000 + "int" + ")" * 1000),
+            ("return_schema", "literal(" + "7" * 5000 + ")"),
+        ],
+        ids=["name", "template", "target_language", "nested_schema", "long_literal"],
+    )
+    def test_malformed_task_field_exits_2(self, capsys, tmp_path, field, value):
+        task_file = write_tasks(tmp_path, [{**ADD_TASK, field: value}])
+        code = main(["show-prompt", task_file, "addNumbers", "--args", '{"x": 1, "y": 2}'])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("askit: ")
+
 
 class TestAskCommand:
     def test_replay_sentiment(self, capsys):

@@ -207,6 +207,21 @@ class TestCacheStoreLookup:
         assert metadata["return_schema"] == "number"
         assert metadata["param_schemas"] == [["x", "number"], ["y", "number"]]
 
+    @pytest.mark.parametrize(
+        "sidecar",
+        [b"[1, 2]", b'"text"', b"null", b"42", b"{not json", b"\xff\xfe", b'{"retries_used": "x"}',
+         b'{"retries_used": [1]}', b'{"retries_used": 1e999}'],
+    )
+    def test_damaged_sidecar_reads_as_zero_retries(self, tmp_path, sidecar):
+        config = CodegenConfig(cache_dir=tmp_path)
+        cache_store(add_spec(tests=()), ADD_PY + "\n", config, retries_used=3)
+        cache_paths(add_spec(tests=()), config)[1].write_bytes(sidecar)
+        found = cache_lookup(add_spec(tests=()), config)
+        assert found is not None and found.retries_used == 0
+        defined = define(INT, "add {{x}} and {{y}}", param_schemas={"x": INT, "y": INT}, name="add")
+        with defined.compile(config, client=ScriptedClient([])) as compiled:
+            assert compiled.generated.retries_used == 0
+
     def test_no_temp_files_left_behind(self, tmp_path):
         config = CodegenConfig(cache_dir=tmp_path)
         cache_store(add_spec(), ADD_PY + "\n", config)

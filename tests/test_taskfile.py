@@ -1,4 +1,6 @@
 import json
+import os
+import random
 
 import pytest
 
@@ -17,6 +19,26 @@ from askit.types import (
     render,
 )
 from conftest import DEMO_TASKS
+from schemagen import random_schema
+
+
+def schema_text(schema):
+    """Task-file text for a schema, written the way task-file authors write it."""
+    if schema is VOID:
+        return "void"
+    if isinstance(schema, Literal):
+        value = schema.value
+        if isinstance(value, bool):
+            return f"literal({'true' if value else 'false'})"
+        return f"literal({value!r})"
+    if isinstance(schema, ListOf):
+        return f"list({schema_text(schema.element)})"
+    if isinstance(schema, Record):
+        fields = ", ".join(f"'{name}': {schema_text(sub)}" for name, sub in schema.fields)
+        return f"dict({{{fields}}})"
+    if isinstance(schema, UnionOf):
+        return f"union({', '.join(schema_text(member) for member in schema.members)})"
+    return {INT: "int", FLOAT: "float", BOOL: "bool", STR: "str"}[schema]
 
 
 class TestSchemaText:
@@ -92,6 +114,109 @@ class TestSchemaText:
             parse_schema_text("list(void)")
 
 
+class TestSchemaTextRoundTrip:
+    def test_seeded_schemas_parse_back_equal(self):
+        rng = random.Random(20230801)
+        for _ in range(3000):
+            schema = random_schema(rng)
+            text = schema_text(schema)
+            assert parse_schema_text(text) == schema, text
+
+    def test_demo_schemas_parse_back_equal(self):
+        for entry in load_task_file(DEMO_TASKS).entries.values():
+            schemas = [entry.return_schema, *(schema for _, schema in entry.param_schemas or ())]
+            for schema in schemas:
+                assert parse_schema_text(schema_text(schema)) == schema
+
+
+# Spellings whose outcome Python's expression grammar decides; each row pins it.
+EDGE_CASES = [
+    ("(int)", INT),
+    ("list(int,)", ListOf(INT)),
+    ("int # c", INT),
+    ("literal(.5)", Literal(0.5)),
+    ("literal(1_0)", Literal(10)),
+    ("literal(007)", TaskFileError),
+    ("dict({class: int})", TaskFileError),
+    ("literal('a\\nb')", Literal("a\nb")),
+    ("dict({1: int})", TaskFileError),
+]
+
+
+class TestSchemaTextEdgeCases:
+    @pytest.mark.parametrize("text,expected", EDGE_CASES)
+    def test_outcome(self, text, expected):
+        if expected is TaskFileError:
+            with pytest.raises(TaskFileError):
+                parse_schema_text(text)
+        else:
+            assert parse_schema_text(text) == expected
+
+    def test_error_names_the_text_without_an_offset(self):
+        with pytest.raises(TaskFileError) as caught:
+            parse_schema_text("tuple(int)")
+        assert "tuple(int)" in str(caught.value)
+        assert "offset" not in str(caught.value)
+
+
+MALFORMED = [
+    "list(" * 1000 + "int" + ")" * 1000,
+    "dict({'x': " * 1000 + "int" + "})" * 1000,
+    "x." * 1000 + "y",
+    "literal(" + "1" * 5000 + ")",
+    "literal(-" + "1" * 5000 + ")",
+    "literal(__import__('os').system('x'))",
+    "dict(x=int)",
+    "literal(None)",
+    "literal(True)",
+    "literal(1j)",
+    "literal(b'x')",
+    "literal(f'x')",
+    "literal(--1)",
+    "literal(-'a')",
+    "literal(int)",
+    "literal()",
+    "literal(1, 2)",
+    "list(int, int)",
+    "list(*[int])",
+    "dict()",
+    "dict([int])",
+    "dict({**x})",
+    "union()",
+    "union(void, int)",
+    "dict({'x': void})",
+    "true",
+    "list",
+    "1 + 1",
+    "",
+    "   ",
+    "int\x00",
+    "int\n+",
+    "lambda: int",
+]
+
+
+class TestMalformedSchemaText:
+    @pytest.mark.parametrize("text", MALFORMED, ids=lambda text: text[:30])
+    def test_raises_an_askit_error(self, text):
+        with pytest.raises(AskitError):
+            parse_schema_text(text)
+
+    def test_text_is_never_evaluated(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "system", lambda command: calls.append(command))
+        with pytest.raises(TaskFileError):
+            parse_schema_text("literal(__import__('os').system('x'))")
+        with pytest.raises(TaskFileError):
+            parse_schema_text("list(__import__('os').system('x') or int)")
+        assert calls == []
+
+    @pytest.mark.parametrize("value", [None, 1, ["int"], {"x": "int"}])
+    def test_non_text_schema(self, value):
+        with pytest.raises(TaskFileError):
+            parse_schema_text(value)
+
+
 class TestLoadTaskFile:
     def test_demo_file_loads(self):
         task_file = load_task_file(DEMO_TASKS)
@@ -156,3 +281,22 @@ class TestLoadTaskFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(TaskFileError):
             load_task_file(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("name", 1), ("name", ["a"]), ("template", 3), ("template", ["x"]),
+         ("target_language", 5), ("target_language", ["python"])],
+    )
+    def test_text_fields_must_be_text(self, tmp_path, field, value):
+        entry = {"name": "a", "template": "x", "return_schema": "int", field: value}
+        with pytest.raises(TaskFileError):
+            load_task_file(self.write(tmp_path, {"version": 1, "tasks": [entry]}))
+
+    @pytest.mark.parametrize(
+        "examples",
+        [{"input": {}}, [{"input": {"n": 1}}], [[{}, 1]], [42], [{"input": 1, "output": 2}]],
+    )
+    def test_malformed_examples(self, tmp_path, examples):
+        entry = {"name": "a", "template": "x {{n}}", "return_schema": "int", "tests": examples}
+        with pytest.raises(AskitError):
+            load_task_file(self.write(tmp_path, {"version": 1, "tasks": [entry]}))

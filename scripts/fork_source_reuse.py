@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Share of fork-server runs whose source matched the previous run's on the
+same fork server, for one perfbench workload.
+
+A fork server's zygote compiles a source once and reuses the code object
+while the next run on it names the same path and text; this share is how
+often that reuse happens. Run from the repository root:
+
+    python scripts/fork_source_reuse.py --workload compile --seed 1 --seconds 20
+
+It runs the workload untraced through perfbench/run.py's `run`, with
+ForkServer.run wrapped to note each run's path and source bytes, and prints
+one JSON object. The wrapper reads every source once more, so this run's
+timings are not those of a benchmark run; only the counts are reported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import weakref
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--workload", required=True, choices=("compile", "call", "direct"))
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    args = parser.parse_args(argv)
+    if Path.cwd() != REPO:
+        parser.error(f"run from the repository root, {REPO}")
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import run as bench
+
+    if bench.import_askit() is None:
+        parser.error("askit not found under ./src")
+    from askit.runner import ForkServer
+
+    original = ForkServer.run
+    last = weakref.WeakKeyDictionary()  # server -> (zygote pid, path, source bytes) of its last run
+    counts = {"runs": 0, "same_source": 0}
+
+    def run(self, source_path, *rest, **kwargs):
+        key = (os.path.abspath(source_path), Path(source_path).read_bytes())
+        try:
+            return original(self, source_path, *rest, **kwargs)
+        finally:
+            entry = (getattr(self._proc, "pid", None), *key)  # a new zygote has compiled nothing
+            counts["runs"] += 1
+            counts["same_source"] += last.get(self) == entry
+            last[self] = entry
+
+    ForkServer.run = run
+    try:
+        result = bench.run(args.workload, args.seed, args.seconds, trace=False)
+    finally:
+        ForkServer.run = original
+    print(json.dumps({
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "correct": result["failed"] == 0 and not result["leftover_processes"],
+        "fork_server_runs": counts["runs"],
+        "same_source_as_previous_run": counts["same_source"],
+        "share": round(counts["same_source"] / max(counts["runs"], 1), 4),
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -31,7 +31,7 @@ from .clients import (
     RecordingClient,
     ReplayClient,
 )
-from .codegen import CodegenConfig, cache_lookup, generate
+from .codegen import DEFAULT_CACHE_DIR, CodegenConfig, cache_lookup, generate
 from .engine import DEFAULT_MAX_RETRIES, DEFAULT_TEMPERATURE, EngineConfig, ask_until_valid
 from .errors import (
     AskitError,
@@ -216,46 +216,46 @@ def _cmd_bench(args) -> int:
         cycle=True,
         delay_s=args.replay_delay_ms / 1000.0,
     )
-    cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="askit-bench-")
-    config = CodegenConfig(temperature=args.temperature, cache_dir=Path(cache_dir))
-    engine_config = EngineConfig(temperature=args.temperature)
+    with tempfile.TemporaryDirectory(prefix="askit-bench-") as scratch:  # the cache without --cache-dir
+        config = CodegenConfig(temperature=args.temperature, cache_dir=Path(args.cache_dir or scratch))
+        engine_config = EngineConfig(temperature=args.temperature)
 
-    rows = []
-    for entry in entries:
-        spec = entry.to_spec()
-        probe = dict(spec.tests[0].input)
+        rows = []
+        for entry in entries:
+            spec = entry.to_spec()
+            probe = dict(spec.tests[0].input)
 
-        direct_times = []
-        for _ in range(args.repeat):
-            started = time.perf_counter()
-            ask_until_valid(client, spec.template, probe, spec.return_schema, spec.fewshot, engine_config)
-            direct_times.append(time.perf_counter() - started)
-        latency_s = statistics.fmean(direct_times)
-
-        started = time.perf_counter()
-        generated = cache_lookup(spec, config) or generate(client, spec, config)
-        compile_time_s = time.perf_counter() - started
-
-        with Worker(generated.cache_path, call_timeout=config.invoke_timeout) as worker:
-            worker.call(spec.name, probe)  # warm-up: interpreter + module load
-            exec_times = []
+            direct_times = []
             for _ in range(args.repeat):
                 started = time.perf_counter()
-                worker.call(spec.name, probe)
-                exec_times.append(time.perf_counter() - started)
-        execution_s = statistics.fmean(exec_times)
+                ask_until_valid(client, spec.template, probe, spec.return_schema, spec.fewshot, engine_config)
+                direct_times.append(time.perf_counter() - started)
+            latency_s = statistics.fmean(direct_times)
 
-        rows.append(
-            {
-                "name": entry.name,
-                "metrics": {
-                    "latency_s": latency_s,
-                    "execution_time_us": execution_s * 1e6,
-                    "compile_time_s": compile_time_s,
-                    "speedup": latency_s / execution_s if execution_s > 0 else float("inf"),
-                },
-            }
-        )
+            started = time.perf_counter()
+            generated = cache_lookup(spec, config) or generate(client, spec, config)
+            compile_time_s = time.perf_counter() - started
+
+            with Worker(generated.cache_path, call_timeout=config.invoke_timeout) as worker:
+                worker.call(spec.name, probe)  # warm-up: interpreter + module load
+                exec_times = []
+                for _ in range(args.repeat):
+                    started = time.perf_counter()
+                    worker.call(spec.name, probe)
+                    exec_times.append(time.perf_counter() - started)
+            execution_s = statistics.fmean(exec_times)
+
+            rows.append(
+                {
+                    "name": entry.name,
+                    "metrics": {
+                        "latency_s": latency_s,
+                        "execution_time_us": execution_s * 1e6,
+                        "compile_time_s": compile_time_s,
+                        "speedup": latency_s / execution_s if execution_s > 0 else float("inf"),
+                    },
+                }
+            )
     _emit({"tasks": rows, "repeat": args.repeat})
     return EXIT_OK
 
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     codegen_cmd = commands.add_parser("codegen", help="compile codable tasks to cached code")
     codegen_cmd.add_argument("task_file")
     codegen_cmd.add_argument("--only", action="append", default=[], metavar="NAME")
-    codegen_cmd.add_argument("--cache-dir", default="askit")
+    codegen_cmd.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     codegen_cmd.add_argument("--target", default=None)
     codegen_cmd.add_argument("--jobs", type=int, default=1)
     codegen_cmd.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)

@@ -1,6 +1,7 @@
 """Child-process harness that loads generated source and calls one function.
 
-Run as a plain script by `python -I -S -B`, never imported by the parent:
+Run as a script by `python -I -S -B`; the parent starts it from bytecode
+and imports it only for MAX_RESPONSE_BYTES and read_line:
 
     python -I -S -B harness.py SOURCE_FILE          one request, one response
     python -I -S -B harness.py SOURCE_FILE --serve  one request per line, loop
@@ -16,22 +17,20 @@ The harness keeps the protocol channel to itself: the real stdout/stdin file
 descriptors are duplicated away before user code runs, fd 1 is pointed at
 stderr (so stray prints cannot corrupt responses) and fd 0 at /dev/null.
 
-The fork server is a zygote: it never loads generated code itself. Each of
+The fork server is a zygote: it never runs generated code itself. Each of
 its requests also names the source file, a scratch directory and a timeout
 in seconds:
 
     {"source": <path>, "scratch": <dir>, "timeout": <s>, "entry": ..., "args": ...}
 
-For each one it forks a child that changes into the scratch directory
-(which becomes its TMPDIR and HOME as well), installs the sandbox, loads the
-source, answers the request exactly as the one-shot mode does and leaves
-with os._exit. The zygote waits for that child, kills it on timeout or when
-its response grows past MAX_RESPONSE_BYTES, and relays exactly one response
-line; a timeout is reported as {"ok": false, "timeout": true, ...}. The
-parent (runner.ForkServer) creates every scratch directory and removes it.
-Before its first request the zygote compiles an empty string, so that its
-children inherit the compiler's lazy state instead of each building it, and
-before each fork it runs preload on the request's source.
+For each one it compiles the source unless its text is the one it compiled
+last (compile_once), then forks a child that changes into the scratch
+directory (also its TMPDIR and HOME), installs the sandbox, runs that code
+in a fresh namespace, answers exactly as the one-shot mode does and leaves
+with os._exit. The zygote kills the child once it has answered, timed out
+({"ok": false, "timeout": true, ...}) or outgrown MAX_RESPONSE_BYTES,
+relays one response line and only then reaps it, so the reap overlaps the
+parent's next step. runner.ForkServer makes and removes scratch directories.
 
 Before executing the generated source an audit-hook sandbox is installed in
 the process that runs it: file writes, renames and deletes outside the
@@ -40,14 +39,13 @@ subprocesses, exec and signals to other processes. This is containment
 against careless generated code, not a security boundary against a
 determined adversary; a wall-clock timeout is enforced from outside.
 
-This file is intentionally self-contained (stdlib only): the parent starts it
-without `site`, so neither the harness nor generated code sees site-packages
-or runs .pth hooks, and generated code can import the standard library only.
-At start it imports only built-in and C modules (os, sys, select, time,
+This file is self-contained (stdlib only): started without `site`, neither
+the harness nor generated code sees site-packages or runs .pth hooks. At
+start it imports only built-in and C modules (os, sys, select, time,
 _signal, _json): json, re, enum and traceback would add about 25 ms, over
-half of a harness start. loads, dumps and error_line stand in for them, and
-rare paths (malformed JSON, a result that is not serializable, a SyntaxError,
-notes) import the real module.
+half of a harness start. loads, dumps and error_line stand in for them;
+rare paths (malformed JSON, an unserializable result, a SyntaxError, notes)
+import the real module.
 """
 
 import os
@@ -184,18 +182,23 @@ def error_line(exc):
     return (f"{name}: {text}" if text else name).strip()
 
 
-def preload(source_path):
+def read_source(source_path):
+    with open(source_path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+def preload(source_path, text=None):
     """Import json and traceback, and with them re, enum, collections,
     functools, tokenize and linecache, when a line of the source starting
     with `import` or `from` names a standard-library module not loaded yet.
     Much of the pure-Python standard library builds on these; each child
-    would otherwise load them again, about 10 ms for re alone."""
+    would otherwise load them again, about 10 ms for re alone. `text` is
+    the source's text when the caller has read it already."""
     try:
-        with open(source_path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        text = read_source(source_path) if text is None else text
     except (OSError, ValueError):
         return  # the child reports a source it cannot read
-    for words in (line.replace(",", " ").split() for line in lines):
+    for words in (line.replace(",", " ").split() for line in text.splitlines()):
         if words[:1] in (["import"], ["from"]):
             named = {word.partition(".")[0] for word in words[1:]} & sys.stdlib_module_names
             if named - sys.modules.keys():
@@ -203,19 +206,27 @@ def preload(source_path):
                 return
 
 
-def load_module(source_path):
-    with open(source_path, encoding="utf-8") as handle:
-        source = handle.read()
-    namespace = {"__name__": "askit_generated", "__file__": source_path}
-    code = compile(source, source_path, "exec")
-    exec(code, namespace)
-    return namespace
-
-
-def load(source_path):
-    """The module's namespace and None, or an empty one and the load error."""
+def compile_once(source_path, cache):
+    """The source's code object, compiled (after preload) only when its path
+    or text differs from the last one's in `cache`, so an edited file is never
+    stale; None when unreadable or invalid: the child then reports why."""
     try:
-        return load_module(source_path), None
+        text = read_source(source_path)
+        if (source_path, text) not in cache:
+            preload(source_path, text)
+            cache.clear()
+            cache[source_path, text] = compile(text, source_path, "exec")
+        return cache[source_path, text]
+    except Exception:  # noqa: BLE001 - not BaseException: SIGTERM's SystemExit still ends the zygote
+        return None
+
+
+def load(source_path, code=None):
+    """The module's namespace and None, or an empty one and the load error."""
+    namespace = {"__name__": "askit_generated", "__file__": source_path}
+    try:
+        exec(compile(read_source(source_path), source_path, "exec") if code is None else code, namespace)
+        return namespace, None
     except BaseException as exc:  # noqa: BLE001
         return {}, f"generated source failed to load: {error_line(exc)}"
 
@@ -246,9 +257,9 @@ def encode_response(response):
         return json.dumps({"ok": False, "error": f"result is not JSON-serializable: {exc}"})
 
 
-def answer(source_path, request):
+def answer(source_path, request, code=None):
     """Load the source fresh and answer one request: the one-shot run."""
-    return encode_response(handle_request(*load(source_path), request))
+    return encode_response(handle_request(*load(source_path, code), request))
 
 
 def write_line(fd, text):
@@ -276,23 +287,24 @@ def read_line(fd, timeout, limit):
     return bytes(data[:end]), None
 
 
-def run_forked(request, protocol_fds):
-    """Answer `request` in a forked child; the response line it wrote, or an
-    error document when it wrote none in time."""
-    scratch, timeout = request["scratch"], request["timeout"]
-    preload(request["source"])
+def run_forked(request, protocol_in, protocol_out, compiled):
+    """Answer `request` in a forked child and relay the response line it
+    wrote, or an error document when it wrote none in time. `compiled` is
+    the zygote's compile_once cache."""
+    scratch, timeout, source = request["scratch"], request["timeout"], request["source"]
+    code = compile_once(source, compiled)
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
-            for fd in (read_fd, *protocol_fds):
+            for fd in (read_fd, protocol_in, protocol_out):
                 os.close(fd)
             os.chdir(scratch)
             os.environ["TMPDIR"] = os.environ["HOME"] = scratch
             install_sandbox(scratch)
-            write_line(write_fd, answer(request["source"], request))
+            write_line(write_fd, answer(source, request, code))
             status = 0
         except BaseException:  # noqa: BLE001
             sys.__excepthook__(*sys.exc_info())
@@ -304,22 +316,27 @@ def run_forked(request, protocol_fds):
                 os._exit(status)
     os.close(write_fd)
     try:
-        line, why = read_line(read_fd, timeout, MAX_RESPONSE_BYTES)
+        try:
+            line, why = read_line(read_fd, timeout, MAX_RESPONSE_BYTES)
+        finally:
+            # Kill the child on every path; one still running here has answered,
+            # closed its pipe, overrun its time or outgrown the response limit.
+            os.close(read_fd)
+            os.kill(pid, _signal.SIGKILL)
+        if why is None:
+            # Answer, then reap: the reap overlaps the parent's decode and its
+            # next request. Error paths reap first; their text needs the status.
+            write_line(protocol_out, line.decode("utf-8", errors="replace"))
+            return
     finally:
-        # Reap the child on every path; one still running here has answered,
-        # closed its pipe, overrun its time or outgrown the response limit.
-        os.close(read_fd)
-        os.kill(pid, _signal.SIGKILL)
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if why is None:
-        return line.decode("utf-8", errors="replace")
     if why == "timeout":
         error = {"ok": False, "timeout": True, "error": f"{request.get('entry')} exceeded {timeout}s"}
     elif why == "oversize":
         error = {"ok": False, "error": f"response exceeds {MAX_RESPONSE_BYTES} bytes"}
     else:
         error = {"ok": False, "error": f"harness exited with status {status}"}
-    return encode_response(error)
+    write_line(protocol_out, encode_response(error))
 
 
 def main(argv):
@@ -354,16 +371,13 @@ def main(argv):
         # A terminated zygote still reaps the child it is waiting for, then
         # leaves at once: it holds nothing worth finalizing.
         _signal.signal(_signal.SIGTERM, lambda signum, frame: sys.exit(0))
-        # Without `site` nothing has compiled yet; a child would spend about
-        # 2 ms building the compiler's lazy state in its first compile().
-        compile("", "<warm-up>", "exec")
+        compiled = {}
         try:
             for request in lines():
                 try:
-                    response = run_forked(request, (protocol_in, protocol_out))
+                    run_forked(request, protocol_in, protocol_out, compiled)
                 except (TypeError, KeyError) as exc:
-                    response = encode_response({"ok": False, "error": f"fork request is malformed: {exc!r}"})
-                write_line(protocol_out, response)
+                    respond({"ok": False, "error": f"fork request is malformed: {exc!r}"})
         except SystemExit:
             pass
         os._exit(0)

@@ -4,33 +4,39 @@ Worker keeps one harness process alive in serve mode: the generated module
 is loaded once and stays warm, so module state persists across calls and a
 call costs a pipe round trip. Requests are serialized over its pipe.
 
-ForkServer keeps one zygote harness alive that never loads generated code.
+ForkServer keeps one zygote harness alive that never runs generated code.
 Each run() makes a fresh askit-run-* scratch directory under
-tempfile.gettempdir() and sends one request; the zygote forks a child that
-works in that directory, installs the sandbox, loads the source and answers
-once. Every run therefore gets a fresh process with fresh module state, for
-the cost of a fork instead of an interpreter start. The zygote starts at the
-first run and is replaced when it is found dead before a request is sent;
-runs on one server are serialized. Whoever creates a ForkServer closes it:
-codegen.generate around the vetting of its candidates, CompiledFunction in
-close(). run_once without a server starts one for that single call.
+tempfile.gettempdir() and sends one request; the zygote compiles the source
+(once per text) and forks a child that works in that directory, installs the
+sandbox, runs the code and answers once. Every run therefore gets a fresh
+process with fresh module state, for the cost of a fork instead of an
+interpreter start. The zygote starts at the first run and is replaced when
+it is found dead before a request is sent; runs on one server are
+serialized. Whoever creates a ForkServer closes it: codegen.generate around
+the vetting of its candidates, CompiledFunction in close(). run_once without
+a server starts one for that single call.
 
-Both share one plumbing: the interpreter launch without `site` (so generated
-code sees the standard library only) and with a minimal environment, one
-request line out and one response line back under a deadline and a size cap
-(MAX_RESPONSE_BYTES), a stderr log for error messages, and a shutdown that
-also runs when the owner is garbage-collected.
+Both share one plumbing: the launch `python -I -S -B <scratch>/harness.pyc`
+of harness.py's bytecode, compiled once per parent process and written into
+the process's own askit-worker-* scratch directory, without `site` (so
+generated code sees the standard library only) and with a minimal
+environment, one request line out and one response line back under a
+deadline and a size cap (MAX_RESPONSE_BYTES), a stderr log for error
+messages, and a shutdown that also runs when the owner is garbage-collected.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import marshal
 import os
 import subprocess
 import sys
 import tempfile
 import threading
 import weakref
+from importlib.util import MAGIC_NUMBER
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -44,6 +50,14 @@ DEFAULT_INVOKE_TIMEOUT = 10.0
 FORK_SERVER_GRACE = 5.0
 
 
+@functools.cache
+def _harness_pyc() -> bytes:
+    """harness.py as .pyc bytes, compiled once per process. Run as a script,
+    a .pyc is checked for its magic number only, not for flags, mtime or size."""
+    code = compile(HARNESS_PATH.read_bytes(), str(HARNESS_PATH), "exec", dont_inherit=True, optimize=0)
+    return MAGIC_NUMBER + bytes(12) + marshal.dumps(code)
+
+
 def _child_env(scratch: str) -> dict[str, str]:
     # Deliberately minimal: no API keys, no PYTHONPATH, temp dir inside scratch.
     return {
@@ -52,10 +66,6 @@ def _child_env(scratch: str) -> dict[str, str]:
         "HOME": scratch,
         "LANG": os.environ.get("LANG", "C.UTF-8"),
     }
-
-
-def _encode_request(entry: str, args: Mapping[str, Any]) -> str:
-    return json.dumps({"entry": entry, "args": dict(args)}, ensure_ascii=False)
 
 
 def _decode_response(raw: str, stderr_tail: Callable[[], str] = lambda: "") -> Any:
@@ -81,7 +91,6 @@ def run_once(
     entry: str,
     args: Mapping[str, Any],
     timeout: float = DEFAULT_INVOKE_TIMEOUT,
-    python: str | None = None,
     server: ForkServer | None = None,
 ) -> Any:
     """Execute entry(**args) from a source file in a fresh forked process.
@@ -91,7 +100,7 @@ def run_once(
     """
     if server is not None:
         return server.run(source_path, entry, args, timeout)
-    with ForkServer(python) as own:
+    with ForkServer() as own:
         return own.run(source_path, entry, args, timeout)
 
 
@@ -102,14 +111,16 @@ class _HarnessProcess:
         self._proc: subprocess.Popen | None = None
         self._lock = threading.Lock()
 
-    def _start(self, harness_args: list[str], python: str | None) -> None:
+    def _start(self, harness_args: list[str]) -> None:
         scratch = tempfile.TemporaryDirectory(prefix="askit-worker-")
         self._stderr_path = Path(scratch.name) / "stderr.log"
         stderr_handle = open(self._stderr_path, "wb")
-        # -I: harness directory off sys.path, PYTHON* env vars ignored; -S: no
-        # `site`, no .pth hooks (over half the start-up); -B: no bytecode.
+        harness = Path(scratch.name) / "harness.pyc"  # not compiled at each start
+        harness.write_bytes(_harness_pyc())
+        # -I: script directory off sys.path, PYTHON* env vars ignored; -S: no
+        # `site`, no .pth hooks (over half the start-up); -B: no bytecode writes.
         self._proc = subprocess.Popen(
-            [python or sys.executable, "-I", "-S", "-B", str(HARNESS_PATH), *harness_args],
+            [sys.executable, "-I", "-S", "-B", str(harness), *harness_args],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=stderr_handle,
@@ -178,25 +189,22 @@ class Worker(_HarnessProcess):
     variant. Thread-safe: calls are serialized by an internal lock.
     """
 
-    def __init__(self, source_path: str | Path, python: str | None = None, call_timeout: float = 30.0):
+    def __init__(self, source_path: str | Path, call_timeout: float = 30.0):
         super().__init__()
         self.source_path = os.path.abspath(source_path)  # the harness runs elsewhere
         self.call_timeout = call_timeout
-        self._start([self.source_path, "--serve"], python)
+        self._start([self.source_path, "--serve"])
 
     def call(self, entry: str, args: Mapping[str, Any]) -> Any:
+        request = json.dumps({"entry": entry, "args": dict(args)}, ensure_ascii=False)
         with self._lock:
-            raw = self._exchange(_encode_request(entry, args), self.call_timeout)
+            raw = self._exchange(request, self.call_timeout)
         return _decode_response(raw, self._stderr_tail)
 
 
 class ForkServer(_HarnessProcess):
     """A zygote harness that forks one fresh child per run; see the module
     docstring for its life cycle. Thread-safe: runs are serialized."""
-
-    def __init__(self, python: str | None = None):
-        super().__init__()
-        self._python = python
 
     def run(
         self,
@@ -217,7 +225,7 @@ class ForkServer(_HarnessProcess):
             with self._lock:
                 if not self.alive:
                     self.close()
-                    self._start(["--fork-server"], self._python)
+                    self._start(["--fork-server"])
                 logged = os.path.getsize(self._stderr_path)
                 raw = self._exchange(
                     json.dumps(request, ensure_ascii=False),
@@ -236,14 +244,10 @@ def _shutdown(proc, scratch, stderr_handle):
                 proc.kill()
                 proc.wait(timeout=2.0)
     finally:
-        for stream in (proc.stdin, proc.stdout):
+        for stream in (proc.stdin, proc.stdout, stderr_handle):
             try:
                 if stream:
                     stream.close()
             except OSError:
                 pass
-        try:
-            stderr_handle.close()
-        except OSError:
-            pass
         scratch.cleanup()

@@ -176,6 +176,9 @@ def load_task_file(path: str | Path) -> TaskFile:
                 raise TaskFileError(f"task entry field {field!r} must be text, got {type(value).__name__}")
         if name in entries:
             raise TaskFileError(f"duplicate task name {name!r}")
+        codable = item.get("codable", False)
+        if not isinstance(codable, bool):
+            raise TaskFileError(f"task {name!r}: codable must be true or false, got {codable!r}")
         params_raw = item.get("param_schemas")
         if params_raw is not None and not isinstance(params_raw, Mapping):
             raise TaskFileError(f"task {name!r}: param_schemas must be an object")
@@ -189,7 +192,7 @@ def load_task_file(path: str | Path) -> TaskFile:
             param_schemas=param_schemas,
             fewshot=examples_from(item.get("fewshot"), f"task {name!r} fewshot"),
             tests=examples_from(item.get("tests"), f"task {name!r} tests"),
-            codable=bool(item.get("codable", False)),
+            codable=codable,
             target_language=target_language,
         )
         entry.to_spec()  # fail fast: template parses, schemas line up

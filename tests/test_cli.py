@@ -1,4 +1,5 @@
 import json
+import tempfile
 
 import pytest
 
@@ -363,6 +364,20 @@ class TestBenchCommand:
     def test_fixtures_flag_required(self):
         with pytest.raises(SystemExit):
             main(["bench", str(DEMO_TASKS)])
+
+    def test_default_cache_dir_is_removed(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        code = main(
+            [
+                "bench", str(DEMO_TASKS),
+                "--only", "calculateFactorial",
+                "--fixtures", str(DEMO_FIXTURES),
+                "--repeat", "1",
+            ]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["tasks"][0]["name"] == "calculateFactorial"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_engine_answers_match_direct_library_use():

@@ -8,6 +8,7 @@ import tempfile
 import threading
 import time
 import traceback
+from pathlib import Path
 
 import pytest
 
@@ -344,6 +345,87 @@ class TestForkServer:
         server.close()
         assert not server.alive
         assert run_once(source, "add", {"x": 1, "y": 2}, server=None) == 3
+
+
+def _one_shot_error(source, entry):
+    """The error text of the one-shot mode, `harness.py SOURCE`."""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", str(HARNESS_PATH), str(source)],
+        input=json.dumps({"entry": entry, "args": {}}).encode(),
+        capture_output=True,
+        cwd=source.parent,
+        timeout=30,
+    )
+    document = json.loads(proc.stdout)
+    assert document["ok"] is False
+    return document["error"]
+
+
+class TestCompileOnce:
+    def test_source_rewritten_in_place_with_same_size_and_mtime_is_recompiled(self, tmp_path):
+        source = write_source(tmp_path, "def f():\n    return 1\n")
+        with ForkServer() as server:
+            assert server.run(source, "f", {}) == 1
+            stat = os.stat(source)
+            source.write_text("def f():\n    return 2\n", encoding="utf-8")
+            os.utime(source, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+            assert os.stat(source).st_size == stat.st_size
+            assert server.run(source, "f", {}) == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"def f(:\n    return 1\n", b"def f():\n    return '\xe9'\n", b"def f():\n    return 1\x00\n"],
+        ids=["syntax-error", "not-utf-8", "null-byte"],
+    )
+    def test_load_errors_match_the_one_shot_mode_on_every_run(self, tmp_path, content):
+        source = tmp_path / "gen.py"
+        source.write_bytes(content)
+        expected = _one_shot_error(source, "f")
+        assert expected.startswith("generated source failed to load: ")
+        with ForkServer() as server:
+            for _ in range(2):
+                with pytest.raises(ExecutionError) as raised:
+                    server.run(source, "f", {})
+                assert str(raised.value) == expected
+
+    def test_compile_once_reuses_the_code_object_until_the_text_changes(self, tmp_path):
+        source, cache = str(write_source(tmp_path, ADD_SOURCE)), {}
+        first = harness.compile_once(source, cache)
+        assert harness.compile_once(source, cache) is first
+        write_source(tmp_path, ADD_SOURCE.replace("x + y", "y + x"))
+        second = harness.compile_once(source, cache)
+        assert second is not first and second.co_filename == source
+        assert list(cache) == [(source, ADD_SOURCE.replace("x + y", "y + x"))]
+        assert harness.compile_once(str(tmp_path / "missing.py"), cache) is None
+        assert harness.compile_once(str(write_source(tmp_path, "def (", name="bad.py")), cache) is None
+        assert harness.compile_once(str(write_source(tmp_path, "x = 1\x00\n", name="nul.py")), cache) is None
+
+    @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"), reason="Linux /proc only")
+    def test_zygote_reaps_each_child_after_answering(self, tmp_path):
+        source = write_source(tmp_path, ADD_SOURCE)
+        with ForkServer() as server:
+            for i in range(3):
+                assert server.run(source, "add", {"x": i, "y": 1}) == i + 1
+                zygote = server._proc.pid
+                children = Path(f"/proc/{zygote}/task/{zygote}/children")
+                deadline = time.monotonic() + 1.0
+                while children.read_text().split() and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                assert children.read_text().split() == []
+
+    @pytest.mark.parametrize("start", [lambda source: Worker(source), lambda source: ForkServer()], ids=["worker", "fork_server"])
+    def test_harness_starts_from_bytecode_in_its_own_scratch(self, tmp_path, start):
+        source = write_source(tmp_path, ADD_SOURCE)
+        with start(source) as process:
+            if isinstance(process, ForkServer):
+                assert process.run(source, "add", {"x": 1, "y": 2}) == 3
+            else:
+                assert process.call("add", {"x": 1, "y": 2}) == 3
+            launched = process._proc.args[4]
+            assert process._proc.args[1:4] == ["-I", "-S", "-B"]
+            assert launched.endswith(".pyc")
+            assert os.path.dirname(launched) == os.path.dirname(process._stderr_path)
+            assert os.path.basename(os.path.dirname(launched)).startswith("askit-worker-")
 
 
 def _run_by_worker(source, entry, args):

@@ -292,6 +292,20 @@ class TestLoadTaskFile:
         with pytest.raises(TaskFileError):
             load_task_file(self.write(tmp_path, {"version": 1, "tasks": [entry]}))
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [], {}])
+    def test_codable_must_be_a_json_boolean(self, tmp_path, value):
+        entry = {"name": "a", "template": "x", "return_schema": "int", "codable": value}
+        with pytest.raises(TaskFileError, match="codable"):
+            load_task_file(self.write(tmp_path, {"version": 1, "tasks": [entry]}))
+
+    @pytest.mark.parametrize("value, expected", [(True, True), (False, False), (None, False)])
+    def test_codable_booleans_and_its_default(self, tmp_path, value, expected):
+        entry = {"name": "a", "template": "x", "return_schema": "int"}
+        if value is not None:
+            entry["codable"] = value
+        task_file = load_task_file(self.write(tmp_path, {"version": 1, "tasks": [entry]}))
+        assert task_file.get("a").codable is expected
+
     @pytest.mark.parametrize(
         "examples",
         [{"input": {}}, [{"input": {"n": 1}}], [[{}, 1]], [42], [{"input": 1, "output": 2}]],

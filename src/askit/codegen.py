@@ -24,6 +24,7 @@ import tempfile
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -94,6 +95,13 @@ class TaskSpec:
             if extra:
                 raise SchemaError(f"example binds unknown parameters {sorted(extra)}")
 
+    @cached_property
+    def cache_names(self) -> tuple[str, str]:
+        """Code and sidecar file names, `<slug>_<digest>.<ext>` and `.json`;
+        derived once, from fields that cannot change."""
+        stem = f"{cache_slug(self.template)}_{spec_digest(self)}"
+        return f"{stem}.{LANGUAGES[self.target_language].extension}", f"{stem}.json"
+
 
 @dataclass(frozen=True)
 class CodegenConfig:
@@ -154,9 +162,8 @@ def cache_slug(template: PromptTemplate) -> str:
 
 
 def cache_paths(spec: TaskSpec, config: CodegenConfig) -> tuple[Path, Path]:
-    stem = f"{cache_slug(spec.template)}_{spec_digest(spec)}"
-    extension = LANGUAGES[spec.target_language].extension
-    return config.cache_dir / f"{stem}.{extension}", config.cache_dir / f"{stem}.json"
+    code_name, meta_name = spec.cache_names
+    return config.cache_dir / code_name, config.cache_dir / meta_name
 
 
 def cache_store(spec: TaskSpec, source: str, config: CodegenConfig, retries_used: int = 0) -> Path:
@@ -178,18 +185,25 @@ def cache_store(spec: TaskSpec, source: str, config: CodegenConfig, retries_used
 
 
 def cache_lookup(spec: TaskSpec, config: CodegenConfig) -> GeneratedFunction | None:
-    """Return the cached function for this spec, or None on a miss."""
+    """Return the cached function for this spec, or None on a miss.
+
+    Both files are read from disk at every lookup, each with one open, so a
+    hand edit shows at the next hit. A source that is not UTF-8 is a miss.
+    """
     code_path, meta_path = cache_paths(spec, config)
-    if not code_path.exists():
-        return None
-    source = code_path.read_text(encoding="utf-8")
-    retries_used = 0  # a missing or damaged sidecar reads as no retries
     try:
-        metadata = json.loads(meta_path.read_text(encoding="utf-8"))
-        if isinstance(metadata, dict):
-            retries_used = int(metadata.get("retries_used", 0))
-    except (OSError, ValueError, TypeError, OverflowError):
-        pass
+        with open(code_path, encoding="utf-8") as handle:
+            source = handle.read()
+    except (FileNotFoundError, UnicodeDecodeError):
+        return None
+    try:
+        with open(meta_path, encoding="utf-8") as handle:
+            metadata = json.load(handle)
+    except (OSError, ValueError):
+        metadata = None
+    # A missing or damaged sidecar, or a count that is not a JSON integer >= 0, reads as no retries.
+    recorded = metadata.get("retries_used") if isinstance(metadata, dict) else None
+    retries_used = recorded if type(recorded) is int and recorded >= 0 else 0
     return GeneratedFunction(
         source=source,
         entry=spec.name,
@@ -286,12 +300,11 @@ def generate(client, spec: TaskSpec, config: CodegenConfig | None = None) -> Gen
     cache populated.
     """
     config = config or CodegenConfig()
-    prompt = build_codegen(spec)
     with _cache_lock(spec, config):
         cached = cache_lookup(spec, config)
         if cached is not None:
             return cached
-        messages = [Message("user", prompt.text)]
+        messages = [Message("user", build_codegen(spec).text)]
         transcript: list[tuple[str, Violation]] = []
         violation: Violation | None = None
         with ForkServer() as server:

@@ -13,6 +13,8 @@ import random
 import string
 from typing import Any
 
+from askit.codegen import TaskSpec
+from askit.template import parse
 from askit.types import (
     BOOL,
     FLOAT,
@@ -56,6 +58,26 @@ def _random_leaf(rng: random.Random) -> TypeSchema:
 
 def _random_word(rng: random.Random) -> str:
     return "".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(1, 8)))
+
+
+_WORDS = ("Compute", "the", "SUM", "of", "'quoted'", "Ünïcode", "x" * 30, "-", "!")
+
+
+def random_spec(rng: random.Random, language: str) -> TaskSpec:
+    """A task with 0-3 parameters, a random return schema and, four times in
+    five, parameter schemas; its text mixes cases, quotes, non-ASCII letters
+    and words long enough to cross the cache slug's 40-character cut."""
+    params = [f"p{index}" for index in range(rng.randint(0, 3))]
+    text = " ".join(rng.choice(_WORDS) for _ in range(rng.randint(1, 8)))
+    text += "".join(f" {{{{{param}}}}}" for param in params)
+    schemas = tuple((param, random_schema(rng)) for param in params)
+    return TaskSpec(
+        name=f"task{rng.randint(0, 999)}",
+        template=parse(text),
+        return_schema=random_schema(rng),
+        param_schemas=None if rng.random() < 0.2 else schemas,
+        target_language=language,
+    )
 
 
 def sample_value(rng: random.Random, schema: TypeSchema) -> Any:

@@ -1,5 +1,6 @@
 import json
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +232,24 @@ class TestCodegenCommand:
         second = json.loads(capsys.readouterr().out)
         assert {row["status"] for row in second["tasks"]} == {"cached"}
         assert second["client_calls"] == 0
+
+    def test_undecodable_cached_source_is_regenerated(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        argv = [
+            "codegen",
+            str(DEMO_TASKS),
+            "--backend", "replay",
+            "--fixtures", str(DEMO_FIXTURES),
+            "--cache-dir", str(cache),
+        ]
+        assert main(argv) == 0
+        damaged = json.loads(capsys.readouterr().out)["tasks"][0]
+        Path(damaged["cache_path"]).write_bytes(b"\xff\xfe garbage")
+        assert main(argv) == 0
+        rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)["tasks"]}
+        assert rows.pop(damaged["name"])["status"] == "generated"
+        assert {row["status"] for row in rows.values()} == {"cached"}
+        assert Path(damaged["cache_path"]).read_text(encoding="utf-8").startswith("def ")
 
     def test_parallel_jobs(self, capsys, tmp_path):
         argv = [

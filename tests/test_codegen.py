@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import subprocess
 import threading
@@ -33,6 +34,7 @@ from askit.errors import (
 from askit.prompts import Example, ViolationKind
 from askit.template import parse
 from askit.types import INT, STR, list_of
+from schemagen import random_spec
 
 
 def live_children():
@@ -175,6 +177,28 @@ class TestCacheNaming:
             add_spec(target_language="typescript", tests=())
         )
 
+    @pytest.mark.parametrize("language,extension", [("python", "py"), ("typescript", "ts")])
+    def test_memoized_names_match_fresh_derivation(self, language, extension):
+        rng = random.Random(1010)
+        for _ in range(300):
+            spec = random_spec(rng, language)
+            stem = f"{cache_slug(spec.template)}_{spec_digest(spec)}"
+            assert spec.cache_names == (f"{stem}.{extension}", f"{stem}.json")
+            assert spec.cache_names is spec.cache_names
+
+    def test_replace_derives_its_own_names(self):
+        base = add_spec()
+        assert base.cache_names
+        changed = replace(base, return_schema=STR)
+        assert changed.cache_names != base.cache_names
+        assert changed.cache_names[1] == f"add__x__and__y_{spec_digest(changed)}.json"
+
+    def test_memoized_names_leave_equality_and_hash_alone(self):
+        memoized, fresh = add_spec(tests=()), add_spec(tests=())  # dict inputs do not hash
+        assert memoized.cache_names
+        assert "cache_names" in vars(memoized) and "cache_names" not in vars(fresh)
+        assert memoized == fresh and hash(memoized) == hash(fresh)
+
 
 class TestCacheStoreLookup:
     def test_lookup_before_store_misses(self, tmp_path):
@@ -210,7 +234,8 @@ class TestCacheStoreLookup:
     @pytest.mark.parametrize(
         "sidecar",
         [b"[1, 2]", b'"text"', b"null", b"42", b"{not json", b"\xff\xfe", b'{"retries_used": "x"}',
-         b'{"retries_used": [1]}', b'{"retries_used": 1e999}'],
+         b'{"retries_used": [1]}', b'{"retries_used": 1e999}', b'{"retries_used": true}',
+         b'{"retries_used": "3"}', b'{"retries_used": 2.9}', b'{"retries_used": -1}'],
     )
     def test_damaged_sidecar_reads_as_zero_retries(self, tmp_path, sidecar):
         config = CodegenConfig(cache_dir=tmp_path)
@@ -221,6 +246,39 @@ class TestCacheStoreLookup:
         defined = define(INT, "add {{x}} and {{y}}", param_schemas={"x": INT, "y": INT}, name="add")
         with defined.compile(config, client=ScriptedClient([])) as compiled:
             assert compiled.generated.retries_used == 0
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"def add(*, x, y):\r\n    return x + y\r\n", b"def add(*, x, y):\r    return x + y\r",
+         b"\xef\xbb\xbfdef add(*, x, y):\n    return x + y\n"],
+    )
+    def test_lookup_reads_source_as_read_text_does(self, tmp_path, raw):
+        config = CodegenConfig(cache_dir=tmp_path)
+        code_path = cache_store(add_spec(), ADD_PY + "\n", config)
+        code_path.write_bytes(raw)
+        assert cache_lookup(add_spec(), config).source == code_path.read_text(encoding="utf-8")
+
+    def test_hit_after_hand_edit_returns_edited_source(self, tmp_path):
+        config = CodegenConfig(cache_dir=tmp_path)
+        spec = add_spec()
+        code_path = cache_store(spec, ADD_PY + "\n", config)
+        assert cache_lookup(spec, config).source == ADD_PY + "\n"
+        edited = "def add(*, x, y):\n    return y + x\n"
+        code_path.write_text(edited, encoding="utf-8")
+        assert cache_lookup(spec, config).source == edited
+
+    def test_undecodable_cached_source_is_regenerated(self, tmp_path):
+        config = CodegenConfig(cache_dir=tmp_path)
+        code_path = cache_store(add_spec(), ADD_PY + "\n", config, retries_used=2)
+        code_path.write_bytes(b"\xff\xfe garbage")
+        assert cache_lookup(add_spec(), config) is None
+        defined = define(INT, "add {{x}} and {{y}}", param_schemas={"x": INT, "y": INT},
+                         tests=[{"input": {"x": 1, "y": 2}, "output": 3}], name="add")
+        with defined.compile(config, client=ScriptedClient([code_response(ADD_PY)])) as compiled:
+            assert compiled.generated.retries_used == 0
+            assert compiled(x=2, y=3) == 5
+        assert code_path.read_text(encoding="utf-8") == ADD_PY + "\n"
+        assert cache_lookup(add_spec(), config).retries_used == 0
 
     def test_no_temp_files_left_behind(self, tmp_path):
         config = CodegenConfig(cache_dir=tmp_path)
@@ -358,6 +416,17 @@ class TestGenerate:
         second = generate(client, add_spec(), config)
         assert client.call_count == 1
         assert second.source == first.source
+
+    def test_hit_under_the_lock_builds_no_prompt(self, tmp_path, monkeypatch):
+        config = CodegenConfig(cache_dir=tmp_path)
+        cache_store(add_spec(), ADD_PY + "\n", config, retries_used=1)
+
+        def no_prompt(*args, **kwargs):
+            raise AssertionError("a prompt was built for a cached task")
+
+        monkeypatch.setattr(codegen_mod, "build_codegen", no_prompt)
+        generated = generate(ScriptedClient([]), add_spec(), config)
+        assert generated.source == ADD_PY + "\n" and generated.retries_used == 1
 
     def test_concurrent_generate_runs_once(self, tmp_path):
         config = CodegenConfig(cache_dir=tmp_path)

@@ -65,6 +65,7 @@ from .prompts import (
     parse_answer,
     synthesize_signature,
 )
+from .runner import close
 from .taskfile import TaskEntry, TaskFile, load_task_file, parse_schema_text
 from .template import PromptTemplate, parse, substitute_comment, substitute_direct
 from .types import (

@@ -24,7 +24,7 @@ from .encoding import stable_digest
 from .engine import EngineConfig, ask_until_valid
 from .errors import NotCodable, SchemaError
 from .prompts import examples_from
-from .runner import ForkServer, Worker
+from .runner import Worker, fork_pool
 from .template import _check_binding, parse
 from .types import TypeSchema, VoidType, render
 
@@ -120,12 +120,15 @@ def define(
 
 
 class DefinedFunction:
-    """A task bound to the direct path. Immutable; safe to share."""
+    """A task bound to the direct path. Immutable; safe to share. From its
+    first compile miss on it keeps the shared zygotes alive, so that later
+    misses do not start them again."""
 
     def __init__(self, spec: TaskSpec, client=None, config: EngineConfig | None = None):
         self._spec = spec
         self._client = client
         self._config = config
+        self._zygotes = None
 
     @property
     def spec(self) -> TaskSpec:
@@ -177,6 +180,7 @@ def compile(
         )
     generated = cache_lookup(spec, config)
     if generated is None:
+        defined._zygotes = fork_pool()
         generated = generate(client or defined._client or _default_client(), spec, config)
     return CompiledFunction(spec, generated, config)
 
@@ -187,8 +191,10 @@ class CompiledFunction:
     Calls go through a lazily started warm harness process; a worker found
     dead before a call is replaced, and a call that kills its worker is not
     run again. call_isolated() runs each call in a fresh process forked by
-    this function's own fork server, started at the first such call.
-    Close() or use as a context manager to reap both eagerly.
+    the process's shared zygotes, which this function keeps alive while it
+    is open. close(), or leaving it as a context manager, reaps the worker
+    and lets go of the zygotes; they end when their last holder does, or at
+    askit.close().
     """
 
     def __init__(self, spec: TaskSpec, generated: GeneratedFunction, config: CodegenConfig):
@@ -196,7 +202,7 @@ class CompiledFunction:
         self._generated = generated
         self._config = config
         self._worker: Worker | None = None
-        self._server = ForkServer()
+        self._zygotes = fork_pool()
         self._lock = threading.Lock()
 
     @property
@@ -220,16 +226,14 @@ class CompiledFunction:
         """One fresh forked harness process for this call only."""
         merged = _merge_args(args, kwargs)
         _check_binding(self._spec.template, merged)
-        return invoke(
-            self._generated, merged, timeout=self._config.invoke_timeout, server=self._server
-        )
+        return invoke(self._generated, merged, timeout=self._config.invoke_timeout)
 
     def close(self) -> None:
         with self._lock:
             if self._worker is not None:
                 self._worker.close()
                 self._worker = None
-        self._server.close()
+        self._zygotes = None
 
     def __enter__(self):
         return self

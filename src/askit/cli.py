@@ -42,7 +42,7 @@ from .errors import (
     ToolchainUnavailable,
 )
 from .prompts import build_codegen, build_direct
-from .runner import Worker
+from .runner import Worker, fork_pool
 from .taskfile import TaskFile, load_task_file
 from .types import VoidType
 
@@ -162,6 +162,7 @@ def _cmd_codegen(args) -> int:
         cache_dir=Path(args.cache_dir),
         max_retries=args.max_retries,
     )
+    zygotes = fork_pool()  # held to the end: every task's test examples run on one pair
 
     def compile_one(entry):
         spec = entry.to_spec(target_language=args.target)
@@ -216,6 +217,7 @@ def _cmd_bench(args) -> int:
         cycle=True,
         delay_s=args.replay_delay_ms / 1000.0,
     )
+    zygotes = fork_pool()  # held to the end, as in codegen
     with tempfile.TemporaryDirectory(prefix="askit-bench-") as scratch:  # the cache without --cache-dir
         config = CodegenConfig(temperature=args.temperature, cache_dir=Path(args.cache_dir or scratch))
         engine_config = EngineConfig(temperature=args.temperature)
@@ -243,7 +245,7 @@ def _cmd_bench(args) -> int:
                     started = time.perf_counter()
                     worker.call(spec.name, probe)
                     exec_times.append(time.perf_counter() - started)
-            execution_s = statistics.fmean(exec_times)
+            execution_s = statistics.median(exec_times)  # one slow call on a loaded host moves a mean
 
             rows.append(
                 {

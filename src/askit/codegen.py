@@ -3,12 +3,13 @@
 A task is turned into a one-shot prompt; candidate code from the model is
 checked syntactically (Python: ast.parse in this process; TypeScript: tsc in
 a child process) and semantically (each test example runs in a fresh child
-forked by the execution harness's fork server). generate owns that server:
-it starts it at the first test example it runs and closes it before it
-returns or raises. The first candidate passing every check is written to the
-on-disk cache; retries re-send the identical prompt and rely on sampling
-temperature for variation. Generation for a given cache key happens once:
-lookups hit the cached source and never touch the client.
+forked by the process's shared zygotes, runner.fork_pool). generate holds
+that pool while it runs, so the test examples of every candidate run on the
+same pair of zygotes, which end with the pool's last holder. The first
+candidate passing every check is written to the on-disk cache; retries
+re-send the identical prompt and rely on sampling temperature for
+variation. Generation for a given cache key happens once: lookups hit the
+cached source and never touch the client.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     ToolchainUnavailable,
 )
 from .prompts import Example, Violation, ViolationKind, build_codegen, extract_block
-from .runner import DEFAULT_INVOKE_TIMEOUT, ForkServer, run_once
+from .runner import DEFAULT_INVOKE_TIMEOUT, fork_pool, run_once
 from .template import PromptTemplate, substitute_comment
 from .types import IDENT_RE, TypeSchema, VoidType, render
 
@@ -245,16 +246,11 @@ def syntax_check(source: str, language: str) -> Violation | None:
     return Violation(ViolationKind.SYNTAX_ERROR, diagnostics[-500:])
 
 
-def invoke(
-    fn: GeneratedFunction,
-    args: Mapping[str, Any],
-    timeout: float = DEFAULT_INVOKE_TIMEOUT,
-    server: ForkServer | None = None,
-) -> Any:
+def invoke(fn: GeneratedFunction, args: Mapping[str, Any], timeout: float = DEFAULT_INVOKE_TIMEOUT) -> Any:
     """Run a cached function in a fresh forked process and return its value."""
     if not LANGUAGES[fn.language].runnable:
         raise ToolchainUnavailable(f"no execution harness for {fn.language}")
-    return run_once(fn.cache_path, fn.entry, args, timeout=timeout, server=server)
+    return run_once(fn.cache_path, fn.entry, args, timeout=timeout)
 
 
 def output_equal(expected: Any, actual: Any) -> bool:
@@ -294,10 +290,9 @@ def generate(client, spec: TaskSpec, config: CodegenConfig | None = None) -> Gen
     code, syntax-check it, run every test example through the harness. The
     winning candidate is cached and returned with its retry count. Raises
     GenerationFailed with the last violation and the full attempt transcript.
-    Test examples run on one fork server, started at the first of them and
-    closed before this returns or raises. Concurrent calls for the same
-    cache key are serialized by a file lock; whoever enters second finds the
-    cache populated.
+    Test examples run on the shared zygotes, held until this returns or
+    raises. Concurrent calls for the same cache key are serialized by a file
+    lock; whoever enters second finds the cache populated.
     """
     config = config or CodegenConfig()
     with _cache_lock(spec, config):
@@ -307,10 +302,11 @@ def generate(client, spec: TaskSpec, config: CodegenConfig | None = None) -> Gen
         messages = [Message("user", build_codegen(spec).text)]
         transcript: list[tuple[str, Violation]] = []
         violation: Violation | None = None
-        with ForkServer() as server:
+        zygotes = fork_pool()  # kept alive from one test example to the next
+        try:
             for attempt in range(config.max_retries + 1):
                 response = client.complete(messages, temperature=config.temperature)
-                source, violation = _vet_candidate(response, spec, config, server)
+                source, violation = _vet_candidate(response, spec, config)
                 if source is not None:
                     path = cache_store(spec, source, config, retries_used=attempt)
                     return GeneratedFunction(
@@ -321,12 +317,12 @@ def generate(client, spec: TaskSpec, config: CodegenConfig | None = None) -> Gen
                         retries_used=attempt,
                     )
                 transcript.append((response, violation))
+        finally:
+            del zygotes  # a traceback kept by the caller must not keep them running
         raise GenerationFailed(violation, transcript)
 
 
-def _vet_candidate(
-    response: str, spec: TaskSpec, config: CodegenConfig, server: ForkServer | None = None
-) -> tuple[str | None, Violation | None]:
+def _vet_candidate(response: str, spec: TaskSpec, config: CodegenConfig) -> tuple[str | None, Violation | None]:
     try:
         source = extract_block(response, LANGUAGES[spec.target_language].name)
     except BlockNotFound as exc:
@@ -336,15 +332,13 @@ def _vet_candidate(
     violation = syntax_check(source, spec.target_language)
     if violation is not None:
         return None, violation
-    violation = _run_test_examples(source, spec, config, server)
+    violation = _run_test_examples(source, spec, config)
     if violation is not None:
         return None, violation
     return source, None
 
 
-def _run_test_examples(
-    source: str, spec: TaskSpec, config: CodegenConfig, server: ForkServer | None
-) -> Violation | None:
+def _run_test_examples(source: str, spec: TaskSpec, config: CodegenConfig) -> Violation | None:
     if not spec.tests:
         return None
     if not LANGUAGES[spec.target_language].runnable:
@@ -358,9 +352,7 @@ def _run_test_examples(
         for example in spec.tests:
             shown = canonical_json(dict(example.input))
             try:
-                actual = run_once(
-                    path, spec.name, example.input, timeout=config.invoke_timeout, server=server
-                )
+                actual = run_once(path, spec.name, example.input, timeout=config.invoke_timeout)
             except (ExecutionError, ExecutionTimeout, ProtocolError) as exc:
                 return Violation(ViolationKind.TEST_FAILURE, f"input {shown} raised: {exc}")
             if not output_equal(example.output, actual):

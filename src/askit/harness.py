@@ -23,14 +23,15 @@ in seconds:
 
     {"source": <path>, "scratch": <dir>, "timeout": <s>, "entry": ..., "args": ...}
 
-For each one it compiles the source unless its text is the one it compiled
-last (compile_once), then forks a child that changes into the scratch
-directory (also its TMPDIR and HOME), installs the sandbox, runs that code
-in a fresh namespace, answers exactly as the one-shot mode does and leaves
-with os._exit. The zygote kills the child once it has answered, timed out
-({"ok": false, "timeout": true, ...}) or outgrown MAX_RESPONSE_BYTES,
-relays one response line and only then reaps it, so the reap overlaps the
-parent's next step. runner.ForkServer makes and removes scratch directories.
+For each one it compiles the source unless it compiled the same text at
+the same path before (compile_once), then forks a child that changes into
+the scratch directory (also its TMPDIR and HOME), installs the sandbox,
+runs that code in a fresh namespace, answers exactly as the one-shot mode
+does and leaves with os._exit. The zygote kills the child once it has
+answered, timed out ({"ok": false, "timeout": true, ...}) or outgrown
+MAX_RESPONSE_BYTES, relays one response line and only then reaps it, so
+the reap overlaps the parent's next step. runner.ForkServer makes and
+removes scratch directories.
 
 Before executing the generated source an audit-hook sandbox is installed in
 the process that runs it: file writes, renames and deletes outside the
@@ -206,17 +207,25 @@ def preload(source_path, text=None):
                 return
 
 
+# Paths the zygote's compile cache keeps before it starts over: vetting
+# writes each candidate to a path of its own, so the set never stops growing.
+COMPILED_PATHS = 64
+
+
 def compile_once(source_path, cache):
-    """The source's code object, compiled (after preload) only when its path
-    or text differs from the last one's in `cache`, so an edited file is never
-    stale; None when unreadable or invalid: the child then reports why."""
+    """The source's code object, compiled (after preload) only when the text
+    at its path differs from the one `cache` holds for that path, so an
+    edited file is never stale; None when unreadable or invalid: the child
+    then reports why. `cache` maps a path to its (text, code object)."""
     try:
         text = read_source(source_path)
-        if (source_path, text) not in cache:
+        cached = cache.get(source_path)
+        if cached is None or cached[0] != text:
             preload(source_path, text)
-            cache.clear()
-            cache[source_path, text] = compile(text, source_path, "exec")
-        return cache[source_path, text]
+            if len(cache) >= COMPILED_PATHS:
+                cache.clear()
+            cached = cache[source_path] = text, compile(text, source_path, "exec")
+        return cached[1]
     except Exception:  # noqa: BLE001 - not BaseException: SIGTERM's SystemExit still ends the zygote
         return None
 

@@ -7,30 +7,46 @@ call costs a pipe round trip. Requests are serialized over its pipe.
 ForkServer keeps one zygote harness alive that never runs generated code.
 Each run() makes a fresh askit-run-* scratch directory under
 tempfile.gettempdir() and sends one request; the zygote compiles the source
-(once per text) and forks a child that works in that directory, installs the
-sandbox, runs the code and answers once. Every run therefore gets a fresh
-process with fresh module state, for the cost of a fork instead of an
-interpreter start. The zygote starts at the first run and is replaced when
-it is found dead before a request is sent; runs on one server are
-serialized. Whoever creates a ForkServer closes it: codegen.generate around
-the vetting of its candidates, CompiledFunction in close(). run_once without
-a server starts one for that single call.
+(once per path and text) and forks a child that works in that directory,
+installs the sandbox, runs the code and answers once. Every run therefore
+gets a fresh process with fresh module state, for the cost of a fork instead
+of an interpreter start. The zygote starts at the first run, or at start(),
+and is replaced when it is found dead before a request is sent; runs on one
+server are serialized.
 
-Both share one plumbing: the launch `python -I -S -B <scratch>/harness.pyc`
+A process shares one ForkPool of two fork servers, which take runs in turn:
+one zygote reaps its last child while the other forks the next, and two
+callers run in parallel. The pool's first run starts both zygotes, so the
+second boots while the first run waits for its own. run_once, and through it
+codegen's vetting and CompiledFunction.call_isolated, runs on the pool that
+fork_pool() returns. This module holds the pool by a weak reference only;
+its holders keep it alive: codegen.generate while it runs, each open
+CompiledFunction, a DefinedFunction from its first compile miss on, and
+`askit codegen` and `askit bench` for the whole command. When the last
+holder is closed or collected the servers' finalizers end both zygotes;
+close() ends them at once, and later runs start them again. A forked copy
+of the process drops the pool and starts its own.
+
+All share one plumbing: the launch `python -I -S -B <scratch>/harness.pyc`
 of harness.py's bytecode, compiled once per parent process and written into
 the process's own askit-worker-* scratch directory, without `site` (so
 generated code sees the standard library only) and with a minimal
 environment, one request line out and one response line back under a
 deadline and a size cap (MAX_RESPONSE_BYTES), a stderr log for error
 messages, and a shutdown that also runs when the owner is garbage-collected.
+Only the process that started a harness process ever signals it or removes
+its scratch directory: in a forked copy it reads as not alive, and closing it
+there closes that copy's pipes alone.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import marshal
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -91,17 +107,10 @@ def run_once(
     entry: str,
     args: Mapping[str, Any],
     timeout: float = DEFAULT_INVOKE_TIMEOUT,
-    server: ForkServer | None = None,
 ) -> Any:
-    """Execute entry(**args) from a source file in a fresh forked process.
-
-    The child comes from `server`, or from a fork server started and closed
-    for this call alone.
-    """
-    if server is not None:
-        return server.run(source_path, entry, args, timeout)
-    with ForkServer() as own:
-        return own.run(source_path, entry, args, timeout)
+    """Execute entry(**args) from a source file in a fresh process forked
+    by the process's shared zygotes."""
+    return fork_pool().run(source_path, entry, args, timeout)
 
 
 class _HarnessProcess:
@@ -112,10 +121,12 @@ class _HarnessProcess:
         self._lock = threading.Lock()
 
     def _start(self, harness_args: list[str]) -> None:
-        scratch = tempfile.TemporaryDirectory(prefix="askit-worker-")
-        self._stderr_path = Path(scratch.name) / "stderr.log"
+        # mkdtemp, not TemporaryDirectory: its finalizer would remove the
+        # directory in a forked copy of this process too.
+        scratch = tempfile.mkdtemp(prefix="askit-worker-")
+        self._stderr_path = Path(scratch) / "stderr.log"
         stderr_handle = open(self._stderr_path, "wb")
-        harness = Path(scratch.name) / "harness.pyc"  # not compiled at each start
+        harness = Path(scratch) / "harness.pyc"  # not compiled at each start
         harness.write_bytes(_harness_pyc())
         # -I: script directory off sys.path, PYTHON* env vars ignored; -S: no
         # `site`, no .pth hooks (over half the start-up); -B: no bytecode writes.
@@ -124,15 +135,17 @@ class _HarnessProcess:
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=stderr_handle,
-            cwd=scratch.name,
-            env=_child_env(scratch.name),
+            cwd=scratch,
+            env=_child_env(scratch),
             bufsize=0,
         )
-        self._finalizer = weakref.finalize(self, _shutdown, self._proc, scratch, stderr_handle)
+        self._owner = os.getpid()
+        self._finalizer = weakref.finalize(self, _shutdown, self._proc, scratch, stderr_handle, self._owner)
 
     @property
     def alive(self) -> bool:
-        return self._proc is not None and self._proc.poll() is None
+        """Running, and started by this process, not by the one it was forked from."""
+        return self._proc is not None and self._owner == os.getpid() and self._proc.poll() is None
 
     def close(self) -> None:
         if self._proc is not None:
@@ -223,9 +236,7 @@ class ForkServer(_HarnessProcess):
                 "args": dict(args),
             }
             with self._lock:
-                if not self.alive:
-                    self.close()
-                    self._start(["--fork-server"])
+                self._ensure_zygote()
                 logged = os.path.getsize(self._stderr_path)
                 raw = self._exchange(
                     json.dumps(request, ensure_ascii=False),
@@ -233,10 +244,84 @@ class ForkServer(_HarnessProcess):
                 )
                 return _decode_response(raw, lambda: self._stderr_tail(logged))
 
+    def start(self) -> None:
+        """Start the zygote now, unless it runs or a run holds this server."""
+        if self._lock.acquire(blocking=False):
+            try:
+                self._ensure_zygote()
+            finally:
+                self._lock.release()
 
-def _shutdown(proc, scratch, stderr_handle):
+    def _ensure_zygote(self) -> None:  # hold self._lock
+        if not self.alive:
+            self.close()
+            self._start(["--fork-server"])
+
+
+class ForkPool:
+    """Two fork servers that take runs in turn; see the module docstring."""
+
+    def __init__(self):
+        self._servers = (ForkServer(), ForkServer())
+        self._turns = itertools.count()
+
+    def run(
+        self,
+        source_path: str | Path,
+        entry: str,
+        args: Mapping[str, Any],
+        timeout: float | None = DEFAULT_INVOKE_TIMEOUT,
+    ) -> Any:
+        """entry(**args) from `source_path`, on the next server in turn."""
+        turn = next(self._turns)
+        if turn == 0:
+            self._servers[1].start()  # it boots while the first run waits for the other
+        return self._servers[turn % 2].run(source_path, entry, args, timeout)
+
+    def close(self) -> None:
+        for server in self._servers:
+            server.close()
+
+
+_pool_lock = threading.Lock()
+_pool: weakref.ref[ForkPool] | None = None
+
+
+def fork_pool() -> ForkPool:
+    """The process's shared pool; a new one when no holder keeps one alive.
+    Its zygotes start at its first run."""
+    global _pool
+    with _pool_lock:
+        pool = _pool() if _pool is not None else None
+        if pool is None:
+            pool = ForkPool()
+            _pool = weakref.ref(pool)
+        return pool
+
+
+def close() -> None:
+    """End the shared zygotes now; later runs start them again."""
+    pool = _pool() if _pool is not None else None
+    if pool is not None:
+        pool.close()
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)  # a forked copy starts zygotes of its own
+
+
+def _shutdown(proc, scratch, stderr_handle, owner):
+    mine = os.getpid() == owner  # in a forked copy: close its pipes, nothing more
     try:
-        if proc.poll() is None:
+        if mine and proc.poll() is None:
+            # End of input first: a zygote that SIGTERM reaches just before it
+            # blocks reading its next request handles the signal only after
+            # that read returns, so end of input is what makes it leave.
+            proc.stdin.close()
             proc.terminate()
             try:
                 proc.wait(timeout=2.0)
@@ -250,4 +335,5 @@ def _shutdown(proc, scratch, stderr_handle):
                     stream.close()
             except OSError:
                 pass
-        scratch.cleanup()
+        if mine:
+            shutil.rmtree(scratch, ignore_errors=True)

@@ -1,5 +1,9 @@
+import atexit
 import json
+import multiprocessing
+import os
 import re
+import tempfile
 
 import pytest
 
@@ -325,3 +329,65 @@ class TestCompile:
             compiled_values = [compiled(case["input"]) for case in tests]
         for direct_value, compiled_value in zip(direct_values, compiled_values):
             assert output_equal(direct_value, compiled_value)
+
+
+def _child_calls(compiled):
+    assert compiled(n=4) == 24
+    assert compiled.call_isolated(n=5) == 120
+
+
+def _fork(body):
+    """body() in a child forked by os.fork that leaves by os._exit; its exit code."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            body()
+            status = 0
+        finally:
+            os._exit(status)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _calls_then_exit(compiled):
+    return _fork(lambda: _child_calls(compiled))
+
+
+def _calls_close_and_exit_handlers(compiled):
+    def body():
+        _child_calls(compiled)
+        compiled.close()
+        atexit._run_exitfuncs()  # what a normal exit runs, weakref.finalize's hook included
+
+    return _fork(body)
+
+
+def _multiprocessing_fork(compiled):
+    process = multiprocessing.get_context("fork").Process(target=_child_calls, args=(compiled,))
+    process.start()
+    process.join(timeout=60)
+    return process.exitcode
+
+
+class TestForkSafety:
+    """A compiled function used in a forked copy of its caller: the copy
+    starts harness processes of its own and never ends or removes the
+    caller's."""
+
+    @pytest.mark.parametrize(
+        "fork",
+        [_calls_then_exit, _calls_close_and_exit_handlers, _multiprocessing_fork],
+        ids=["os_exit", "close_and_exit_handlers", "multiprocessing"],
+    )
+    def test_forked_child_leaves_the_callers_harness_alone(self, tmp_path, monkeypatch, fork):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        client = ScriptedClient([code_response(FACTORIAL_CODE)])
+        with TestCompile().factorial(client).compile(CodegenConfig(cache_dir=tmp_path / "cache")) as compiled:
+            assert compiled(n=3) == 6
+            assert compiled.call_isolated(n=3) == 6
+            scratch = set(tmp_path.glob("askit-worker-*"))
+            assert len(scratch) >= 2  # the warm worker's and a zygote's
+            assert fork(compiled) == 0
+            assert scratch <= set(tmp_path.glob("askit-worker-*"))
+            assert compiled(n=6) == 720
+            assert compiled.call_isolated(n=6) == 720

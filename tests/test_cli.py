@@ -1,15 +1,19 @@
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 
 import askit.cli as cli
 import askit.codegen as codegen_mod
-from askit.clients import DEFAULT_MODEL_ID, RecordingClient, ScriptedClient
+import askit.runner as runner
+from askit.clients import DEFAULT_MODEL_ID, RecordingClient, ScriptedClient, fixture_key
 from askit.cli import main
 from askit.codegen import CodegenConfig, generate
-from askit.engine import EngineConfig, ask_until_valid
+from askit.engine import DEFAULT_TEMPERATURE, EngineConfig, Message, ask_until_valid
+from askit.prompts import build_codegen
+from askit.taskfile import load_task_file
 from askit.errors import GenerationFailed, ToolchainUnavailable
 from conftest import DEMO_FIXTURES, DEMO_TASKS
 
@@ -265,6 +269,48 @@ class TestCodegenCommand:
         assert {row["status"] for row in rows} == {"generated"}
         assert len(rows) == 5
 
+    def test_parallel_jobs_share_one_pair_of_zygotes(self, capsys, tmp_path, monkeypatch):
+        tasks = [
+            ADD_TASK,
+            dict(ADD_TASK, name="mulNumbers", template="multiply {{x}} and {{y}}",
+                 tests=[{"input": {"x": 2, "y": 3}, "output": 6}, {"input": {"x": 1, "y": 5}, "output": 5}]),
+            dict(ADD_TASK, name="subNumbers", template="subtract {{y}} from {{x}}",
+                 tests=[{"input": {"x": 5, "y": 3}, "output": 2}]),
+        ]
+        candidates = {  # retries_used 1, 0 and 2
+            "addNumbers": ["def addNumbers(*, x, y):\n    return x - y", ADD_CODE],
+            "mulNumbers": ["def mulNumbers(*, x, y):\n    return x * y"],
+            "subNumbers": ["def subNumbers(*, x, y):\n    return y - x", "oops", "def subNumbers(*, x, y):\n    return x - y"],
+        }
+        task_path = write_tasks(tmp_path, tasks)
+        fixtures = tmp_path / "fixtures.jsonl"
+        with open(fixtures, "w", encoding="utf-8") as handle:
+            for name, entry in load_task_file(task_path).entries.items():
+                prompt = [Message("user", build_codegen(entry.to_spec()).text)]
+                key = fixture_key(DEFAULT_MODEL_ID, DEFAULT_TEMPERATURE, prompt)
+                for source in candidates[name]:
+                    handle.write(json.dumps({"key": key, "response": code_response(source)}) + "\n")
+        starts = []
+        real_start = runner._HarnessProcess._start
+
+        def start(self, harness_args):
+            starts.append(harness_args)
+            return real_start(self, harness_args)
+
+        monkeypatch.setattr(runner._HarnessProcess, "_start", start)
+        argv = [
+            "codegen", task_path,
+            "--jobs", "2",
+            "--backend", "replay",
+            "--fixtures", str(fixtures),
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["tasks"]
+        assert {row["name"]: row["retries_used"] for row in rows} == {"addNumbers": 1, "mulNumbers": 0, "subNumbers": 2}
+        assert {row["status"] for row in rows} == {"generated"}
+        assert starts == [["--fork-server"]] * 2  # not one zygote per task
+
     def test_only_subset(self, capsys, tmp_path):
         argv = [
             "codegen",
@@ -379,6 +425,58 @@ class TestBenchCommand:
         assert set(metrics) == {"latency_s", "execution_time_us", "compile_time_s", "speedup"}
         assert metrics["latency_s"] >= 0.03
         assert metrics["speedup"] > 1
+
+    def test_execution_time_is_the_median_warm_call(self, capsys, tmp_path, monkeypatch):
+        class OneSlowCall:
+            calls = 0
+
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                pass
+
+            def call(self, entry, args):
+                OneSlowCall.calls += 1
+                if OneSlowCall.calls == 3:  # the second timed call; the first one warms up
+                    time.sleep(0.25)
+                return 120
+
+        monkeypatch.setattr(cli, "Worker", OneSlowCall)
+        code = main(
+            [
+                "bench", str(DEMO_TASKS),
+                "--only", "calculateFactorial",
+                "--fixtures", str(DEMO_FIXTURES),
+                "--repeat", "5",
+                "--cache-dir", str(tmp_path / "cache"),
+            ]
+        )
+        assert code == 0
+        metrics = json.loads(capsys.readouterr().out)["tasks"][0]["metrics"]
+        assert OneSlowCall.calls == 6
+        assert metrics["execution_time_us"] < 25_000  # the mean is over 50,000 us
+
+    def test_tasks_share_one_pair_of_zygotes(self, capsys, tmp_path, monkeypatch):
+        starts = []
+        real_start = runner._HarnessProcess._start
+
+        def start(self, harness_args):
+            starts.append(harness_args)
+            return real_start(self, harness_args)
+
+        monkeypatch.setattr(runner._HarnessProcess, "_start", start)
+        only = ["--only", "calculateFactorial", "--only", "sumNumbers", "--only", "sortNumbers"]
+        code = main(
+            ["bench", str(DEMO_TASKS), *only, "--fixtures", str(DEMO_FIXTURES), "--repeat", "1",
+             "--cache-dir", str(tmp_path / "cache")]
+        )
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["tasks"]) == 3
+        assert starts.count(["--fork-server"]) == 2  # not one zygote per task
 
     def test_fixtures_flag_required(self):
         with pytest.raises(SystemExit):

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import askit
 import askit.codegen as codegen_mod
+import askit.runner as runner
 from askit.api import define
 from askit.clients import ScriptedClient
 from askit.codegen import (
@@ -476,8 +478,25 @@ class TestForkServerOwnership:
         assert compiled(x=2, y=3) == 5
         assert compiled.call_isolated(x=2, y=3) == 5
         assert compiled.call_isolated(x=4, y=3) == 7
-        assert len(live_children() - before) == 2  # the warm worker and the zygote
+        assert len(live_children() - before) == 3  # the warm worker and the two zygotes
         compiled.close()
+        assert len(live_children() - before) == 2  # the defined function still holds the zygotes
+        del compiled, defined
+        assert live_children() - before == set()
+
+    def test_askit_close_ends_the_zygotes_and_a_later_run_starts_them(self, tmp_path):
+        before = live_children()
+        defined = define(INT, "add {{x}} and {{y}}", param_schemas={"x": INT, "y": INT},
+                         tests=[{"input": {"x": 1, "y": 2}, "output": 3}], name="add",
+                         client=ScriptedClient([code_response(ADD_PY)]))
+        with defined.compile(CodegenConfig(cache_dir=tmp_path)) as compiled:
+            assert compiled.call_isolated(x=2, y=3) == 5
+            assert len(live_children() - before) == 2  # the two zygotes
+            askit.close()
+            assert live_children() - before == set()
+            assert compiled.call_isolated(x=4, y=3) == 7
+            assert len(live_children() - before) == 1  # the zygote whose turn it was
+        askit.close()
         assert live_children() - before == set()
 
     def test_no_test_examples_start_no_harness(self, tmp_path, monkeypatch):
@@ -487,20 +506,27 @@ class TestForkServerOwnership:
         assert generated.retries_used == 1
 
     def test_test_examples_share_one_fork_server(self, tmp_path, monkeypatch):
-        servers = []
-        real = codegen_mod.run_once
+        before = live_children()
+        pools, starts = [], []
+        real_run_once, real_start = codegen_mod.run_once, runner._HarnessProcess._start
 
-        def spy(*args, server=None, **kwargs):
-            servers.append(server)
-            return real(*args, server=server, **kwargs)
+        def spy(*args, **kwargs):
+            pools.append(id(runner.fork_pool()))  # an id: holding the pool would keep it alive
+            return real_run_once(*args, **kwargs)
+
+        def start(self, harness_args):
+            starts.append(harness_args)
+            return real_start(self, harness_args)
 
         monkeypatch.setattr(codegen_mod, "run_once", spy)
+        monkeypatch.setattr(runner._HarnessProcess, "_start", start)
         spec = replace(fib_spec(), tests=fib_spec().tests + (Example({"n": 1}, [0, 1, 1]),))
         client = ScriptedClient([code_response(FIB_WRONG), code_response(FIB_RIGHT)])
         generate(client, spec, CodegenConfig(cache_dir=tmp_path))
-        assert len(servers) == 3  # one for the wrong candidate, two for the right one
-        assert servers[0] is not None and all(server is servers[0] for server in servers)
-        assert not servers[0].alive
+        assert len(pools) == 3  # one for the wrong candidate, two for the right one
+        assert len(set(pools)) == 1
+        assert starts == [["--fork-server"]] * 2  # each zygote of the pair, once
+        assert live_children() - before == set()
 
 
 class TestInvoke:

@@ -344,7 +344,87 @@ class TestForkServer:
         assert server.alive
         server.close()
         assert not server.alive
-        assert run_once(source, "add", {"x": 1, "y": 2}, server=None) == 3
+        assert run_once(source, "add", {"x": 1, "y": 2}) == 3
+
+
+class TestForkPool:
+    PARENT_SOURCE = "import os\ndef f():\n    return os.getppid()\n"
+
+    def test_runs_alternate_between_two_zygotes(self, tmp_path):
+        source = write_source(tmp_path, self.PARENT_SOURCE)
+        pool = runner.ForkPool()
+        try:
+            zygotes = [pool.run(source, "f", {}) for _ in range(4)]
+        finally:
+            pool.close()
+        assert zygotes[0] != zygotes[1]
+        assert zygotes == zygotes[:2] * 2
+
+    def test_first_run_starts_both_zygotes(self, tmp_path):
+        pool = runner.ForkPool()
+        try:
+            assert not any(server.alive for server in pool._servers)
+            assert pool.run(write_source(tmp_path, ADD_SOURCE), "add", {"x": 1, "y": 2}) == 3
+            assert all(server.alive for server in pool._servers)
+        finally:
+            pool.close()
+
+    def test_close_ends_an_idle_zygote_at_end_of_input(self, monkeypatch):
+        # SIGTERM that lands just before the zygote blocks on its next read
+        # is handled only after that read returns; end of input must do.
+        server = ForkServer()
+        server.start()
+        zygote = server._proc
+        monkeypatch.setattr(subprocess.Popen, "terminate", lambda self: None)
+        started = time.perf_counter()
+        server.close()
+        assert zygote.returncode == 0
+        assert time.perf_counter() - started < 1.5
+
+    def test_shared_pool_ends_with_its_last_holder(self, tmp_path):
+        source = write_source(tmp_path, ADD_SOURCE)
+        pool = runner.fork_pool()
+        assert runner.fork_pool() is pool
+        assert run_once(source, "add", {"x": 1, "y": 2}) == 3
+        assert run_once(source, "add", {"x": 2, "y": 2}) == 4
+        zygotes = [server._proc for server in pool._servers]
+        assert all(zygote.poll() is None for zygote in zygotes)
+        del pool
+        assert all(zygote.poll() is not None for zygote in zygotes)
+        assert run_once(source, "add", {"x": 3, "y": 2}) == 5  # a new pool, for this run alone
+
+    def test_close_ends_the_zygotes_and_the_next_run_starts_one(self, tmp_path):
+        source = write_source(tmp_path, self.PARENT_SOURCE)
+        pool = runner.fork_pool()
+        first = run_once(source, "f", {})
+        runner.close()
+        assert not any(server.alive for server in pool._servers)
+        assert run_once(source, "f", {}) != first
+        assert runner.fork_pool() is pool
+        pool.close()
+
+    def test_forked_child_starts_a_pool_of_its_own(self, tmp_path):
+        source = write_source(tmp_path, self.PARENT_SOURCE)
+        pool = runner.fork_pool()
+        zygote = run_once(source, "f", {})
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                mine = run_once(source, "f", {})
+                os.write(write_fd, f"{runner.fork_pool() is not pool} {mine != zygote}".encode())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        with os.fdopen(read_fd) as answer:
+            assert answer.read() == "True True"
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        assert pool._servers[0].alive
+        assert zygote in {run_once(source, "f", {}) for _ in range(2)}  # the caller's zygote still serves
+        pool.close()
 
 
 def _one_shot_error(source, entry):
@@ -395,10 +475,21 @@ class TestCompileOnce:
         write_source(tmp_path, ADD_SOURCE.replace("x + y", "y + x"))
         second = harness.compile_once(source, cache)
         assert second is not first and second.co_filename == source
-        assert list(cache) == [(source, ADD_SOURCE.replace("x + y", "y + x"))]
+        assert cache == {source: (ADD_SOURCE.replace("x + y", "y + x"), second)}
         assert harness.compile_once(str(tmp_path / "missing.py"), cache) is None
         assert harness.compile_once(str(write_source(tmp_path, "def (", name="bad.py")), cache) is None
         assert harness.compile_once(str(write_source(tmp_path, "x = 1\x00\n", name="nul.py")), cache) is None
+
+    def test_compile_once_keeps_a_code_object_per_path_up_to_a_bound(self, tmp_path):
+        cache = {}
+        first, second = (str(write_source(tmp_path, ADD_SOURCE, name=name)) for name in ("a.py", "b.py"))
+        codes = [harness.compile_once(path, cache) for path in (first, second)]
+        assert codes[0] is not codes[1]
+        again = [harness.compile_once(path, cache) for path in (first, second, first)]
+        assert all(code is expected for code, expected in zip(again, [*codes, codes[0]]))
+        for index in range(2 * harness.COMPILED_PATHS):
+            harness.compile_once(str(write_source(tmp_path, ADD_SOURCE, name=f"c{index}.py")), cache)
+            assert 1 <= len(cache) <= harness.COMPILED_PATHS
 
     @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"), reason="Linux /proc only")
     def test_zygote_reaps_each_child_after_answering(self, tmp_path):

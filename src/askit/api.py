@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Iterable, Mapping, NamedTuple
 
-from .clients import ClientConfig, LiveClient
+from .clients import LiveClient
 from .codegen import (
     CodegenConfig,
     GeneratedFunction,
@@ -35,10 +35,6 @@ class AskResult(NamedTuple):
     attempts: int
 
 
-def _default_client():
-    return LiveClient(ClientConfig.from_env())
-
-
 def _merge_args(args, kwargs):
     merged = dict(args or {})
     merged.update(kwargs)
@@ -59,11 +55,9 @@ def ask(
     Binding problems surface before any client call. Returns the typed value,
     the model's stated reasoning, and the attempt count.
     """
-    if isinstance(answer_schema, VoidType):
-        raise SchemaError("a void task has no answer to ask for")
     template = parse(template_text)
     result = ask_until_valid(
-        client or _default_client(),
+        client or LiveClient(),
         template,
         dict(args or {}),
         answer_schema,
@@ -140,10 +134,8 @@ class DefinedFunction:
 
     def ask(self, args: Mapping[str, Any] | None = None, /, **kwargs) -> AskResult:
         """Run the direct path and return value, reason, and attempt count."""
-        if isinstance(self._spec.return_schema, VoidType):
-            raise SchemaError("a void task has no answer; compile it instead")
         result = ask_until_valid(
-            self._client or _default_client(),
+            self._client or LiveClient(),
             self._spec.template,
             _merge_args(args, kwargs),
             self._spec.return_schema,
@@ -181,7 +173,7 @@ def compile(
     generated = cache_lookup(spec, config)
     if generated is None:
         defined._zygotes = fork_pool()
-        generated = generate(client or defined._client or _default_client(), spec, config)
+        generated = generate(client or defined._client or LiveClient(), spec, config)
     return CompiledFunction(spec, generated, config)
 
 
@@ -192,8 +184,10 @@ class CompiledFunction:
     dead before a call is replaced, and a call that kills its worker is not
     run again. call_isolated() runs each call in a fresh process forked by
     the process's shared zygotes, which this function keeps alive while it
-    is open. close(), or leaving it as a context manager, reaps the worker
-    and lets go of the zygotes; they end when their last holder does, or at
+    is open; each isolated call takes hold of the calling process's own
+    pool, so a forked copy keeps its zygotes from one call to the next.
+    close(), or leaving it as a context manager, reaps the worker and lets
+    go of the zygotes; they end when their last holder does, or at
     askit.close().
     """
 
@@ -226,6 +220,7 @@ class CompiledFunction:
         """One fresh forked harness process for this call only."""
         merged = _merge_args(args, kwargs)
         _check_binding(self._spec.template, merged)
+        self._zygotes = fork_pool()  # in a forked copy, that copy's pool
         return invoke(self._generated, merged, timeout=self._config.invoke_timeout)
 
     def close(self) -> None:

@@ -23,6 +23,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from . import api
 from .clients import (
     DEFAULT_MODEL_ID,
     MODEL_ENV_VAR,
@@ -31,8 +32,8 @@ from .clients import (
     RecordingClient,
     ReplayClient,
 )
-from .codegen import DEFAULT_CACHE_DIR, CodegenConfig, cache_lookup, generate
-from .engine import DEFAULT_MAX_RETRIES, DEFAULT_TEMPERATURE, EngineConfig, ask_until_valid
+from .codegen import DEFAULT_CACHE_DIR, CodegenConfig
+from .engine import DEFAULT_MAX_RETRIES, DEFAULT_TEMPERATURE, EngineConfig
 from .errors import (
     AskitError,
     ClientError,
@@ -42,9 +43,8 @@ from .errors import (
     ToolchainUnavailable,
 )
 from .prompts import build_codegen, build_direct
-from .runner import Worker, fork_pool
+from .runner import fork_pool
 from .taskfile import TaskFile, load_task_file
-from .types import VoidType
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,8 +115,6 @@ def _cmd_show_prompt(args) -> int:
         sys.stdout.write(build_codegen(spec).text)
         return EXIT_OK
     spec = entry.to_spec()
-    if isinstance(spec.return_schema, VoidType):
-        return _fail("a void task has no direct prompt", EXIT_USAGE)
     bound = _parse_args_json(args.args)
     prompt = build_direct(spec.template, bound, spec.return_schema, spec.fewshot)
     sys.stdout.write(prompt.text)
@@ -126,14 +124,9 @@ def _cmd_show_prompt(args) -> int:
 def _cmd_ask(args) -> int:
     task_file = load_task_file(args.task_file)
     entry = _entry(task_file, args.name)
-    spec = entry.to_spec()
-    if isinstance(spec.return_schema, VoidType):
-        return _fail("a void task cannot be asked directly", EXIT_USAGE)
     client = _build_client(args)
-    config = EngineConfig(temperature=args.temperature)
-    result = ask_until_valid(
-        client, spec.template, _parse_args_json(args.args), spec.return_schema, spec.fewshot, config
-    )
+    defined = api.DefinedFunction(entry.to_spec(), client, EngineConfig(temperature=args.temperature))
+    result = defined.ask(_parse_args_json(args.args))
     _emit({"answer": result.value, "reason": result.reason, "attempts": result.attempts})
     return EXIT_OK
 
@@ -161,18 +154,15 @@ def _cmd_codegen(args) -> int:
         temperature=args.temperature,
         cache_dir=Path(args.cache_dir),
         max_retries=args.max_retries,
+        require_param_schemas=False,
     )
-    zygotes = fork_pool()  # held to the end: every task's test examples run on one pair
 
     def compile_one(entry):
-        spec = entry.to_spec(target_language=args.target)
-        cached = cache_lookup(spec, config)
-        if cached is not None:
-            return entry.name, cached, True, None
+        defined = api.DefinedFunction(entry.to_spec(target_language=args.target), client)
         try:
-            return entry.name, generate(client, spec, config), False, None
-        except GenerationFailed as exc:
-            return entry.name, None, False, exc
+            return entry.name, api.compile(defined, config).generated, None
+        except GenerationFailed as exc:  # exc, kept, would hold main()'s zygotes until gc
+            return entry.name, None, exc.violation
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -182,16 +172,16 @@ def _cmd_codegen(args) -> int:
 
     rows = []
     any_failed = False
-    for name, generated, from_cache, failure in results:
-        if failure is not None:
+    for name, generated, violation in results:
+        if generated is None:
             any_failed = True
-            rows.append({"name": name, "status": "failed", "error": str(failure.violation)})
-            print(f"askit: generation failed for {name!r}: {failure.violation}", file=sys.stderr)
+            rows.append({"name": name, "status": "failed", "error": str(violation)})
+            print(f"askit: generation failed for {name!r}: {violation}", file=sys.stderr)
             continue
         rows.append(
             {
                 "name": name,
-                "status": "cached" if from_cache else "generated",
+                "status": "cached" if generated.from_cache else "generated",
                 "retries_used": generated.retries_used,
                 "cache_path": str(generated.cache_path),
                 "loc": _loc(generated.source, generated.language),
@@ -211,39 +201,35 @@ def _cmd_bench(args) -> int:
         entries = [entry for entry in entries if entry.name in only]
     if not entries:
         return _fail("no intersecting tasks (codable with tests) selected", EXIT_USAGE)
-    client = ReplayClient(
-        args.fixtures,
-        model_id=args.model or os.environ.get(MODEL_ENV_VAR, DEFAULT_MODEL_ID),
-        cycle=True,
-        delay_s=args.replay_delay_ms / 1000.0,
-    )
-    zygotes = fork_pool()  # held to the end, as in codegen
+    client = _build_client(args, cycle=True)
     with tempfile.TemporaryDirectory(prefix="askit-bench-") as scratch:  # the cache without --cache-dir
-        config = CodegenConfig(temperature=args.temperature, cache_dir=Path(args.cache_dir or scratch))
+        config = CodegenConfig(
+            temperature=args.temperature, cache_dir=Path(args.cache_dir or scratch), require_param_schemas=False
+        )
         engine_config = EngineConfig(temperature=args.temperature)
 
         rows = []
         for entry in entries:
-            spec = entry.to_spec()
-            probe = dict(spec.tests[0].input)
+            defined = api.DefinedFunction(entry.to_spec(), client, engine_config)
+            probe = dict(defined.spec.tests[0].input)
 
             direct_times = []
             for _ in range(args.repeat):
                 started = time.perf_counter()
-                ask_until_valid(client, spec.template, probe, spec.return_schema, spec.fewshot, engine_config)
+                defined.ask(probe)
                 direct_times.append(time.perf_counter() - started)
             latency_s = statistics.fmean(direct_times)
 
             started = time.perf_counter()
-            generated = cache_lookup(spec, config) or generate(client, spec, config)
+            compiled = api.compile(defined, config)
             compile_time_s = time.perf_counter() - started
 
-            with Worker(generated.cache_path, call_timeout=config.invoke_timeout) as worker:
-                worker.call(spec.name, probe)  # warm-up: interpreter + module load
+            with compiled:
+                compiled(probe)  # warm-up: interpreter + module load
                 exec_times = []
                 for _ in range(args.repeat):
                     started = time.perf_counter()
-                    worker.call(spec.name, probe)
+                    compiled(probe)
                     exec_times.append(time.perf_counter() - started)
             execution_s = statistics.median(exec_times)  # one slow call on a loaded host moves a mean
 
@@ -300,13 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench_cmd.add_argument("--model", default=None)
     bench_cmd.add_argument("--temperature", type=float, default=DEFAULT_TEMPERATURE)
     bench_cmd.add_argument("--replay-delay-ms", type=float, default=0.0)
-    bench_cmd.set_defaults(func=_cmd_bench)
+    bench_cmd.set_defaults(func=_cmd_bench, backend="replay")
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    zygotes = fork_pool()  # held for the whole command: every task's test examples run on one pair
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -38,11 +38,12 @@ from .errors import (
     GenerationFailed,
     ProtocolError,
     SchemaError,
+    TemplateError,
     ToolchainUnavailable,
 )
 from .prompts import Example, Violation, ViolationKind, build_codegen, extract_block
 from .runner import DEFAULT_INVOKE_TIMEOUT, fork_pool, run_once
-from .template import PromptTemplate, substitute_comment
+from .template import PromptTemplate, _check_binding, substitute_comment
 from .types import IDENT_RE, TypeSchema, VoidType, render
 
 DEFAULT_CACHE_DIR = "askit"
@@ -65,7 +66,8 @@ LANGUAGES = {
 class TaskSpec:
     """Everything a defined task carries.
 
-    `fewshot` conditions the prompt; `tests` gate generated code. Parameter
+    `fewshot` conditions the prompt; `tests` gate generated code. Every
+    example binds each template parameter and nothing else. Parameter
     schemas are optional for the direct path but (by default) required before
     code generation.
     """
@@ -90,11 +92,11 @@ class TaskSpec:
                 raise SchemaError(
                     f"parameter schemas {sorted(declared)} do not match template parameters {sorted(expected)}"
                 )
-        params = set(self.template.params)
         for example in (*self.fewshot, *self.tests):
-            extra = set(example.input) - params
-            if extra:
-                raise SchemaError(f"example binds unknown parameters {sorted(extra)}")
+            try:
+                _check_binding(self.template, example.input)
+            except TemplateError as exc:
+                raise SchemaError(f"example input does not fit the template: {exc}") from None
 
     @cached_property
     def cache_names(self) -> tuple[str, str]:
@@ -141,12 +143,13 @@ class GeneratedFunction:
     language: str
     cache_path: Path
     retries_used: int
+    from_cache: bool = False
 
 
 def spec_digest(spec: TaskSpec) -> str:
-    """Stable 8-hex digest over template, rendered schemas, and language."""
+    """Stable 8-hex digest over name, template, rendered schemas, and language."""
     return stable_digest(
-        [spec.template.raw, render(spec.return_schema), _rendered_params(spec), spec.target_language]
+        [spec.name, spec.template.raw, render(spec.return_schema), _rendered_params(spec), spec.target_language]
     )
 
 
@@ -186,7 +189,7 @@ def cache_store(spec: TaskSpec, source: str, config: CodegenConfig, retries_used
 
 
 def cache_lookup(spec: TaskSpec, config: CodegenConfig) -> GeneratedFunction | None:
-    """Return the cached function for this spec, or None on a miss.
+    """Return the cached function for this spec, marked from_cache, or None on a miss.
 
     Both files are read from disk at every lookup, each with one open, so a
     hand edit shows at the next hit. A source that is not UTF-8 is a miss.
@@ -211,6 +214,7 @@ def cache_lookup(spec: TaskSpec, config: CodegenConfig) -> GeneratedFunction | N
         language=spec.target_language,
         cache_path=code_path,
         retries_used=retries_used,
+        from_cache=True,
     )
 
 

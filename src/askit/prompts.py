@@ -171,7 +171,10 @@ def build_direct(
     reasoning instruction, a blank line, one demonstration per few-shot
     example (task text plus its ```json envelope), then the task text with
     its where-clause. Deterministic: equal inputs give byte-equal prompts.
+    Raises SchemaError for a void task, which has no answer to ask for.
     """
+    if isinstance(answer_schema, VoidType):
+        raise SchemaError("a void task has no direct answer; compile it instead")
     wrapped = wrap_response(answer_schema)
     parts = [
         DIRECT_PREAMBLE,

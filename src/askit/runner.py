@@ -21,11 +21,12 @@ second boots while the first run waits for its own. run_once, and through it
 codegen's vetting and CompiledFunction.call_isolated, runs on the pool that
 fork_pool() returns. This module holds the pool by a weak reference only;
 its holders keep it alive: codegen.generate while it runs, each open
-CompiledFunction, a DefinedFunction from its first compile miss on, and
-`askit codegen` and `askit bench` for the whole command. When the last
-holder is closed or collected the servers' finalizers end both zygotes;
-close() ends them at once, and later runs start them again. A forked copy
-of the process drops the pool and starts its own.
+CompiledFunction (in a forked copy, from its first call_isolated on), a
+DefinedFunction from its first compile miss on, and the `askit` command
+line for the whole command. When the last holder is closed or collected
+the servers' finalizers end both zygotes; close() ends them at once, and
+later runs start them again. A forked copy of the process drops the pool
+and starts its own.
 
 All share one plumbing: the launch `python -I -S -B <scratch>/harness.pyc`
 of harness.py's bytecode, compiled once per parent process and written into
@@ -202,7 +203,7 @@ class Worker(_HarnessProcess):
     variant. Thread-safe: calls are serialized by an internal lock.
     """
 
-    def __init__(self, source_path: str | Path, call_timeout: float = 30.0):
+    def __init__(self, source_path: str | Path, call_timeout: float = DEFAULT_INVOKE_TIMEOUT):
         super().__init__()
         self.source_path = os.path.abspath(source_path)  # the harness runs elsewhere
         self.call_timeout = call_timeout

@@ -29,6 +29,17 @@ def no_network(monkeypatch):
     monkeypatch.setattr(socket, "create_connection", _deny)
 
 
+def live_children():
+    """Process ids of this process's children that are still running."""
+    pids = set()
+    for task in Path("/proc/self/task").iterdir():
+        try:
+            pids.update((task / "children").read_text().split())
+        except OSError:
+            continue
+    return pids
+
+
 @pytest.fixture
 def golden():
     def read(name: str) -> str:

@@ -7,6 +7,7 @@ import tempfile
 
 import pytest
 
+import askit.runner as runner
 from askit import api
 from askit.api import AskResult, ask, define
 from askit.clients import ScriptedClient
@@ -77,6 +78,12 @@ class TestAsk:
         with pytest.raises(SchemaError):
             ask(VOID, "Do something.", client=ScriptedClient([]))
 
+    def test_void_task_has_no_direct_answer(self):
+        client = ScriptedClient([envelope(None)])
+        with pytest.raises(SchemaError, match="void task"):
+            define(VOID, "Store {{text}}.", client=client).ask(text="hello")
+        assert client.call_count == 0
+
 
 class TestDefine:
     def test_book_list_call_validates(self):
@@ -140,6 +147,12 @@ class TestDefine:
         ]
         for examples in spellings:
             assert define(INT, "fact {{n}}", fewshot=examples).spec.fewshot == (Example({"n": 3}, 6),)
+
+    def test_test_example_must_bind_every_param(self):
+        client = ScriptedClient([])
+        with pytest.raises(SchemaError):
+            define(INT, "add {{x}} and {{y}}", tests=[{"input": {"x": 1}, "output": 1}], client=client)
+        assert client.call_count == 0
 
     @pytest.mark.parametrize(
         "examples",
@@ -228,6 +241,15 @@ class TestCompile:
         defined = self.factorial(client)
         with api.compile(defined, CodegenConfig(cache_dir=tmp_path)) as compiled:
             assert compiled(n=3) == 6
+
+    def test_same_template_under_two_names_compiles_twice(self, tmp_path):
+        config = CodegenConfig(cache_dir=tmp_path)
+        for name in ("add_a", "add_b"):
+            client = ScriptedClient([code_response(f"def {name}(*, x, y):\n    return x + y")])
+            defined = define(INT, "add {{x}} and {{y}}", param_schemas={"x": INT, "y": INT}, name=name, client=client)
+            with defined.compile(config) as compiled:
+                assert compiled(x=1, y=2) == 3
+            assert client.call_count == 1
 
     def test_binding_errors_check_template_params(self, tmp_path):
         client = ScriptedClient([code_response(FACTORIAL_CODE)])
@@ -391,3 +413,30 @@ class TestForkSafety:
             assert scratch <= set(tmp_path.glob("askit-worker-*"))
             assert compiled(n=6) == 720
             assert compiled.call_isolated(n=6) == 720
+
+    def test_isolated_calls_in_a_forked_copy_start_one_pair_of_zygotes(self, tmp_path, monkeypatch):
+        starts = []
+        real_start = runner._HarnessProcess._start
+
+        def start(self, harness_args):
+            starts.append(harness_args)
+            return real_start(self, harness_args)
+
+        monkeypatch.setattr(runner._HarnessProcess, "_start", start)
+        client = ScriptedClient([code_response(FACTORIAL_CODE)])
+        with TestCompile().factorial(client).compile(CodegenConfig(cache_dir=tmp_path)) as compiled:
+            assert compiled.call_isolated(n=3) == 6
+            read_fd, write_fd = os.pipe()
+
+            def body():
+                os.close(read_fd)
+                starts.clear()
+                assert [compiled.call_isolated(n=n) for n in range(1, 5)] == [1, 2, 6, 24]
+                os.write(write_fd, str(starts.count(["--fork-server"])).encode())
+
+            assert _fork(body) == 0
+            os.close(write_fd)
+            with os.fdopen(read_fd) as answer:
+                assert answer.read() == "2"  # not two per call
+            assert compiled.call_isolated(n=6) == 720
+            assert compiled(n=6) == 720

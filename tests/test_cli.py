@@ -1,3 +1,4 @@
+import gc
 import json
 import tempfile
 import time
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import askit.api as api
 import askit.cli as cli
 import askit.codegen as codegen_mod
 import askit.runner as runner
@@ -15,7 +17,7 @@ from askit.engine import DEFAULT_TEMPERATURE, EngineConfig, Message, ask_until_v
 from askit.prompts import build_codegen
 from askit.taskfile import load_task_file
 from askit.errors import GenerationFailed, ToolchainUnavailable
-from conftest import DEMO_FIXTURES, DEMO_TASKS
+from conftest import DEMO_FIXTURES, DEMO_TASKS, live_children
 
 
 def envelope(answer, reason="because"):
@@ -47,6 +49,19 @@ ADD_TASK = {
 }
 
 ADD_CODE = "def addNumbers(*, x, y):\n    return x + y"
+
+VOID_TASK = {"name": "storeNote", "template": "Store {{text}}.", "return_schema": "void"}
+
+
+def write_fixtures(path, task_path, candidates):
+    """A replay store answering each task's codegen prompt with its candidate sources, in order."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for name, entry in load_task_file(task_path).entries.items():
+            prompt = [Message("user", build_codegen(entry.to_spec()).text)]
+            key = fixture_key(DEFAULT_MODEL_ID, DEFAULT_TEMPERATURE, prompt)
+            for source in candidates[name]:
+                handle.write(json.dumps({"key": key, "response": code_response(source)}) + "\n")
+    return str(path)
 
 
 class TestShowPrompt:
@@ -103,6 +118,13 @@ class TestShowPrompt:
         captured = capsys.readouterr()
         assert code == 2
         assert "subject" in captured.err
+
+    def test_void_task_has_no_direct_prompt(self, capsys, tmp_path):
+        code = main(["show-prompt", write_tasks(tmp_path, [VOID_TASK]), "storeNote", "--args", '{"text": "hi"}'])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "void task" in captured.err
 
     @pytest.mark.parametrize(
         "field,value",
@@ -205,6 +227,16 @@ class TestAskCommand:
         assert json.loads(capsys.readouterr().out)["attempts"] == 2
         assert len(store.read_text().splitlines()) == 2
 
+    def test_void_task_exits_2_before_any_client_call(self, capsys, tmp_path):
+        store = tmp_path / "empty.jsonl"
+        store.write_text("")
+        code = main(
+            ["ask", write_tasks(tmp_path, [VOID_TASK]), "storeNote", "--args", '{"text": "hi"}',
+             "--backend", "replay", "--fixtures", str(store)]
+        )
+        assert code == 2
+        assert "void task" in capsys.readouterr().err
+
     def test_missing_fixtures_flag_exits_2(self, capsys):
         code = main(["ask", str(DEMO_TASKS), "getSentiment", "--backend", "replay"])
         assert code == 2
@@ -255,6 +287,34 @@ class TestCodegenCommand:
         assert {row["status"] for row in rows.values()} == {"cached"}
         assert Path(damaged["cache_path"]).read_text(encoding="utf-8").startswith("def ")
 
+    def test_hit_under_the_lock_reads_as_cached(self, capsys, tmp_path, monkeypatch):
+        argv = [
+            "codegen", str(DEMO_TASKS),
+            "--only", "calculateFactorial",
+            "--backend", "replay",
+            "--fixtures", str(DEMO_FIXTURES),
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(api, "cache_lookup", lambda spec, config: None)  # as if another job stored it meanwhile
+        assert main(argv) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert [row["status"] for row in document["tasks"]] == ["cached"]
+        assert document["client_calls"] == 0
+
+    def test_task_without_param_schemas_generates(self, capsys, tmp_path):
+        task = {key: value for key, value in ADD_TASK.items() if key != "param_schemas"}
+        task_path = write_tasks(tmp_path, [task])
+        fixtures = write_fixtures(tmp_path / "fixtures.jsonl", task_path, {"addNumbers": [ADD_CODE]})
+        code = main(
+            ["codegen", task_path, "--backend", "replay", "--fixtures", fixtures,
+             "--cache-dir", str(tmp_path / "cache")]
+        )
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)["tasks"]
+        assert [(row["name"], row["status"]) for row in rows] == [("addNumbers", "generated")]
+
     def test_parallel_jobs(self, capsys, tmp_path):
         argv = [
             "codegen",
@@ -283,13 +343,7 @@ class TestCodegenCommand:
             "subNumbers": ["def subNumbers(*, x, y):\n    return y - x", "oops", "def subNumbers(*, x, y):\n    return x - y"],
         }
         task_path = write_tasks(tmp_path, tasks)
-        fixtures = tmp_path / "fixtures.jsonl"
-        with open(fixtures, "w", encoding="utf-8") as handle:
-            for name, entry in load_task_file(task_path).entries.items():
-                prompt = [Message("user", build_codegen(entry.to_spec()).text)]
-                key = fixture_key(DEFAULT_MODEL_ID, DEFAULT_TEMPERATURE, prompt)
-                for source in candidates[name]:
-                    handle.write(json.dumps({"key": key, "response": code_response(source)}) + "\n")
+        fixtures = write_fixtures(tmp_path / "fixtures.jsonl", task_path, candidates)
         starts = []
         real_start = runner._HarnessProcess._start
 
@@ -302,7 +356,7 @@ class TestCodegenCommand:
             "codegen", task_path,
             "--jobs", "2",
             "--backend", "replay",
-            "--fixtures", str(fixtures),
+            "--fixtures", fixtures,
             "--cache-dir", str(tmp_path / "cache"),
         ]
         assert main(argv) == 0
@@ -429,14 +483,12 @@ class TestBenchCommand:
     def test_execution_time_is_the_median_warm_call(self, capsys, tmp_path, monkeypatch):
         class OneSlowCall:
             calls = 0
+            alive = True
 
             def __init__(self, *args, **kwargs):
                 pass
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
+            def close(self):
                 pass
 
             def call(self, entry, args):
@@ -445,7 +497,7 @@ class TestBenchCommand:
                     time.sleep(0.25)
                 return 120
 
-        monkeypatch.setattr(cli, "Worker", OneSlowCall)
+        monkeypatch.setattr(api, "Worker", OneSlowCall)
         code = main(
             [
                 "bench", str(DEMO_TASKS),
@@ -495,6 +547,33 @@ class TestBenchCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["tasks"][0]["name"] == "calculateFactorial"
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def no_gc():
+    """Only reference counts free objects: a holder kept alive by a cycle stays alive."""
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("command", ["codegen", "codegen_failure", "bench"])
+def test_no_child_left_after_main_returns(capsys, tmp_path, no_gc, command):
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    if command == "bench":
+        argv = ["bench", str(DEMO_TASKS), "--only", "calculateFactorial", "--fixtures", str(DEMO_FIXTURES),
+                "--repeat", "2", *cache]
+    elif command == "codegen":
+        argv = ["codegen", str(DEMO_TASKS), "--backend", "replay", "--fixtures", str(DEMO_FIXTURES), *cache]
+    else:
+        task_path = write_tasks(tmp_path, [ADD_TASK])
+        fixtures = write_fixtures(tmp_path / "fixtures.jsonl", task_path, {"addNumbers": ["def addNumbers(*, x, y):\n    return x"]})
+        argv = ["codegen", task_path, "--backend", "replay", "--fixtures", fixtures, "--max-retries", "0", *cache]
+    before = live_children()
+    assert main(argv) == (3 if command == "codegen_failure" else 0)
+    assert live_children() - before == set()
 
 
 def test_engine_answers_match_direct_library_use():

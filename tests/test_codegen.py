@@ -4,7 +4,6 @@ import re
 import subprocess
 import threading
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -36,18 +35,8 @@ from askit.errors import (
 from askit.prompts import Example, ViolationKind
 from askit.template import parse
 from askit.types import INT, STR, list_of
+from conftest import live_children
 from schemagen import random_spec
-
-
-def live_children():
-    """Process ids of this process's children that are still running."""
-    pids = set()
-    for task in Path("/proc/self/task").iterdir():
-        try:
-            pids.update((task / "children").read_text().split())
-        except OSError:
-            continue
-    return pids
 
 
 def refuse(*args, **kwargs):
@@ -142,6 +131,16 @@ class TestTaskSpecInvariants:
                 tests=(Example({"z": 1}, 1),),
             )
 
+    @pytest.mark.parametrize("field", ["fewshot", "tests"])
+    def test_example_must_bind_every_param(self, field):
+        with pytest.raises(SchemaError, match="'y' is not bound"):
+            TaskSpec(
+                name="f",
+                template=parse("use {{x}} and {{y}}"),
+                return_schema=INT,
+                **{field: (Example({"x": 1}, 1),)},
+            )
+
     def test_unknown_language(self):
         with pytest.raises(SchemaError):
             TaskSpec(name="f", template=parse("x"), return_schema=INT, target_language="cobol")
@@ -170,6 +169,9 @@ class TestCacheNaming:
         spec_a = add_spec()
         spec_b = add_spec(template=parse("add {{x}} and {{y}}"))
         assert spec_digest(spec_a) == spec_digest(spec_b)
+
+    def test_digest_changes_with_name(self):
+        assert spec_digest(add_spec()) != spec_digest(add_spec(name="add_b"))
 
     def test_digest_changes_with_schema_or_language(self):
         base = add_spec()
@@ -215,6 +217,7 @@ class TestCacheStoreLookup:
         assert found.source == source
         assert found.entry == "add"
         assert found.retries_used == 2
+        assert found.from_cache
 
     def test_sidecar_metadata_documented_fields(self, tmp_path):
         config = CodegenConfig(cache_dir=tmp_path)
@@ -359,6 +362,7 @@ class TestGenerate:
         assert generated.retries_used == 0
         assert generated.entry == "add"
         assert generated.cache_path.exists()
+        assert not generated.from_cache
         assert invoke(generated, {"x": 2, "y": 3}) == 5
 
     def test_wrong_then_right_fibonacci(self, tmp_path):
@@ -429,6 +433,7 @@ class TestGenerate:
         monkeypatch.setattr(codegen_mod, "build_codegen", no_prompt)
         generated = generate(ScriptedClient([]), add_spec(), config)
         assert generated.source == ADD_PY + "\n" and generated.retries_used == 1
+        assert generated.from_cache
 
     def test_concurrent_generate_runs_once(self, tmp_path):
         config = CodegenConfig(cache_dir=tmp_path)

@@ -14,7 +14,7 @@ import pytest
 
 from askit import harness, runner
 from askit.errors import ExecutionError, ExecutionTimeout, ProtocolError
-from askit.runner import HARNESS_PATH, Worker, _decode_response, run_once
+from askit.runner import DEFAULT_INVOKE_TIMEOUT, HARNESS_PATH, Worker, _decode_response, run_once
 from askit.runner import ForkServer
 
 ADD_SOURCE = "def add(*, x, y):\n    return x + y\n"
@@ -226,6 +226,10 @@ class TestWorker:
             with pytest.raises(ExecutionError, match="negative"):
                 worker.call("f", {"n": -1})
             assert worker.call("f", {"n": 4}) == 4
+
+    def test_call_timeout_defaults_to_the_invoke_timeout(self, tmp_path):
+        with Worker(write_source(tmp_path, ADD_SOURCE)) as worker:
+            assert worker.call_timeout == DEFAULT_INVOKE_TIMEOUT
 
     def test_call_timeout_kills_worker(self, tmp_path):
         source = write_source(tmp_path, "import time\ndef f():\n    time.sleep(30)\n")

@@ -76,6 +76,10 @@ class TestBuildDirect:
             template, args, list_of(BOOK)
         ).text
 
+    def test_void_task_has_no_direct_prompt(self):
+        with pytest.raises(SchemaError, match="void task"):
+            build_direct(parse("Store {{text}}."), {"text": "hello"}, VOID)
+
     def test_exactly_one_type_block(self):
         template = parse("Calculate the factorial of {{n}}")
         prompt = build_direct(template, {"n": 5}, INT, [Example({"n": 3}, 6)])

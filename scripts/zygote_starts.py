@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""Fork-server (zygote) starts over one seeded round of perfbench's compile
-workload.
+"""Interpreter starts over one seeded round of a perfbench workload.
 
 Each round of the compile workload compiles every task of its corpus into a
 fresh cache directory, so each task misses once and codegen.generate vets
-its candidates on fork servers. This counts how many zygotes that round
-starts against how many misses it has. Run from the repository root:
+its candidates on fork servers. One set-up of the call workload compiles its
+four tasks (each a miss) and makes one warm call on each. This counts how
+many interpreters either starts, and how many of them are fork-server
+zygotes, against how many misses it has. Run from the repository root:
 
     python scripts/zygote_starts.py --seed 1
+    python scripts/zygote_starts.py --workload call --seed 1
 
-It runs the workload untraced through perfbench/run.py's `run` for one
-round (a zero-second timed phase still completes its first round), with
-runner._HarnessProcess._start wrapped to count `--fork-server` launches and
-api.generate wrapped to count misses, and prints one JSON object. Only the
-counts are reported; the run is too short for its timings to mean anything.
+It runs the workload untraced through perfbench/run.py's `run` with one
+set-up and a zero-second timed phase (which still completes the compile
+workload's first round), with runner._HarnessProcess._start, which starts
+every harness interpreter, wrapped to count its calls (`--fork-server`
+launches are zygotes, any other a warm worker of its own) and api.generate
+wrapped to count misses, and prints one JSON object. Only the counts are
+reported; the run is too short for its timings to mean anything.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ REPO = Path(__file__).resolve().parents[1]
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", choices=("compile", "call"), default="compile")
     args = parser.parse_args(argv)
     if Path.cwd() != REPO:
         parser.error(f"run from the repository root, {REPO}")
@@ -42,9 +47,10 @@ def main(argv: list[str]) -> int:
 
     harness_process, api = askit.runner._HarnessProcess, askit.api
     original_start, original_generate = harness_process._start, api.generate
-    counts = {"zygote_starts": 0, "worker_starts": 0, "misses": 0}
+    counts = {"interpreter_starts": 0, "zygote_starts": 0, "worker_starts": 0, "misses": 0}
 
     def start(self, harness_args):
+        counts["interpreter_starts"] += 1
         counts["zygote_starts" if harness_args == ["--fork-server"] else "worker_starts"] += 1
         return original_start(self, harness_args)
 
@@ -54,11 +60,11 @@ def main(argv: list[str]) -> int:
 
     harness_process._start, api.generate = start, generate
     try:
-        result = bench.run("compile", args.seed, 0.0, trace=False, setup_reps=1)
+        result = bench.run(args.workload, args.seed, 0.0, trace=False, setup_reps=1)
     finally:
         harness_process._start, api.generate = original_start, original_generate
     print(json.dumps({
-        "workload": "compile",
+        "workload": args.workload,
         "seed": args.seed,
         "rounds": result["stretches"],
         "correct": result["failed"] == 0 and not result["leftover_processes"],

@@ -180,15 +180,15 @@ def compile(
 class CompiledFunction:
     """A task backed by validated generated code; calls never touch the client.
 
-    Calls go through a lazily started warm harness process; a worker found
-    dead before a call is replaced, and a call that kills its worker is not
-    run again. call_isolated() runs each call in a fresh process forked by
-    the process's shared zygotes, which this function keeps alive while it
-    is open; each isolated call takes hold of the calling process's own
-    pool, so a forked copy keeps its zygotes from one call to the next.
-    close(), or leaving it as a context manager, reaps the worker and lets
-    go of the zygotes; they end when their last holder does, or at
-    askit.close().
+    Calls go through a warm worker that the process's shared zygotes fork at
+    the first call; a worker found dead before a call is replaced, and a
+    call that kills its worker is not run again. call_isolated() runs each
+    call in a fresh process forked by the same zygotes, which this function
+    keeps alive while it is open; each isolated call takes hold of the
+    calling process's own pool, so a forked copy keeps its zygotes from one
+    call to the next. close(), or leaving it as a context manager, ends the
+    worker and lets go of the zygotes; they end when their last holder does,
+    or at askit.close(), which leaves an open function's worker answering.
     """
 
     def __init__(self, spec: TaskSpec, generated: GeneratedFunction, config: CodegenConfig):

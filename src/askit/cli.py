@@ -18,7 +18,6 @@ import json
 import os
 import statistics
 import sys
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -43,7 +42,7 @@ from .errors import (
     ToolchainUnavailable,
 )
 from .prompts import build_codegen, build_direct
-from .runner import fork_pool
+from .runner import fork_pool, scratch_dir
 from .taskfile import TaskFile, load_task_file
 
 EXIT_OK = 0
@@ -202,7 +201,7 @@ def _cmd_bench(args) -> int:
     if not entries:
         return _fail("no intersecting tasks (codable with tests) selected", EXIT_USAGE)
     client = _build_client(args, cycle=True)
-    with tempfile.TemporaryDirectory(prefix="askit-bench-") as scratch:  # the cache without --cache-dir
+    with scratch_dir("askit-bench-") as scratch:  # the cache without --cache-dir
         config = CodegenConfig(
             temperature=args.temperature, cache_dir=Path(args.cache_dir or scratch), require_param_schemas=False
         )

@@ -21,7 +21,6 @@ import math
 import re
 import shutil
 import subprocess
-import tempfile
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -42,7 +41,7 @@ from .errors import (
     ToolchainUnavailable,
 )
 from .prompts import Example, Violation, ViolationKind, build_codegen, extract_block
-from .runner import DEFAULT_INVOKE_TIMEOUT, fork_pool, run_once
+from .runner import DEFAULT_INVOKE_TIMEOUT, fork_pool, run_once, scratch_dir
 from .template import PromptTemplate, _check_binding, substitute_comment
 from .types import IDENT_RE, TypeSchema, VoidType, render
 
@@ -240,7 +239,7 @@ def syntax_check(source: str, language: str) -> Violation | None:
     tsc = shutil.which("tsc")
     if tsc is None:
         raise ToolchainUnavailable("tsc is not installed; cannot check typescript sources")
-    with tempfile.TemporaryDirectory(prefix="askit-check-") as scratch:
+    with scratch_dir("askit-check-") as scratch:
         path = Path(scratch) / f"candidate.{LANGUAGES[language].extension}"
         path.write_text(source if source.endswith("\n") else source + "\n", encoding="utf-8")
         proc = subprocess.run([tsc, "--noEmit", str(path)], capture_output=True, cwd=scratch, timeout=60)
@@ -350,7 +349,7 @@ def _run_test_examples(source: str, spec: TaskSpec, config: CodegenConfig) -> Vi
             f"cannot run test examples: no execution harness for {spec.target_language}"
         )
     extension = LANGUAGES[spec.target_language].extension
-    with tempfile.TemporaryDirectory(prefix="askit-vet-") as scratch:
+    with scratch_dir("askit-vet-") as scratch:
         path = Path(scratch) / f"candidate.{extension}"
         path.write_text(source, encoding="utf-8")
         for example in spec.tests:

@@ -1,10 +1,9 @@
 """Child-process harness that loads generated source and calls one function.
 
 Run as a script by `python -I -S -B`; the parent starts it from bytecode
-and imports it only for MAX_RESPONSE_BYTES and read_line:
+and imports it only for MAX_RESPONSE_BYTES, read_line and write_line:
 
     python -I -S -B harness.py SOURCE_FILE          one request, one response
-    python -I -S -B harness.py SOURCE_FILE --serve  one request per line, loop
     python -I -S -B harness.py --fork-server        one forked child per line
 
 Wire protocol, one JSON document per direction:
@@ -17,21 +16,26 @@ The harness keeps the protocol channel to itself: the real stdout/stdin file
 descriptors are duplicated away before user code runs, fd 1 is pointed at
 stderr (so stray prints cannot corrupt responses) and fd 0 at /dev/null.
 
-The fork server is a zygote: it never runs generated code itself. Each of
-its requests also names the source file, a scratch directory and a timeout
-in seconds:
+The fork server is a zygote that never runs generated code. A run request
+also names the source file, a scratch directory and a timeout in seconds:
 
     {"source": <path>, "scratch": <dir>, "timeout": <s>, "entry": ..., "args": ...}
 
-For each one it compiles the source unless it compiled the same text at
-the same path before (compile_once), then forks a child that changes into
-the scratch directory (also its TMPDIR and HOME), installs the sandbox,
-runs that code in a fresh namespace, answers exactly as the one-shot mode
-does and leaves with os._exit. The zygote kills the child once it has
-answered, timed out ({"ok": false, "timeout": true, ...}) or outgrown
-MAX_RESPONSE_BYTES, relays one response line and only then reaps it, so
-the reap overlaps the parent's next step. runner.ForkServer makes and
-removes scratch directories.
+The zygote compiles the source unless it compiled the same text at the same
+path before (compile_once) and forks a child that changes into the scratch
+directory (also its TMPDIR and HOME), installs the sandbox, runs the code in
+a fresh namespace, answers as the one-shot mode does and leaves with
+os._exit. The zygote kills the child once it has answered, timed out
+({"ok": false, "timeout": true, ...}) or outgrown MAX_RESPONSE_BYTES, relays
+one line and only then reaps it, so the reap overlaps the parent's next step.
+
+A request {"worker": true, "source": <path>, "scratch": <dir>} is answered
+with the pid of a warm worker forked the same way: it logs to stderr.log,
+loads the source once and answers each request line on the FIFO `in` in the
+scratch directory on the FIFO `out`, until end of file. The parent made both
+FIFOs and holds their other ends; the zygote opens the worker's ends before
+it forks, reaps exited workers on SIGCHLD and before each request, and at
+end of input without SIGTERM (the owner has gone) waits for them.
 
 Before executing the generated source an audit-hook sandbox is installed in
 the process that runs it: file writes, renames and deletes outside the
@@ -296,24 +300,35 @@ def read_line(fd, timeout, limit):
     return bytes(data[:end]), None
 
 
-def run_forked(request, protocol_in, protocol_out, compiled):
-    """Answer `request` in a forked child and relay the response line it
-    wrote, or an error document when it wrote none in time. `compiled` is
-    the zygote's compile_once cache."""
-    scratch, timeout, source = request["scratch"], request["timeout"], request["source"]
-    code = compile_once(source, compiled)
-    read_fd, write_fd = os.pipe()
+def requests(protocol_in, protocol_out):
+    """Each JSON request line on `protocol_in` until end of file; a line that
+    is not JSON is answered on `protocol_out` with an error document."""
+    for line in os.fdopen(protocol_in, "r", encoding="utf-8"):
+        if line := line.strip():
+            try:
+                request = loads(line)
+            except ValueError as exc:
+                write_line(protocol_out, encode_response({"ok": False, "error": f"request is not valid JSON: {exc}"}))
+                continue
+            yield request
+
+
+def fork_child(scratch, inherited, body):
+    """Fork a child that closes the zygote's descriptors in `inherited`,
+    changes into `scratch` (also its TMPDIR and HOME), installs the sandbox,
+    runs body() and leaves with os._exit; its pid."""
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
-            for fd in (read_fd, protocol_in, protocol_out):
+            for signum in (_signal.SIGTERM, _signal.SIGCHLD):
+                _signal.signal(signum, _signal.SIG_DFL)
+            for fd in inherited:
                 os.close(fd)
             os.chdir(scratch)
             os.environ["TMPDIR"] = os.environ["HOME"] = scratch
             install_sandbox(scratch)
-            write_line(write_fd, answer(source, request, code))
+            body()
             status = 0
         except BaseException:  # noqa: BLE001
             sys.__excepthook__(*sys.exc_info())
@@ -323,6 +338,54 @@ def run_forked(request, protocol_in, protocol_out, compiled):
                 sys.stderr.flush()
             finally:
                 os._exit(status)
+    return pid
+
+
+def fork_worker(request, protocol_in, protocol_out, compiled):
+    """Fork a warm worker for a worker request; its pid."""
+    scratch, source = request["scratch"], request["source"]
+    code = compile_once(source, compiled)
+    fifos = [os.open(os.path.join(scratch, "in"), os.O_RDONLY | os.O_NONBLOCK)]
+    try:
+        fifos.append(os.open(os.path.join(scratch, "out"), os.O_WRONLY | os.O_NONBLOCK))
+        return fork_child(scratch, (protocol_in, protocol_out), lambda: serve(*fifos, source, code))
+    finally:
+        for fd in fifos:
+            os.close(fd)
+
+
+def serve(fifo_in, fifo_out, source, code):
+    """A worker's life: log to stderr.log, load once, answer until end of input."""
+    log = os.open("stderr.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o600)
+    for fd in (1, 2):
+        os.dup2(log, fd)
+    for fd in (fifo_in, fifo_out):
+        os.set_blocking(fd, True)
+    namespace, load_error = load(source, code)
+    for request in requests(fifo_in, fifo_out):
+        write_line(fifo_out, encode_response(handle_request(namespace, load_error, request)))
+
+
+def reap(workers, options=os.WNOHANG):
+    """Reap the pids in `workers` that have exited (options 0: wait for each)."""
+    for pid in list(workers):
+        try:
+            if not os.waitpid(pid, options)[0]:
+                continue
+        except ChildProcessError:  # reaped meanwhile, by the SIGCHLD handler
+            pass
+        workers.discard(pid)
+
+
+def run_forked(request, protocol_in, protocol_out, compiled):
+    """Answer `request` in a forked child and relay the response line it
+    wrote, or an error document when it wrote none in time. `compiled` is
+    the zygote's compile_once cache."""
+    scratch, timeout, source = request["scratch"], request["timeout"], request["source"]
+    code = compile_once(source, compiled)
+    read_fd, write_fd = os.pipe()
+    pid = fork_child(
+        scratch, (read_fd, protocol_in, protocol_out), lambda: write_line(write_fd, answer(source, request, code)))
     os.close(write_fd)
     try:
         try:
@@ -350,8 +413,8 @@ def run_forked(request, protocol_in, protocol_out, compiled):
 
 def main(argv):
     fork_server = argv[1:] == ["--fork-server"]
-    if len(argv) < 2 or (argv[1].startswith("--") and not fork_server):
-        print("usage: harness.py SOURCE_FILE [--serve] | harness.py --fork-server", file=sys.stderr)
+    if len(argv) != 2 or (argv[1].startswith("--") and not fork_server):
+        print("usage: harness.py SOURCE_FILE | harness.py --fork-server", file=sys.stderr)
         return 2
 
     # Claim the protocol descriptors before any user code can touch them.
@@ -361,46 +424,39 @@ def main(argv):
     devnull_fd = os.open(os.devnull, os.O_RDONLY)
     os.dup2(devnull_fd, 0)
     os.close(devnull_fd)
-    requests = os.fdopen(protocol_in, "r", encoding="utf-8")
 
     def respond(response):
         write_line(protocol_out, encode_response(response))
 
-    def lines():
-        for line in requests:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield loads(line)
-            except ValueError as exc:
-                respond({"ok": False, "error": f"request is not valid JSON: {exc}"})
-
     if fork_server:
+        compiled, workers = {}, set()
         # A terminated zygote still reaps the child it is waiting for, then
         # leaves at once: it holds nothing worth finalizing.
         _signal.signal(_signal.SIGTERM, lambda signum, frame: sys.exit(0))
-        compiled = {}
+        _signal.signal(_signal.SIGCHLD, lambda signum, frame: reap(workers))
         try:
-            for request in lines():
+            for request in requests(protocol_in, protocol_out):
+                reap(workers)
                 try:
-                    run_forked(request, protocol_in, protocol_out, compiled)
-                except (TypeError, KeyError) as exc:
+                    if request.get("worker"):
+                        workers.add(pid := fork_worker(request, protocol_in, protocol_out, compiled))
+                        respond({"ok": True, "result": pid})
+                    else:
+                        run_forked(request, protocol_in, protocol_out, compiled)
+                except (AttributeError, TypeError, KeyError) as exc:
                     respond({"ok": False, "error": f"fork request is malformed: {exc!r}"})
+                except OSError as exc:
+                    respond({"ok": False, "error": f"fork request failed: {exc}"})
+            reap(workers, 0)
         except SystemExit:
-            pass
+            reap(workers)
         os._exit(0)
 
     source_path = argv[1]
     install_sandbox(os.getcwd())
-    if "--serve" in argv[2:]:
-        namespace, load_error = load(source_path)
-        for request in lines():
-            respond(handle_request(namespace, load_error, request))
-        return 0
     # Drain the request before touching user code so a large payload can
     # never deadlock against a module that is slow to load.
-    raw = requests.read()
+    raw = os.fdopen(protocol_in, "r", encoding="utf-8").read()
     try:
         request = loads(raw)
     except ValueError as exc:

@@ -1,43 +1,42 @@
 """Parent-side drivers for the execution harness.
 
-Worker keeps one harness process alive in serve mode: the generated module
-is loaded once and stays warm, so module state persists across calls and a
-call costs a pipe round trip. Requests are serialized over its pipe.
-
 ForkServer keeps one zygote harness alive that never runs generated code.
-Each run() makes a fresh askit-run-* scratch directory under
-tempfile.gettempdir() and sends one request; the zygote compiles the source
-(once per path and text) and forks a child that works in that directory,
-installs the sandbox, runs the code and answers once. Every run therefore
-gets a fresh process with fresh module state, for the cost of a fork instead
-of an interpreter start. The zygote starts at the first run, or at start(),
-and is replaced when it is found dead before a request is sent; runs on one
-server are serialized.
+Each run() makes a fresh askit-run-* scratch directory and sends one
+request; the zygote forks a child that works there, installs the sandbox,
+runs the code and answers once: fresh module state for the cost of a fork.
+The zygote starts at its first request, or at start(), and is replaced when
+found dead before one; requests to one server are serialized.
 
-A process shares one ForkPool of two fork servers, which take runs in turn:
-one zygote reaps its last child while the other forks the next, and two
-callers run in parallel. The pool's first run starts both zygotes, so the
-second boots while the first run waits for its own. run_once, and through it
-codegen's vetting and CompiledFunction.call_isolated, runs on the pool that
-fork_pool() returns. This module holds the pool by a weak reference only;
-its holders keep it alive: codegen.generate while it runs, each open
-CompiledFunction (in a forked copy, from its first call_isolated on), a
-DefinedFunction from its first compile miss on, and the `askit` command
-line for the whole command. When the last holder is closed or collected
-the servers' finalizers end both zygotes; close() ends them at once, and
-later runs start them again. A forked copy of the process drops the pool
-and starts its own.
+A Worker is a long-lived child that a zygote forks: it loads the generated
+module once, so module state persists across calls and a call costs a round
+trip over two FIFOs in its askit-worker-* scratch directory. This process
+is not its parent: it ends the worker through a pidfd, which never names a
+reused pid, and the zygote reaps it.
 
-All share one plumbing: the launch `python -I -S -B <scratch>/harness.pyc`
-of harness.py's bytecode, compiled once per parent process and written into
-the process's own askit-worker-* scratch directory, without `site` (so
-generated code sees the standard library only) and with a minimal
-environment, one request line out and one response line back under a
-deadline and a size cap (MAX_RESPONSE_BYTES), a stderr log for error
-messages, and a shutdown that also runs when the owner is garbage-collected.
-Only the process that started a harness process ever signals it or removes
-its scratch directory: in a forked copy it reads as not alive, and closing it
-there closes that copy's pipes alone.
+A process shares one ForkPool of two fork servers, which take requests in
+turn: one zygote reaps its last child while the other forks the next, and
+two callers run in parallel. The pool's first run starts both zygotes, so
+the second boots while the first run waits; a spawn boots only the zygote
+whose turn it is. run_once (codegen's vetting, call_isolated) and Worker use
+the pool that fork_pool() returns, which this module holds by a weak
+reference only. Its holders keep it alive: codegen.generate while it runs,
+each open CompiledFunction (in a forked copy, from its first call_isolated
+on), a DefinedFunction from its first compile miss on, and the `askit`
+command line; a Worker holds the server that forked it. When the last
+holder goes, the zygotes end; close() ends them at once (open workers still
+answer), and later requests start them again. A forked copy of the process
+drops the pool and starts its own.
+
+Zygotes are the only interpreters askit starts: `python -I -S -B
+<scratch>/harness.pyc`, from bytecode compiled once per process, in their
+own askit-worker-* scratch directory, without `site` (generated code sees
+the standard library only) and with a minimal environment. A request is one
+line each way under a deadline and a size cap (MAX_RESPONSE_BYTES); every
+harness process logs to a stderr.log and is shut down when its owner is
+closed or collected. Only the process that made a scratch directory removes
+it (scratch_dir), and only the one that started a harness process signals
+it: in a forked copy it reads as not alive, and closing it there closes that
+copy's descriptors.
 """
 
 from __future__ import annotations
@@ -47,18 +46,21 @@ import itertools
 import json
 import marshal
 import os
+import select
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
 import weakref
+from contextlib import contextmanager
 from importlib.util import MAGIC_NUMBER
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from .errors import ExecutionError, ExecutionTimeout, ProtocolError
-from .harness import MAX_RESPONSE_BYTES, read_line
+from .harness import MAX_RESPONSE_BYTES, read_line, write_line
 
 HARNESS_PATH = Path(__file__).with_name("harness.py")
 
@@ -114,16 +116,38 @@ def run_once(
     return fork_pool().run(source_path, entry, args, timeout)
 
 
+@contextmanager
+def scratch_dir(prefix: str):
+    """A new directory under tempfile.gettempdir(), removed on leaving by the
+    process that made it only: TemporaryDirectory's finalizer would also
+    remove it in a forked copy that exits normally, under its maker's feet."""
+    path, owner = tempfile.mkdtemp(prefix=prefix), os.getpid()
+    try:
+        yield path
+    finally:
+        _remove_scratch(path, owner)
+
+
+def _remove_scratch(path: str, owner: int) -> None:
+    if os.getpid() == owner:
+        shutil.rmtree(path, ignore_errors=True)
+
+
+def _ready(fd: int, timeout: float = 0.0) -> bool:
+    """Readable or hung up within `timeout` s; a pidfd is once its process exits."""
+    return bool(select.select([fd], [], [], timeout)[0])
+
+
 class _HarnessProcess:
-    """One harness process and its pipes; see the module docstring."""
+    """A harness process, its request and response descriptors and its
+    stderr log; see the module docstring."""
+
+    _finalizer = None
 
     def __init__(self):
-        self._proc: subprocess.Popen | None = None
         self._lock = threading.Lock()
 
     def _start(self, harness_args: list[str]) -> None:
-        # mkdtemp, not TemporaryDirectory: its finalizer would remove the
-        # directory in a forked copy of this process too.
         scratch = tempfile.mkdtemp(prefix="askit-worker-")
         self._stderr_path = Path(scratch) / "stderr.log"
         stderr_handle = open(self._stderr_path, "wb")
@@ -140,16 +164,17 @@ class _HarnessProcess:
             env=_child_env(scratch),
             bufsize=0,
         )
+        self._requests, self._responses = self._proc.stdin.fileno(), self._proc.stdout.fileno()
         self._owner = os.getpid()
         self._finalizer = weakref.finalize(self, _shutdown, self._proc, scratch, stderr_handle, self._owner)
 
     @property
     def alive(self) -> bool:
-        """Running, and started by this process, not by the one it was forked from."""
-        return self._proc is not None and self._owner == os.getpid() and self._proc.poll() is None
+        """Running, not closed, and started by this process, not by the one it was forked from."""
+        return bool(self._finalizer and self._finalizer.alive) and self._owner == os.getpid() and not self._exited()
 
     def close(self) -> None:
-        if self._proc is not None:
+        if self._finalizer is not None:
             self._finalizer()
 
     def __enter__(self):
@@ -158,20 +183,21 @@ class _HarnessProcess:
     def __exit__(self, *exc_info):
         self.close()
 
+    def _exited(self) -> bool:
+        return self._proc.poll() is not None
+
     def _exchange(self, request: str, timeout: float | None) -> str:
         """One request line out, one response line back; hold self._lock.
 
         A process that fails to answer, or answers past the size cap, is
-        killed: its pipe can no longer be trusted to line up.
+        killed: its channel can no longer be trusted to line up.
         """
-        if self._proc.poll() is not None:
-            raise ExecutionError(f"harness exited with status {self._proc.returncode}: {self._stderr_tail()}")
         try:
-            self._proc.stdin.write((request + "\n").encode("utf-8"))
+            write_line(self._requests, request)
         except OSError as exc:
             self._kill()
             raise ExecutionError(f"harness pipe closed: {self._stderr_tail()}") from exc
-        line, why = read_line(self._proc.stdout.fileno(), timeout, MAX_RESPONSE_BYTES)
+        line, why = read_line(self._responses, timeout, MAX_RESPONSE_BYTES)
         if why is None:
             return line.decode("utf-8", errors="replace")
         self._kill()
@@ -196,29 +222,58 @@ class _HarnessProcess:
 
 
 class Worker(_HarnessProcess):
-    """A long-lived harness process answering one request per line.
-
-    The generated module is loaded once and stays warm, so state it keeps at
-    module level persists across calls; run_once is the fully isolated
-    variant. Thread-safe: calls are serialized by an internal lock.
-    """
+    """A warm harness process for one source, forked by a zygote of the
+    process's pool; see the module docstring. run_once is the fully
+    isolated variant. Thread-safe: calls are serialized."""
 
     def __init__(self, source_path: str | Path, call_timeout: float = DEFAULT_INVOKE_TIMEOUT):
         super().__init__()
-        self.source_path = os.path.abspath(source_path)  # the harness runs elsewhere
+        self.source_path = os.path.abspath(source_path)  # the worker runs elsewhere
         self.call_timeout = call_timeout
-        self._start([self.source_path, "--serve"])
+        scratch, self._owner, fds = tempfile.mkdtemp(prefix="askit-worker-"), os.getpid(), {}
+        self._stderr_path = Path(scratch) / "stderr.log"
+        fifo_in, fifo_out = os.path.join(scratch, "in"), os.path.join(scratch, "out")
+        try:
+            for fifo in (fifo_in, fifo_out):
+                os.mkfifo(fifo, 0o600)
+            fds["responses"] = os.open(fifo_out, os.O_RDONLY | os.O_NONBLOCK)
+            # Connect before the worker exists, so that it never reads end of
+            # file before its first request; this reader only lets the open pass.
+            reader = os.open(fifo_in, os.O_RDONLY | os.O_NONBLOCK)
+            try:
+                fds["requests"] = os.open(fifo_in, os.O_WRONLY)
+                self._zygote, self.pid = fork_pool().spawn(self.source_path, scratch)
+            finally:
+                os.close(reader)
+            fds["pidfd"] = os.pidfd_open(self.pid)
+            # The worker holds the only write end of `out` until it exits, so
+            # no hang-up there now proves that the pidfd names the live worker.
+            if _ready(fds["responses"]):
+                raise ExecutionError(f"worker exited at start: {self._stderr_tail()}")
+        except BaseException:
+            _end_worker(fds, scratch, self._owner)
+            raise
+        self._requests, self._responses, self._pidfd = fds["requests"], fds["responses"], fds["pidfd"]
+        self._finalizer = weakref.finalize(self, _end_worker, fds, scratch, self._owner)
 
     def call(self, entry: str, args: Mapping[str, Any]) -> Any:
         request = json.dumps({"entry": entry, "args": dict(args)}, ensure_ascii=False)
         with self._lock:
+            if not self._finalizer.alive:  # its descriptor numbers may name other files by now
+                raise ExecutionError("worker is closed")
             raw = self._exchange(request, self.call_timeout)
         return _decode_response(raw, self._stderr_tail)
 
+    def _exited(self) -> bool:
+        return _ready(self._pidfd)
+
+    def _kill(self) -> None:
+        _kill_worker(self._pidfd)
+
 
 class ForkServer(_HarnessProcess):
-    """A zygote harness that forks one fresh child per run; see the module
-    docstring for its life cycle. Thread-safe: runs are serialized."""
+    """A zygote harness that forks one fresh child per run, and warm
+    workers; see the module docstring. Thread-safe: requests are serialized."""
 
     def run(
         self,
@@ -228,7 +283,7 @@ class ForkServer(_HarnessProcess):
         timeout: float | None = DEFAULT_INVOKE_TIMEOUT,
     ) -> Any:
         """entry(**args) from `source_path`, in a child forked for this run."""
-        with tempfile.TemporaryDirectory(prefix="askit-run-") as scratch:
+        with scratch_dir("askit-run-") as scratch:
             request = {
                 "source": os.path.abspath(source_path),
                 "scratch": scratch,
@@ -236,22 +291,26 @@ class ForkServer(_HarnessProcess):
                 "entry": entry,
                 "args": dict(args),
             }
-            with self._lock:
-                self._ensure_zygote()
-                logged = os.path.getsize(self._stderr_path)
-                raw = self._exchange(
-                    json.dumps(request, ensure_ascii=False),
-                    None if timeout is None else timeout + FORK_SERVER_GRACE,
-                )
-                return _decode_response(raw, lambda: self._stderr_tail(logged))
+            return self._request(request, None if timeout is None else timeout + FORK_SERVER_GRACE)
+
+    def spawn(self, source_path: str, scratch: str) -> int:
+        """The pid of a new warm worker for `source_path`, answering on the FIFOs in `scratch`."""
+        return self._request({"worker": True, "source": source_path, "scratch": scratch}, FORK_SERVER_GRACE)
 
     def start(self) -> None:
-        """Start the zygote now, unless it runs or a run holds this server."""
+        """Start the zygote now, unless it runs or a request holds this server."""
         if self._lock.acquire(blocking=False):
             try:
                 self._ensure_zygote()
             finally:
                 self._lock.release()
+
+    def _request(self, request: dict, timeout: float | None) -> Any:
+        with self._lock:
+            self._ensure_zygote()
+            logged = os.path.getsize(self._stderr_path)
+            raw = self._exchange(json.dumps(request, ensure_ascii=False), timeout)
+            return _decode_response(raw, lambda: self._stderr_tail(logged))
 
     def _ensure_zygote(self) -> None:  # hold self._lock
         if not self.alive:
@@ -278,6 +337,12 @@ class ForkPool:
         if turn == 0:
             self._servers[1].start()  # it boots while the first run waits for the other
         return self._servers[turn % 2].run(source_path, entry, args, timeout)
+
+    def spawn(self, source_path: str, scratch: str) -> tuple[ForkServer, int]:
+        """A warm worker forked by the next server in turn: that server and
+        the worker's pid. It boots no other zygote."""
+        server = self._servers[next(self._turns) % 2]
+        return server, server.spawn(source_path, scratch)
 
     def close(self) -> None:
         for server in self._servers:
@@ -315,6 +380,26 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)  # a forked copy starts zygotes of its own
 
 
+def _kill_worker(pidfd: int) -> None:
+    """SIGKILL through a pidfd, then wait until the worker has exited; its zygote reaps it."""
+    try:
+        signal.pidfd_send_signal(pidfd, signal.SIGKILL)
+    except ProcessLookupError:
+        return
+    _ready(pidfd, 2.0)
+
+
+def _end_worker(fds: dict[str, int], scratch: str, owner: int) -> None:
+    """Kill the worker and close its descriptors; in a forked copy, the latter alone."""
+    try:
+        if os.getpid() == owner and "pidfd" in fds:
+            _kill_worker(fds["pidfd"])
+    finally:
+        for fd in fds.values():
+            os.close(fd)
+        _remove_scratch(scratch, owner)
+
+
 def _shutdown(proc, scratch, stderr_handle, owner):
     mine = os.getpid() == owner  # in a forked copy: close its pipes, nothing more
     try:
@@ -336,5 +421,4 @@ def _shutdown(proc, scratch, stderr_handle, owner):
                     stream.close()
             except OSError:
                 pass
-        if mine:
-            shutil.rmtree(scratch, ignore_errors=True)
+        _remove_scratch(scratch, owner)

@@ -8,6 +8,7 @@ their own sandbox hook.
 from __future__ import annotations
 
 import socket
+import time
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,30 @@ def live_children():
         except OSError:
             continue
     return pids
+
+
+def parent_of(pid) -> int | None:
+    """The parent pid of a process that exists (a zombie included), else None."""
+    try:
+        return int(Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[1])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def gone(pid, timeout: float = 5.0, zombie_ok: bool = False) -> bool:
+    """Whether the process has exited and been reaped (or, with zombie_ok,
+    at least exited) within `timeout` seconds."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+        except (OSError, IndexError):
+            return True
+        if zombie_ok and state in ("Z", "X"):
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
 
 
 @pytest.fixture

@@ -3,7 +3,9 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import tempfile
+import time
 
 import pytest
 
@@ -11,7 +13,7 @@ import askit.runner as runner
 from askit import api
 from askit.api import AskResult, ask, define
 from askit.clients import ScriptedClient
-from askit.codegen import CodegenConfig, output_equal
+from askit.codegen import CodegenConfig, cache_store, output_equal
 from askit.errors import (
     AskitError,
     ExecutionError,
@@ -21,6 +23,7 @@ from askit.errors import (
 )
 from askit.prompts import Example
 from askit.types import INT, STR, VOID, list_of, literal, record, union, validate
+from conftest import gone
 
 SENTIMENT = union(literal("positive"), literal("negative"))
 BOOK = record({"title": STR, "author": STR, "year": INT})
@@ -265,9 +268,44 @@ class TestCompile:
         client = ScriptedClient([code_response(FACTORIAL_CODE)])
         with self.factorial(client).compile(CodegenConfig(cache_dir=tmp_path)) as compiled:
             assert compiled(n=5) == 120
-            compiled._worker._proc.kill()
-            compiled._worker._proc.wait(timeout=5)
+            worker = compiled._worker
+            os.kill(worker.pid, signal.SIGKILL)  # alive, so its zygote has not reaped it
+            deadline = time.monotonic() + 5.0
+            while worker.alive and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not worker.alive
             assert compiled(n=5) == 120
+            assert compiled._worker is not worker
+
+    def test_open_function_answers_after_askit_close_and_its_close_ends_the_worker(self, tmp_path):
+        client = ScriptedClient([code_response(FACTORIAL_CODE)])
+        compiled = self.factorial(client).compile(CodegenConfig(cache_dir=tmp_path))
+        assert compiled(n=3) == 6
+        worker = compiled._worker
+        runner.close()  # askit.close(): the zygotes end
+        assert not worker._zygote.alive
+        assert compiled(n=4) == 24
+        assert compiled._worker is worker
+        compiled.close()
+        assert not worker.alive
+        assert gone(worker.pid, zombie_ok=True)  # orphaned with its zygote gone: ended, reaped by init
+
+    def test_first_warm_call_on_a_cache_hit_starts_one_interpreter(self, tmp_path, monkeypatch):
+        runner.close()
+        starts, real_start = [], runner._HarnessProcess._start
+
+        def start(self, harness_args):
+            starts.append(harness_args)
+            return real_start(self, harness_args)
+
+        monkeypatch.setattr(runner._HarnessProcess, "_start", start)
+        config = CodegenConfig(cache_dir=tmp_path)
+        defined = self.factorial(ScriptedClient([]))
+        cache_store(defined.spec, FACTORIAL_CODE + "\n", config)
+        with defined.compile(config) as compiled:
+            assert compiled.generated.from_cache
+            assert compiled(n=5) == 120
+            assert starts == [["--fork-server"]]  # one zygote, not the pair
 
     def test_call_that_kills_its_worker_runs_once(self, tmp_path, monkeypatch):
         source = "import os\ndef crash(*, n):\n    os._exit(1)"

@@ -1,6 +1,9 @@
+import atexit
 import json
+import os
 import random
 import re
+import shutil
 import subprocess
 import threading
 from dataclasses import replace
@@ -35,7 +38,7 @@ from askit.errors import (
 from askit.prompts import Example, ViolationKind
 from askit.template import parse
 from askit.types import INT, STR, list_of
-from conftest import live_children
+from conftest import gone, live_children, parent_of
 from schemagen import random_spec
 
 
@@ -94,6 +97,12 @@ def add_spec(tmp_path=None, **overrides):
     )
     fields.update(overrides)
     return TaskSpec(**fields)
+
+
+def write_add(tmp_path):
+    path = tmp_path / "add.py"
+    path.write_text(ADD_PY + "\n", encoding="utf-8")
+    return path
 
 
 def fib_spec():
@@ -483,9 +492,13 @@ class TestForkServerOwnership:
         assert compiled(x=2, y=3) == 5
         assert compiled.call_isolated(x=2, y=3) == 5
         assert compiled.call_isolated(x=4, y=3) == 7
-        assert len(live_children() - before) == 3  # the warm worker and the two zygotes
+        zygotes = live_children() - before
+        assert len(zygotes) == 2  # the warm worker is not a child: a zygote forked it
+        worker = compiled._worker.pid
+        assert str(parent_of(worker)) in zygotes
         compiled.close()
-        assert len(live_children() - before) == 2  # the defined function still holds the zygotes
+        assert gone(worker)  # its zygote has reaped it
+        assert live_children() - before == zygotes  # the defined function still holds the zygotes
         del compiled, defined
         assert live_children() - before == set()
 
@@ -532,6 +545,58 @@ class TestForkServerOwnership:
         assert len(set(pools)) == 1
         assert starts == [["--fork-server"]] * 2  # each zygote of the pair, once
         assert live_children() - before == set()
+
+
+def _fork_that_exits_normally():
+    """Fork a copy of this process that runs what a normal exit runs (the
+    atexit hooks, weakref.finalize's among them) and leaves."""
+    pid = os.fork()
+    if pid == 0:
+        try:
+            atexit._run_exitfuncs()
+        finally:
+            os._exit(0)
+    os.waitpid(pid, 0)
+
+
+class TestForkSafeScratch:
+    """A copy forked (by another thread, say) while a scratch directory is in
+    use must not remove it when it exits: only the process that made it does."""
+
+    def test_fork_server_run(self, tmp_path, monkeypatch):
+        survived, real = [], runner.ForkServer._exchange
+
+        def exchange(self, request, timeout):
+            _fork_that_exits_normally()
+            survived.append(os.path.isdir(json.loads(request)["scratch"]))
+            return real(self, request, timeout)
+
+        monkeypatch.setattr(runner.ForkServer, "_exchange", exchange)
+        with runner.ForkServer() as server:
+            assert server.run(write_add(tmp_path), "add", {"x": 1, "y": 2}) == 3
+        assert survived == [True]
+
+    def test_vetting_run(self, tmp_path, monkeypatch):
+        survived, real = [], codegen_mod.run_once
+
+        def run_once(path, *args, **kwargs):
+            _fork_that_exits_normally()
+            survived.append(os.path.isdir(os.path.dirname(path)))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(codegen_mod, "run_once", run_once)
+        assert codegen_mod._run_test_examples(ADD_PY + "\n", add_spec(), CodegenConfig(cache_dir=tmp_path)) is None
+        assert survived == [True]
+
+    def test_tsc_check(self, tmp_path, monkeypatch):
+        def tsc(argv, **kwargs):
+            _fork_that_exits_normally()
+            found = os.path.isfile(argv[-1])
+            return subprocess.CompletedProcess(argv, 0 if found else 1, b"", b"" if found else b"candidate gone")
+
+        monkeypatch.setattr(shutil, "which", lambda name: "/usr/bin/tsc")
+        monkeypatch.setattr(codegen_mod.subprocess, "run", tsc)
+        assert syntax_check("const x: number = 1;", "typescript") is None
 
 
 class TestInvoke:

@@ -16,6 +16,7 @@ from askit import harness, runner
 from askit.errors import ExecutionError, ExecutionTimeout, ProtocolError
 from askit.runner import DEFAULT_INVOKE_TIMEOUT, HARNESS_PATH, Worker, _decode_response, run_once
 from askit.runner import ForkServer
+from conftest import REPO, gone, parent_of
 
 ADD_SOURCE = "def add(*, x, y):\n    return x + y\n"
 
@@ -250,6 +251,119 @@ class TestWorker:
         assert worker.call("add", {"x": 1, "y": 1}) == 2
         worker.close()
         assert not worker.alive
+
+
+class TestForkedWorker:
+    """A Worker is a child of one of the pool's zygotes, not of this process."""
+
+    def test_each_worker_sees_fresh_module_state(self, tmp_path):
+        dirty = write_source(
+            tmp_path,
+            "import sys, fnmatch\n"
+            "sys.modules['askit_leak'] = sys\n"
+            "LEAK = 1\n"
+            "def f():\n"
+            "    global LATER\n"
+            "    LATER = 2\n"
+            "    return 0\n",
+            name="dirty.py",
+        )
+        probe = write_source(
+            tmp_path,
+            "import sys\n"
+            "def f():\n"
+            "    return sorted(globals()), [m for m in ('askit_leak', 'fnmatch') if m in sys.modules]\n",
+            name="probe.py",
+        )
+        pool = runner.fork_pool()
+        try:
+            with Worker(dirty) as worker:
+                assert worker.call("f", {}) == 0
+            assert [run_once(dirty, "f", {}) for _ in range(2)] == [0, 0]  # on both zygotes
+            workers = [Worker(probe) for _ in range(2)]
+            assert {worker._zygote for worker in workers} == set(pool._servers)
+            for worker in workers:
+                # The zygote's preload (json, traceback) may be there; nothing else is.
+                assert worker.call("f", {}) == [["__builtins__", "__file__", "__name__", "f", "sys"], []]
+                worker.close()
+        finally:
+            pool.close()
+
+    def test_worker_is_a_zygote_child_reaped_after_close(self, tmp_path):
+        worker = Worker(write_source(tmp_path, ADD_SOURCE))
+        assert worker.call("add", {"x": 1, "y": 1}) == 2
+        assert parent_of(worker.pid) == worker._zygote._proc.pid
+        worker.close()
+        assert not worker.alive
+        assert gone(worker.pid)  # the zygote reaped it; no other request was needed
+        with pytest.raises(ExecutionError, match="closed"):
+            worker.call("add", {"x": 1, "y": 1})
+
+    def test_worker_ends_and_is_reaped_when_its_owner_exits_without_closing(self, tmp_path):
+        source = write_source(tmp_path, ADD_SOURCE)
+        owner = (
+            "import os, sys\n"
+            f"sys.path.insert(0, {str(REPO / 'src')!r})\n"
+            "from askit.runner import Worker\n"
+            f"worker = Worker({str(source)!r})\n"
+            "assert worker.call('add', {'x': 1, 'y': 2}) == 3\n"
+            "print(worker.pid, worker._zygote._proc.pid, flush=True)\n"
+            "os._exit(0)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", owner], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        worker, zygote = map(int, proc.stdout.split())
+        deadline = time.monotonic() + 5.0
+        while (parent := parent_of(worker)) is not None:  # until reaped
+            # Never orphaned: the zygote saw end of input and waited for it
+            # (0 is read while the zygote releases the reaped worker).
+            assert parent in (zygote, 0)
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        assert gone(zygote, zombie_ok=True)
+
+    def test_zygote_death_fails_an_inflight_run_while_a_worker_lives(self, tmp_path):
+        # The worker must not hold the zygote's protocol pipe open.
+        good = write_source(tmp_path, ADD_SOURCE)
+        slow = write_source(tmp_path, "import time\ndef f():\n    time.sleep(3)\n", name="slow.py")
+        with Worker(good) as worker:
+            assert worker.call("add", {"x": 1, "y": 1}) == 2
+            server = worker._zygote
+            killer = threading.Timer(0.3, server._proc.kill)
+            killer.start()
+            started = time.perf_counter()
+            with pytest.raises(ExecutionError):
+                server.run(slow, "f", {}, timeout=30)
+            assert time.perf_counter() - started < 2.0
+            killer.join()
+            assert worker.call("add", {"x": 2, "y": 2}) == 4  # it outlives its zygote
+            assert server.run(good, "add", {"x": 2, "y": 3}) == 5  # a new zygote
+
+    def test_spawn_into_a_directory_without_fifos_fails_and_the_zygote_serves_on(self, tmp_path):
+        source = write_source(tmp_path, ADD_SOURCE)
+        with ForkServer() as server:
+            with pytest.raises(ExecutionError, match="fork request failed"):
+                server.spawn(str(source), str(tmp_path))
+            zygote = server._proc.pid
+            assert server.run(source, "add", {"x": 2, "y": 3}) == 5
+            assert server._proc.pid == zygote
+
+    def test_a_spawn_on_an_idle_pool_boots_one_zygote(self, tmp_path):
+        pool = runner.ForkPool()
+        try:
+            pool.spawn(str(write_source(tmp_path, ADD_SOURCE)), str(tmp_path))  # no FIFOs: refused
+        except ExecutionError:
+            pass
+        finally:
+            assert [server.alive for server in pool._servers] == [True, False]
+            pool.close()
+
+    def test_serve_mode_is_gone(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-B", str(HARNESS_PATH), str(write_source(tmp_path, ADD_SOURCE)), "--serve"],
+            input=b"", capture_output=True, timeout=30,
+        )
+        assert proc.returncode == 2 and b"usage" in proc.stderr
 
 
 COUNTER_SOURCE = "calls = []\ndef f():\n    calls.append(1)\n    return len(calls)\n"
@@ -516,11 +630,13 @@ class TestCompileOnce:
                 assert process.run(source, "add", {"x": 1, "y": 2}) == 3
             else:
                 assert process.call("add", {"x": 1, "y": 2}) == 3
-            launched = process._proc.args[4]
-            assert process._proc.args[1:4] == ["-I", "-S", "-B"]
+            started = process if isinstance(process, ForkServer) else process._zygote  # a worker is forked
+            launched = started._proc.args[4]
+            assert started._proc.args[1:4] == ["-I", "-S", "-B"]
             assert launched.endswith(".pyc")
-            assert os.path.dirname(launched) == os.path.dirname(process._stderr_path)
-            assert os.path.basename(os.path.dirname(launched)).startswith("askit-worker-")
+            assert os.path.dirname(launched) == os.path.dirname(started._stderr_path)
+            for scratch in (os.path.dirname(launched), os.path.dirname(process._stderr_path)):
+                assert os.path.basename(scratch).startswith("askit-worker-")
 
 
 def _run_by_worker(source, entry, args):

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Interpreter starts over one seeded round of a perfbench workload.
+"""Interpreter starts and forked children over one seeded round of a perfbench workload.
 
 Each round of the compile workload compiles every task of its corpus into a
 fresh cache directory, so each task misses once and codegen.generate vets
 its candidates on fork servers. One set-up of the call workload compiles its
 four tasks (each a miss) and makes one warm call on each. This counts how
 many interpreters either starts, and how many of them are fork-server
-zygotes, against how many misses it has. Run from the repository root:
+zygotes, against how many misses it has; how many vetting runs codegen makes
+(calls of askit.codegen.run_once); and how many children the zygotes fork
+(requests sent to a fork server: each run and each warm worker forks one).
+Run from the repository root:
 
     python scripts/zygote_starts.py --seed 1
     python scripts/zygote_starts.py --workload call --seed 1
@@ -15,9 +18,11 @@ It runs the workload untraced through perfbench/run.py's `run` with one
 set-up and a zero-second timed phase (which still completes the compile
 workload's first round), with runner._HarnessProcess._start, which starts
 every harness interpreter, wrapped to count its calls (`--fork-server`
-launches are zygotes, any other a warm worker of its own) and api.generate
-wrapped to count misses, and prints one JSON object. Only the counts are
-reported; the run is too short for its timings to mean anything.
+launches are zygotes, any other a warm worker of its own), api.generate
+wrapped to count misses, codegen.run_once to count vetting runs and
+ForkServer._exchange to count forked children, and prints one JSON object.
+Only the counts are reported; the run is too short for its timings to mean
+anything.
 """
 
 from __future__ import annotations
@@ -43,11 +48,14 @@ def main(argv: list[str]) -> int:
     if bench.import_askit() is None:
         parser.error("askit not found under ./src")
     import askit.api
+    import askit.codegen
     import askit.runner
 
-    harness_process, api = askit.runner._HarnessProcess, askit.api
-    original_start, original_generate = harness_process._start, api.generate
-    counts = {"interpreter_starts": 0, "zygote_starts": 0, "worker_starts": 0, "misses": 0}
+    harness_process, api, codegen = askit.runner._HarnessProcess, askit.api, askit.codegen
+    original_start, original_exchange = harness_process._start, harness_process._exchange
+    original_generate, original_run_once = api.generate, codegen.run_once
+    counts = {"interpreter_starts": 0, "zygote_starts": 0, "worker_starts": 0, "misses": 0,
+              "vetting_runs": 0, "forked_children": 0}
 
     def start(self, harness_args):
         counts["interpreter_starts"] += 1
@@ -58,11 +66,22 @@ def main(argv: list[str]) -> int:
         counts["misses"] += 1
         return original_generate(*rest, **kwargs)
 
-    harness_process._start, api.generate = start, generate
+    def run_once(*rest, **kwargs):
+        counts["vetting_runs"] += 1
+        return original_run_once(*rest, **kwargs)
+
+    def exchange(self, *rest, **kwargs):
+        if isinstance(self, askit.runner.ForkServer):  # a request to a zygote: a run or a worker, one fork each
+            counts["forked_children"] += 1
+        return original_exchange(self, *rest, **kwargs)
+
+    harness_process._start, harness_process._exchange = start, exchange
+    api.generate, codegen.run_once = generate, run_once
     try:
         result = bench.run(args.workload, args.seed, 0.0, trace=False, setup_reps=1)
     finally:
-        harness_process._start, api.generate = original_start, original_generate
+        harness_process._start, harness_process._exchange = original_start, original_exchange
+        api.generate, codegen.run_once = original_generate, original_run_once
     print(json.dumps({
         "workload": args.workload,
         "seed": args.seed,

@@ -2,9 +2,11 @@
 
 A task is turned into a one-shot prompt; candidate code from the model is
 checked syntactically (Python: ast.parse in this process; TypeScript: tsc in
-a child process) and semantically (each test example runs in a fresh child
-forked by the process's shared zygotes, runner.fork_pool). generate holds
-that pool while it runs, so the test examples of every candidate run on the
+a child process) and semantically: the test examples run in order in one
+fresh child per candidate, each in a fresh module namespace (process-wide
+state carries over), forked by the process's shared zygotes
+(runner.fork_pool); the first wrong value or failure is the feedback.
+generate holds that pool while it runs, so every candidate runs on the
 same pair of zygotes, which end with the pool's last holder. The first
 candidate passing every check is written to the on-disk cache; retries
 re-send the identical prompt and rely on sampling temperature for
@@ -31,11 +33,9 @@ from typing import Any, Mapping
 from .encoding import canonical_json, stable_digest
 from .engine import DEFAULT_MAX_RETRIES, DEFAULT_TEMPERATURE, Message, check_temperature
 from .errors import (
+    AskitError,
     BlockNotFound,
-    ExecutionError,
-    ExecutionTimeout,
     GenerationFailed,
-    ProtocolError,
     SchemaError,
     TemplateError,
     ToolchainUnavailable,
@@ -98,10 +98,14 @@ class TaskSpec:
                 raise SchemaError(f"example input does not fit the template: {exc}") from None
 
     @cached_property
+    def digest(self) -> str:
+        return spec_digest(self)
+
+    @cached_property
     def cache_names(self) -> tuple[str, str]:
         """Code and sidecar file names, `<slug>_<digest>.<ext>` and `.json`;
         derived once, from fields that cannot change."""
-        stem = f"{cache_slug(self.template)}_{spec_digest(self)}"
+        stem = f"{cache_slug(self.template)}_{self.digest}"
         return f"{stem}.{LANGUAGES[self.target_language].extension}", f"{stem}.json"
 
 
@@ -179,7 +183,7 @@ def cache_store(spec: TaskSpec, source: str, config: CodegenConfig, retries_used
         "template": spec.template.raw,
         "return_schema": render(spec.return_schema),
         "param_schemas": _rendered_params(spec),
-        "digest": spec_digest(spec),
+        "digest": spec.digest,
         "retries_used": retries_used,
     }
     _atomic_write(meta_path, canonical_json(metadata) + "\n")
@@ -305,7 +309,7 @@ def generate(client, spec: TaskSpec, config: CodegenConfig | None = None) -> Gen
         messages = [Message("user", build_codegen(spec).text)]
         transcript: list[tuple[str, Violation]] = []
         violation: Violation | None = None
-        zygotes = fork_pool()  # kept alive from one test example to the next
+        zygotes = fork_pool()  # kept alive from one candidate to the next
         try:
             for attempt in range(config.max_retries + 1):
                 response = client.complete(messages, temperature=config.temperature)
@@ -345,25 +349,20 @@ def _run_test_examples(source: str, spec: TaskSpec, config: CodegenConfig) -> Vi
     if not spec.tests:
         return None
     if not LANGUAGES[spec.target_language].runnable:
-        raise ToolchainUnavailable(
-            f"cannot run test examples: no execution harness for {spec.target_language}"
-        )
+        raise ToolchainUnavailable(f"cannot run test examples: no execution harness for {spec.target_language}")
     extension = LANGUAGES[spec.target_language].extension
     with scratch_dir("askit-vet-") as scratch:
         path = Path(scratch) / f"candidate.{extension}"
         path.write_text(source, encoding="utf-8")
-        for example in spec.tests:
-            shown = canonical_json(dict(example.input))
-            try:
-                actual = run_once(path, spec.name, example.input, timeout=config.invoke_timeout)
-            except (ExecutionError, ExecutionTimeout, ProtocolError) as exc:
-                return Violation(ViolationKind.TEST_FAILURE, f"input {shown} raised: {exc}")
-            if not output_equal(example.output, actual):
-                return Violation(
-                    ViolationKind.TEST_FAILURE,
-                    f"input {shown}: expected {canonical_json(example.output)},"
-                    f" got {canonical_json(actual)}",
-                )
+        outcomes = run_once(path, spec.name, [example.input for example in spec.tests], timeout=config.invoke_timeout)
+    for example, actual in zip(spec.tests, outcomes):
+        if isinstance(actual, AskitError):
+            failure = f" raised: {actual}"
+        elif not output_equal(example.output, actual):
+            failure = f": expected {canonical_json(example.output)}, got {canonical_json(actual)}"
+        else:
+            continue  # a passing example's input is never rendered
+        return Violation(ViolationKind.TEST_FAILURE, f"input {canonical_json(dict(example.input))}{failure}")
     return None
 
 

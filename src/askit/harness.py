@@ -17,17 +17,19 @@ descriptors are duplicated away before user code runs, fd 1 is pointed at
 stderr (so stray prints cannot corrupt responses) and fd 0 at /dev/null.
 
 The fork server is a zygote that never runs generated code. A run request
-also names the source file, a scratch directory and a timeout in seconds:
+names the source file, a scratch directory, a timeout and argument sets:
 
-    {"source": <path>, "scratch": <dir>, "timeout": <s>, "entry": ..., "args": ...}
+    {"source": <path>, "scratch": <dir>, "timeout": <s>, "entry": ..., "args": [{...}, ...]}
 
 The zygote compiles the source unless it compiled the same text at the same
-path before (compile_once) and forks a child that changes into the scratch
-directory (also its TMPDIR and HOME), installs the sandbox, runs the code in
-a fresh namespace, answers as the one-shot mode does and leaves with
-os._exit. The zygote kills the child once it has answered, timed out
-({"ok": false, "timeout": true, ...}) or outgrown MAX_RESPONSE_BYTES, relays
-one line and only then reaps it, so the reap overlaps the parent's next step.
+path before (compile_once) and forks one fresh child per request, which
+changes into the scratch directory (also its TMPDIR and HOME), installs the
+sandbox, answers the sets in order with a fresh namespace for each, as the
+one-shot mode does up to its first error document, and leaves with os._exit
+(answer_each). The zygote relays each line, gives each set its own timeout
+({"ok": false, "timeout": true, ...}) and MAX_RESPONSE_BYTES, kills the
+child after its last line and only then reaps it, so the reap overlaps the
+parent's next step.
 
 A request {"worker": true, "source": <path>, "scratch": <dir>} is answered
 with the pid of a warm worker forked the same way: it logs to stderr.log,
@@ -63,6 +65,7 @@ import _signal
 
 # Longest response line, newline excluded, that either side of a pipe accepts.
 MAX_RESPONSE_BYTES = 16 << 20
+SUCCESS = '{"ok": true'  # how encode_response starts every success
 
 WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_TRUNC | os.O_EXCL
 
@@ -270,23 +273,19 @@ def encode_response(response):
         return json.dumps({"ok": False, "error": f"result is not JSON-serializable: {exc}"})
 
 
-def answer(source_path, request, code=None):
-    """Load the source fresh and answer one request: the one-shot run."""
-    return encode_response(handle_request(*load(source_path, code), request))
-
-
 def write_line(fd, text):
     data = memoryview((text + "\n").encode("utf-8"))
     while data:
         data = data[os.write(fd, data):]
 
 
-def read_line(fd, timeout, limit):
+def read_line(fd, timeout, limit, data=None):
     """The first line on `fd`, without its newline, read within `timeout`
     seconds (None: no limit). Returns (line, None) or (b"", why), where why
-    is "timeout", "closed" (end of file first) or "oversize" (over `limit`)."""
+    is "timeout", "closed" (end of file first) or "oversize" (over `limit`).
+    `data`, a bytearray, keeps what is read past the line for the next call."""
     deadline = None if timeout is None else time.monotonic() + timeout
-    data = bytearray()
+    data = bytearray() if data is None else data
     while (end := data.find(b"\n")) < 0 and len(data) <= limit:
         remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
         if not select.select([fd], [], [], remaining)[0]:
@@ -297,7 +296,8 @@ def read_line(fd, timeout, limit):
         data += chunk
     if end < 0 or end > limit:
         return b"", "oversize"
-    return bytes(data[:end]), None
+    line, data[:end + 1] = bytes(data[:end]), b""
+    return line, None
 
 
 def requests(protocol_in, protocol_out):
@@ -377,19 +377,39 @@ def reap(workers, options=os.WNOHANG):
         workers.discard(pid)
 
 
+def answer_each(source_path, request, code, fd):
+    """A run's child: answer each argument set of `request` in order with one
+    line on `fd`, each in a fresh namespace, up to the first error. A success
+    also carries "logged", the stderr log's size after its set's output."""
+    for args in request["args"]:
+        response = handle_request(*load(source_path, code), {**request, "args": args})
+        sys.stdout.flush()
+        sys.stderr.flush()
+        response["logged"] = os.fstat(2).st_size
+        write_line(fd, line := encode_response(response))
+        if not line.startswith(SUCCESS):
+            return
+
+
 def run_forked(request, protocol_in, protocol_out, compiled):
-    """Answer `request` in a forked child and relay the response line it
-    wrote, or an error document when it wrote none in time. `compiled` is
-    the zygote's compile_once cache."""
+    """Answer `request` in one forked child (answer_each) and relay its lines
+    up to the first error, or an error document for the set it does not
+    answer in time. `compiled` is the zygote's compile_once cache."""
     scratch, timeout, source = request["scratch"], request["timeout"], request["source"]
     code = compile_once(source, compiled)
     read_fd, write_fd = os.pipe()
     pid = fork_child(
-        scratch, (read_fd, protocol_in, protocol_out), lambda: write_line(write_fd, answer(source, request, code)))
+        scratch, (read_fd, protocol_in, protocol_out), lambda: answer_each(source, request, code, write_fd))
     os.close(write_fd)
+    unread, why = bytearray(), None
     try:
         try:
-            line, why = read_line(read_fd, timeout, MAX_RESPONSE_BYTES)
+            for _ in request["args"]:
+                line, why = read_line(read_fd, timeout, MAX_RESPONSE_BYTES, unread)
+                if why is None:
+                    write_line(protocol_out, text := line.decode("utf-8", errors="replace"))
+                if why is not None or not text.startswith(SUCCESS):
+                    break
         finally:
             # Kill the child on every path; one still running here has answered,
             # closed its pipe, overrun its time or outgrown the response limit.
@@ -398,7 +418,6 @@ def run_forked(request, protocol_in, protocol_out, compiled):
         if why is None:
             # Answer, then reap: the reap overlaps the parent's decode and its
             # next request. Error paths reap first; their text needs the status.
-            write_line(protocol_out, line.decode("utf-8", errors="replace"))
             return
     finally:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -462,7 +481,7 @@ def main(argv):
     except ValueError as exc:
         respond({"ok": False, "error": f"request is not valid JSON: {exc}"})
         return 0
-    write_line(protocol_out, answer(source_path, request))
+    respond(handle_request(*load(source_path), request))
     return 0
 
 

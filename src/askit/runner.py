@@ -1,11 +1,12 @@
 """Parent-side drivers for the execution harness.
 
 ForkServer keeps one zygote harness alive that never runs generated code.
-Each run() makes a fresh askit-run-* scratch directory and sends one
-request; the zygote forks a child that works there, installs the sandbox,
-runs the code and answers once: fresh module state for the cost of a fork.
-The zygote starts at its first request, or at start(), and is replaced when
-found dead before one; requests to one server are serialized.
+Each run() makes a fresh askit-run-* scratch directory and sends one request
+for a list of argument sets; the zygote forks one fresh child that works
+there, installs the sandbox and answers the sets in order, each in a fresh
+module namespace (process-wide state carries over). The zygote starts at its
+first request, or at start(), and is replaced when found dead before one;
+requests to one server are serialized.
 
 A Worker is a long-lived child that a zygote forks: it loads the generated
 module once, so module state persists across calls and a call costs a round
@@ -57,9 +58,9 @@ import weakref
 from contextlib import contextmanager
 from importlib.util import MAGIC_NUMBER
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
-from .errors import ExecutionError, ExecutionTimeout, ProtocolError
+from .errors import AskitError, ExecutionError, ExecutionTimeout, ProtocolError
 from .harness import MAX_RESPONSE_BYTES, read_line, write_line
 
 HARNESS_PATH = Path(__file__).with_name("harness.py")
@@ -87,7 +88,7 @@ def _child_env(scratch: str) -> dict[str, str]:
     }
 
 
-def _decode_response(raw: str, stderr_tail: Callable[[], str] = lambda: "") -> Any:
+def _decode_response(raw: str, stderr_tail: Callable[[], str] = lambda: "") -> dict:
     try:
         document = json.loads(raw)
     except ValueError as exc:
@@ -102,17 +103,17 @@ def _decode_response(raw: str, stderr_tail: Callable[[], str] = lambda: "") -> A
         if tail:
             error = f"{error}\n{tail}"
         raise ExecutionError(error)
-    return document.get("result")
+    return document
 
 
 def run_once(
     source_path: str | Path,
     entry: str,
-    args: Mapping[str, Any],
+    args: Mapping[str, Any] | Sequence[Mapping[str, Any]],
     timeout: float = DEFAULT_INVOKE_TIMEOUT,
 ) -> Any:
     """Execute entry(**args) from a source file in a fresh process forked
-    by the process's shared zygotes."""
+    by the process's shared zygotes; see ForkServer.run."""
     return fork_pool().run(source_path, entry, args, timeout)
 
 
@@ -146,9 +147,10 @@ class _HarnessProcess:
 
     def __init__(self):
         self._lock = threading.Lock()
+        self._unread = bytearray()  # read past the last response line
 
     def _start(self, harness_args: list[str]) -> None:
-        scratch = tempfile.mkdtemp(prefix="askit-worker-")
+        scratch, self._unread = tempfile.mkdtemp(prefix="askit-worker-"), bytearray()
         self._stderr_path = Path(scratch) / "stderr.log"
         stderr_handle = open(self._stderr_path, "wb")
         harness = Path(scratch) / "harness.pyc"  # not compiled at each start
@@ -187,17 +189,18 @@ class _HarnessProcess:
         return self._proc.poll() is not None
 
     def _exchange(self, request: str, timeout: float | None) -> str:
-        """One request line out, one response line back; hold self._lock.
-
-        A process that fails to answer, or answers past the size cap, is
-        killed: its channel can no longer be trusted to line up.
-        """
+        """One request line out, its first response line back; hold self._lock."""
         try:
             write_line(self._requests, request)
         except OSError as exc:
             self._kill()
             raise ExecutionError(f"harness pipe closed: {self._stderr_tail()}") from exc
-        line, why = read_line(self._responses, timeout, MAX_RESPONSE_BYTES)
+        return self._receive(timeout)
+
+    def _receive(self, timeout: float | None) -> str:
+        """The next response line; hold self._lock. A process that does not answer,
+        or answers past the size cap, is killed: its channel may not line up."""
+        line, why = read_line(self._responses, timeout, MAX_RESPONSE_BYTES, self._unread)
         if why is None:
             return line.decode("utf-8", errors="replace")
         self._kill()
@@ -262,7 +265,7 @@ class Worker(_HarnessProcess):
             if not self._finalizer.alive:  # its descriptor numbers may name other files by now
                 raise ExecutionError("worker is closed")
             raw = self._exchange(request, self.call_timeout)
-        return _decode_response(raw, self._stderr_tail)
+        return _decode_response(raw, self._stderr_tail).get("result")
 
     def _exited(self) -> bool:
         return _ready(self._pidfd)
@@ -279,23 +282,45 @@ class ForkServer(_HarnessProcess):
         self,
         source_path: str | Path,
         entry: str,
-        args: Mapping[str, Any],
+        args: Mapping[str, Any] | Sequence[Mapping[str, Any]],
         timeout: float | None = DEFAULT_INVOKE_TIMEOUT,
     ) -> Any:
-        """entry(**args) from `source_path`, in a child forked for this run."""
+        """entry(**args) from `source_path`, in a child forked for this run:
+        for one mapping, its result or its failure raised; for a list, one
+        outcome per call (each timed apart) up to the first failure, whose
+        outcome is the exception it would raise."""
+        if isinstance(args, Mapping):
+            outcomes = self.run(source_path, entry, [args], timeout)
+            if isinstance(outcomes[0], AskitError):
+                raise outcomes.pop()  # held by no local of this frame, which its traceback holds
+            return outcomes[0]
+        grace, outcomes = None if timeout is None else timeout + FORK_SERVER_GRACE, []
         with scratch_dir("askit-run-") as scratch:
-            request = {
-                "source": os.path.abspath(source_path),
-                "scratch": scratch,
-                "timeout": timeout,
-                "entry": entry,
-                "args": dict(args),
-            }
-            return self._request(request, None if timeout is None else timeout + FORK_SERVER_GRACE)
+            request = json.dumps({"source": os.path.abspath(source_path), "scratch": scratch, "timeout": timeout,
+                                  "entry": entry, "args": [dict(arg_set) for arg_set in args]}, ensure_ascii=False)
+            with self._lock:
+                self._ensure_zygote()
+                logged = os.path.getsize(self._stderr_path)
+                while len(outcomes) < len(args):
+                    try:
+                        raw = self._receive(grace) if outcomes else self._exchange(request, grace)
+                        document = _decode_response(raw, lambda since=logged: self._stderr_tail(since))
+                    except AskitError as exc:  # ExecutionError, ExecutionTimeout or ProtocolError
+                        # A copy without traceback: through its frames' callers, the caller's
+                        # frame would hold it in a reference cycle, and with it the zygotes.
+                        return [*outcomes, type(exc)(*exc.args)]
+                    outcomes.append(document.get("result"))
+                    logged = document.get("logged", logged)
+        return outcomes
 
     def spawn(self, source_path: str, scratch: str) -> int:
         """The pid of a new warm worker for `source_path`, answering on the FIFOs in `scratch`."""
-        return self._request({"worker": True, "source": source_path, "scratch": scratch}, FORK_SERVER_GRACE)
+        request = json.dumps({"worker": True, "source": source_path, "scratch": scratch}, ensure_ascii=False)
+        with self._lock:
+            self._ensure_zygote()
+            logged = os.path.getsize(self._stderr_path)
+            raw = self._exchange(request, FORK_SERVER_GRACE)
+            return _decode_response(raw, lambda: self._stderr_tail(logged)).get("result")
 
     def start(self) -> None:
         """Start the zygote now, unless it runs or a request holds this server."""
@@ -304,13 +329,6 @@ class ForkServer(_HarnessProcess):
                 self._ensure_zygote()
             finally:
                 self._lock.release()
-
-    def _request(self, request: dict, timeout: float | None) -> Any:
-        with self._lock:
-            self._ensure_zygote()
-            logged = os.path.getsize(self._stderr_path)
-            raw = self._exchange(json.dumps(request, ensure_ascii=False), timeout)
-            return _decode_response(raw, lambda: self._stderr_tail(logged))
 
     def _ensure_zygote(self) -> None:  # hold self._lock
         if not self.alive:
@@ -325,18 +343,12 @@ class ForkPool:
         self._servers = (ForkServer(), ForkServer())
         self._turns = itertools.count()
 
-    def run(
-        self,
-        source_path: str | Path,
-        entry: str,
-        args: Mapping[str, Any],
-        timeout: float | None = DEFAULT_INVOKE_TIMEOUT,
-    ) -> Any:
-        """entry(**args) from `source_path`, on the next server in turn."""
+    def run(self, *args, **kwargs) -> Any:
+        """ForkServer.run on the next server in turn."""
         turn = next(self._turns)
         if turn == 0:
             self._servers[1].start()  # it boots while the first run waits for the other
-        return self._servers[turn % 2].run(source_path, entry, args, timeout)
+        return self._servers[turn % 2].run(*args, **kwargs)
 
     def spawn(self, source_path: str, scratch: str) -> tuple[ForkServer, int]:
         """A warm worker forked by the next server in turn: that server and

@@ -1,4 +1,5 @@
 import atexit
+import gc
 import json
 import os
 import random
@@ -29,13 +30,16 @@ from askit.codegen import (
     syntax_check,
     _vet_candidate,
 )
+from askit.encoding import canonical_json
 from askit.errors import (
+    AskitError,
     ExecutionError,
     GenerationFailed,
     SchemaError,
     ToolchainUnavailable,
 )
-from askit.prompts import Example, ViolationKind
+from askit.prompts import Example, Violation, ViolationKind
+from askit.runner import run_once, scratch_dir
 from askit.template import parse
 from askit.types import INT, STR, list_of
 from conftest import gone, live_children, parent_of
@@ -211,6 +215,28 @@ class TestCacheNaming:
         assert memoized.cache_names
         assert "cache_names" in vars(memoized) and "cache_names" not in vars(fresh)
         assert memoized == fresh and hash(memoized) == hash(fresh)
+
+    @pytest.mark.parametrize("language", ["python", "typescript"])
+    def test_sidecar_takes_the_memoized_digest_and_keeps_its_bytes(self, tmp_path, language, monkeypatch):
+        rng, calls = random.Random(1414), []
+        real = codegen_mod.spec_digest
+        monkeypatch.setattr(codegen_mod, "spec_digest", lambda spec: calls.append(spec) or real(spec))
+        for index in range(100):
+            spec = random_spec(rng, language)
+            config = CodegenConfig(cache_dir=tmp_path / str(index))
+            metadata = {  # the sidecar as cache_store wrote it with spec_digest called on every store
+                "entry": spec.name,
+                "language": spec.target_language,
+                "template": spec.template.raw,
+                "return_schema": codegen_mod.render(spec.return_schema),
+                "param_schemas": codegen_mod._rendered_params(spec),
+                "digest": real(spec),
+                "retries_used": index % 3,
+            }
+            cache_store(spec, "def f():\n    return 1\n", config, retries_used=index % 3)
+            cache_store(spec, "def f():\n    return 1\n", config, retries_used=index % 3)
+            assert cache_paths(spec, config)[1].read_bytes() == (canonical_json(metadata) + "\n").encode("utf-8")
+            assert sum(call is spec for call in calls) == 1  # once for the names and both sidecars
 
 
 class TestCacheStoreLookup:
@@ -541,7 +567,7 @@ class TestForkServerOwnership:
         spec = replace(fib_spec(), tests=fib_spec().tests + (Example({"n": 1}, [0, 1, 1]),))
         client = ScriptedClient([code_response(FIB_WRONG), code_response(FIB_RIGHT)])
         generate(client, spec, CodegenConfig(cache_dir=tmp_path))
-        assert len(pools) == 3  # one for the wrong candidate, two for the right one
+        assert len(pools) == 2  # one run per candidate, whatever its number of test examples
         assert len(set(pools)) == 1
         assert starts == [["--fork-server"]] * 2  # each zygote of the pair, once
         assert live_children() - before == set()
@@ -655,3 +681,139 @@ class TestCodegenConfig:
         assert config.allows("add")
         assert config.allows("math_sum")
         assert not config.allows("subtract")
+
+
+def square_spec():
+    return TaskSpec(
+        name="square",
+        template=parse("square {{n}}"),
+        return_schema=INT,
+        param_schemas=(("n", INT),),
+        tests=(Example({"n": 1}, 1), Example({"n": 2}, 4), Example({"n": 3}, 9)),
+        target_language="python",
+    )
+
+
+def _per_example_loop(source, spec, config):
+    """The vetting loop from before one child per candidate: one run, and so
+    one forked child, per test example, each sent as a list of one."""
+    with scratch_dir("askit-vet-") as scratch:
+        path = os.path.join(scratch, "candidate.py")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(source)
+        for example in spec.tests:
+            shown = canonical_json(dict(example.input))
+            (actual,) = run_once(path, spec.name, [example.input], timeout=config.invoke_timeout)
+            if isinstance(actual, AskitError):
+                return Violation(ViolationKind.TEST_FAILURE, f"input {shown} raised: {actual}")
+            if not output_equal(example.output, actual):
+                return Violation(
+                    ViolationKind.TEST_FAILURE,
+                    f"input {shown}: expected {canonical_json(example.output)},"
+                    f" got {canonical_json(actual)}",
+                )
+    return None
+
+
+def _square_candidate(body_for_n, preamble=""):
+    """A square(n) candidate: right, except where body_for_n names n."""
+    cases = "".join(f"    if n == {n}:\n        {line}\n" for n, line in sorted(body_for_n.items()))
+    return f"{preamble}import os, sys, time\ndef square(*, n):\n{cases}    return n * n\n"
+
+
+FEEDBACK_CANDIDATES = {
+    "wrong_value_at_1": _square_candidate({1: "return 2"}),
+    "wrong_value_at_3": _square_candidate({3: "return -9"}),
+    "raise_at_2": _square_candidate({2: "raise ValueError('two is bad')"}),
+    "load_error": "import askit_no_such_module\ndef square(*, n):\n    return n * n\n",
+    "sandbox_write": _square_candidate({1: "open('../escape.txt', 'w').write('out'); return 1"}),
+    "timeout_at_2": _square_candidate({2: "time.sleep(30)"}),
+    "exit_at_2": _square_candidate({2: "os._exit(3)"}),
+    "unserializable_at_1": _square_candidate({1: "return {1}"}),
+    "stderr_at_1_then_raise_at_2": _square_candidate({
+        1: "print('noise from example 1', file=sys.stderr); return 1",
+        2: "print('noise from example 2', file=sys.stderr); raise ValueError('two is bad')",
+    }),
+}
+
+
+class TestOneChildPerCandidate:
+    """Each candidate's test examples run in one forked child, in order, each
+    in a fresh module namespace; the feedback is what one child per example gave."""
+
+    @pytest.mark.parametrize("name", sorted(FEEDBACK_CANDIDATES))
+    def test_feedback_matches_one_child_per_example(self, tmp_path, name):
+        config = CodegenConfig(cache_dir=tmp_path, invoke_timeout=0.5)
+        source, spec = FEEDBACK_CANDIDATES[name], square_spec()
+        expected = _per_example_loop(source, spec, config)
+        violation = codegen_mod._run_test_examples(source, spec, config)
+        assert violation is not None and expected is not None
+        assert (violation.kind, violation.detail) == (expected.kind, expected.detail)
+        assert not (tmp_path.parent / "escape.txt").exists()
+
+    def test_an_error_carries_only_its_own_examples_stderr(self, tmp_path):
+        violation = codegen_mod._run_test_examples(
+            FEEDBACK_CANDIDATES["stderr_at_1_then_raise_at_2"], square_spec(), CodegenConfig(cache_dir=tmp_path))
+        assert violation.detail.startswith('input {"n":2} raised: ValueError: two is bad')
+        assert "noise from example 2" in violation.detail and "noise from example 1" not in violation.detail
+
+    def test_a_passing_candidate_is_one_run(self, tmp_path, monkeypatch):
+        runs, real = [], codegen_mod.run_once
+        monkeypatch.setattr(codegen_mod, "run_once", lambda *args, **kwargs: runs.append(args) or real(*args, **kwargs))
+        config = CodegenConfig(cache_dir=tmp_path)
+        assert codegen_mod._run_test_examples(_square_candidate({}), square_spec(), config) is None
+        assert [args[2] for args in runs] == [[{"n": 1}, {"n": 2}, {"n": 3}]]
+
+    def test_only_the_failing_example_input_is_rendered(self, tmp_path, monkeypatch):
+        rendered, real = [], codegen_mod.canonical_json
+        monkeypatch.setattr(codegen_mod, "canonical_json", lambda value: rendered.append(value) or real(value))
+        config = CodegenConfig(cache_dir=tmp_path)
+        assert codegen_mod._run_test_examples(_square_candidate({}), square_spec(), config) is None
+        assert rendered == []
+        violation = codegen_mod._run_test_examples(FEEDBACK_CANDIDATES["wrong_value_at_3"], square_spec(), config)
+        assert violation.detail == 'input {"n":3}: expected 9, got -9'
+        assert {"n": 1} not in rendered and {"n": 2} not in rendered
+
+    def test_a_later_example_still_runs_after_a_wrong_value(self, tmp_path, monkeypatch):
+        seen, real = [], codegen_mod.run_once
+        monkeypatch.setattr(codegen_mod, "run_once", lambda *args, **kw: seen.append(real(*args, **kw)) or seen[-1])
+        config = CodegenConfig(cache_dir=tmp_path)
+        violation = codegen_mod._run_test_examples(_square_candidate({1: "return 2"}), square_spec(), config)
+        assert violation.detail == 'input {"n":1}: expected 1, got 2'
+        assert seen == [[2, 4, 9]]  # all three ran; the first wrong value is the feedback
+
+    def test_module_state_is_fresh_for_each_example(self, tmp_path):
+        source = (
+            "CALLS = 0\n"
+            "def square(*, n):\n"
+            "    global CALLS\n"
+            "    CALLS += 1\n"
+            "    return n * n * CALLS\n"
+        )
+        assert codegen_mod._run_test_examples(source, square_spec(), CodegenConfig(cache_dir=tmp_path)) is None
+
+    def test_process_state_carries_from_one_example_to_the_next(self, tmp_path):
+        source = _square_candidate({
+            1: "open('state.txt', 'w').write('1'); return 1",
+            2: "return 4 if os.path.exists('state.txt') else -1",
+        })
+        config = CodegenConfig(cache_dir=tmp_path)
+        assert codegen_mod._run_test_examples(source, square_spec(), config) is None
+        # One child per example saw no file: the contract changed here.
+        assert _per_example_loop(source, square_spec(), config).detail == 'input {"n":2}: expected 4, got -1'
+
+    def test_no_child_is_left_when_generate_returns_or_raises(self, tmp_path):
+        gc.collect()  # a pool that garbage of earlier tests still holds would serve this one
+        before = live_children()
+        raising = code_response(FEEDBACK_CANDIDATES["raise_at_2"])
+        gc.disable()  # a reference cycle would keep the zygotes until a collection
+        try:
+            client = ScriptedClient([raising, code_response(_square_candidate({}))])
+            assert generate(client, square_spec(), CodegenConfig(cache_dir=tmp_path / "a")).retries_used == 1
+            assert live_children() - before == set()
+            config = CodegenConfig(cache_dir=tmp_path / "b", max_retries=1)
+            with pytest.raises(GenerationFailed):
+                generate(ScriptedClient([raising] * 2), square_spec(), config)
+            assert live_children() - before == set()
+        finally:
+            gc.enable()

@@ -1,5 +1,6 @@
 """Execution harness: wire protocol, isolation, the worker loop and the fork server."""
 
+import gc
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import tempfile
 import threading
 import time
 import traceback
+import weakref
 from pathlib import Path
 
 import pytest
@@ -376,6 +378,63 @@ class TestForkServer:
             assert server.run(source, "f", {}) == 1
             assert server.run(source, "f", {}) == 1
 
+    def test_a_list_of_argument_sets_is_answered_in_order_by_one_child(self, tmp_path):
+        source = write_source(tmp_path, "import os\nCALLS = 0\ndef f(*, x):\n    global CALLS\n"
+                                        "    CALLS += 1\n    return [x, CALLS, os.getpid()]\n")
+        with ForkServer() as server:
+            outcomes = server.run(source, "f", [{"x": 1}, {"x": 2}, {"x": 3}])
+            assert server.run(source, "f", []) == []
+        assert [outcome[:2] for outcome in outcomes] == [[1, 1], [2, 1], [3, 1]]  # a fresh namespace each
+        assert len({outcome[2] for outcome in outcomes}) == 1  # one child
+
+    def test_a_failure_ends_the_outcomes_and_the_child(self, tmp_path):
+        source = write_source(tmp_path, "import sys\ndef f(*, x):\n    print(f'ran {x}', file=sys.stderr)\n"
+                                        "    if x == 2:\n        raise ValueError('two')\n    return x\n")
+        with ForkServer() as server:
+            outcomes = server.run(source, "f", [{"x": 1}, {"x": 2}, {"x": 3}])
+            assert server.run(source, "f", {"x": 4}) == 4
+            logged = server._stderr_path.read_text()
+        assert outcomes[0] == 1 and len(outcomes) == 2
+        assert isinstance(outcomes[1], ExecutionError) and str(outcomes[1]) == "ValueError: two\nran 2"
+        assert logged.split() == ["ran", "1", "ran", "2", "ran", "4"]  # the third set never ran
+
+    def test_each_argument_set_has_its_own_timeout(self, tmp_path):
+        source = write_source(tmp_path, "import time\ndef f(*, s):\n    time.sleep(s)\n    return s\n")
+        with ForkServer() as server:
+            assert server.run(source, "f", [{"s": 0.3}] * 3, timeout=0.6) == [0.3] * 3
+            outcomes = server.run(source, "f", [{"s": 0.0}, {"s": 30}, {"s": 0.0}], timeout=0.5)
+            assert server.run(source, "f", {"s": 0.0}) == 0.0
+        assert outcomes[0] == 0.0 and len(outcomes) == 2
+        assert isinstance(outcomes[1], ExecutionTimeout) and "exceeded 0.5s" in str(outcomes[1])
+
+    def test_each_argument_set_has_its_own_response_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "MAX_RESPONSE_BYTES", 1024)
+        source = write_source(tmp_path, "def f(*, n):\n    return 'x' * n\n")
+        with ForkServer() as server:
+            assert server.run(source, "f", [{"n": 700}] * 3) == ["x" * 700] * 3  # 2,100 bytes in all
+            outcomes = server.run(source, "f", [{"n": 700}, {"n": 2048}, {"n": 700}])
+            assert not server.alive
+        assert outcomes[0] == "x" * 700 and len(outcomes) == 2
+        assert isinstance(outcomes[1], ExecutionError) and "exceeds 1024 bytes" in str(outcomes[1])
+
+    def test_a_failed_run_ties_no_reference_cycle_to_its_server(self, tmp_path):
+        source = write_source(tmp_path, "def f():\n    raise ValueError('no')\n")
+        gc.disable()  # a cycle would keep the server, and its zygote, until a collection
+        try:
+            server = ForkServer()
+            try:
+                server.run(source, "f", {})
+            except ExecutionError:
+                pass
+            outcomes = server.run(source, "f", [{}, {}])  # held by this frame, which called the run
+            assert isinstance(outcomes[0], ExecutionError) and len(outcomes) == 1
+            proc, collected = server._proc, weakref.ref(server)
+            del server
+            assert collected() is None
+            assert proc.wait(timeout=5) is not None
+        finally:
+            gc.enable()
+
     def test_concurrent_runs_on_one_server_get_their_own_answers(self, tmp_path):
         source = write_source(tmp_path, ADD_SOURCE)
         results, errors = {}, []
@@ -735,6 +794,21 @@ class TestResponseCap:
             os.close(read_fd)
             if write_fd is not None:
                 os.close(write_fd)
+
+    def test_read_line_keeps_what_it_read_past_a_line_and_caps_each_line(self):
+        read_fd, write_fd = os.pipe()
+        try:
+            unread = bytearray()
+            os.write(write_fd, b"a" * 700 + b"\n" + b"b" * 700 + b"\n" + b"c" * 100)
+            assert harness.read_line(read_fd, 5.0, 1024, unread) == (b"a" * 700, None)
+            assert harness.read_line(read_fd, 5.0, 1024, unread) == (b"b" * 700, None)
+            assert unread == b"c" * 100
+            os.write(write_fd, b"c\n")
+            assert harness.read_line(read_fd, 5.0, 1024, unread) == (b"c" * 101, None)
+            assert unread == b""
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
 
 
 def _outcome(function, *args):

@@ -24,7 +24,7 @@ from .encoding import stable_digest
 from .engine import EngineConfig, ask_until_valid
 from .errors import NotCodable, SchemaError
 from .prompts import examples_from
-from .runner import Worker, fork_pool
+from .runner import Worker, fork_server
 from .template import _check_binding, parse
 from .types import TypeSchema, VoidType, render
 
@@ -115,14 +115,14 @@ def define(
 
 class DefinedFunction:
     """A task bound to the direct path. Immutable; safe to share. From its
-    first compile miss on it keeps the shared zygotes alive, so that later
-    misses do not start them again."""
+    first compile miss on it keeps the shared zygote alive, so that later
+    misses do not start it again."""
 
     def __init__(self, spec: TaskSpec, client=None, config: EngineConfig | None = None):
         self._spec = spec
         self._client = client
         self._config = config
-        self._zygotes = None
+        self._zygote = None
 
     @property
     def spec(self) -> TaskSpec:
@@ -172,7 +172,7 @@ def compile(
         )
     generated = cache_lookup(spec, config)
     if generated is None:
-        defined._zygotes = fork_pool()
+        defined._zygote = fork_server()
         generated = generate(client or defined._client or LiveClient(), spec, config)
     return CompiledFunction(spec, generated, config)
 
@@ -180,15 +180,15 @@ def compile(
 class CompiledFunction:
     """A task backed by validated generated code; calls never touch the client.
 
-    Calls go through a warm worker that the process's shared zygotes fork at
+    Calls go through a warm worker that the process's shared zygote forks at
     the first call; a worker found dead before a call is replaced, and a
     call that kills its worker is not run again. call_isolated() runs each
-    call in a fresh process forked by the same zygotes, which this function
+    call in a fresh process forked by the same zygote, which this function
     keeps alive while it is open; each isolated call takes hold of the
-    calling process's own pool, so a forked copy keeps its zygotes from one
+    calling process's own server, so a forked copy keeps its zygote from one
     call to the next. close(), or leaving it as a context manager, ends the
-    worker and lets go of the zygotes; they end when their last holder does,
-    or at askit.close(), which leaves an open function's worker answering.
+    worker and lets go of the zygote; it ends when its last holder does, or
+    at askit.close(), which leaves an open function's worker answering.
     """
 
     def __init__(self, spec: TaskSpec, generated: GeneratedFunction, config: CodegenConfig):
@@ -196,7 +196,7 @@ class CompiledFunction:
         self._generated = generated
         self._config = config
         self._worker: Worker | None = None
-        self._zygotes = fork_pool()
+        self._zygote = fork_server()
         self._lock = threading.Lock()
 
     @property
@@ -220,7 +220,7 @@ class CompiledFunction:
         """One fresh forked harness process for this call only."""
         merged = _merge_args(args, kwargs)
         _check_binding(self._spec.template, merged)
-        self._zygotes = fork_pool()  # in a forked copy, that copy's pool
+        self._zygote = fork_server()  # in a forked copy, that copy's server
         return invoke(self._generated, merged, timeout=self._config.invoke_timeout)
 
     def close(self) -> None:
@@ -228,7 +228,7 @@ class CompiledFunction:
             if self._worker is not None:
                 self._worker.close()
                 self._worker = None
-        self._zygotes = None
+        self._zygote = None
 
     def __enter__(self):
         return self

@@ -42,7 +42,7 @@ from .errors import (
     ToolchainUnavailable,
 )
 from .prompts import build_codegen, build_direct
-from .runner import fork_pool, scratch_dir
+from .runner import fork_server, scratch_dir
 from .taskfile import TaskFile, load_task_file
 
 EXIT_OK = 0
@@ -160,7 +160,7 @@ def _cmd_codegen(args) -> int:
         defined = api.DefinedFunction(entry.to_spec(target_language=args.target), client)
         try:
             return entry.name, api.compile(defined, config).generated, None
-        except GenerationFailed as exc:  # exc, kept, would hold main()'s zygotes until gc
+        except GenerationFailed as exc:  # exc, kept, would hold main()'s zygote until gc
             return entry.name, None, exc.violation
 
     if args.jobs > 1:
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    zygotes = fork_pool()  # held for the whole command: every task's test examples run on one pair
+    zygote = fork_server()  # held for the whole command: every task's test examples run on it
     try:
         return args.func(args)
     except SystemExit as exc:

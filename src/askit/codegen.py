@@ -4,10 +4,10 @@ A task is turned into a one-shot prompt; candidate code from the model is
 checked syntactically (Python: ast.parse in this process; TypeScript: tsc in
 a child process) and semantically: the test examples run in order in one
 fresh child per candidate, each in a fresh module namespace (process-wide
-state carries over), forked by the process's shared zygotes
-(runner.fork_pool); the first wrong value or failure is the feedback.
-generate holds that pool while it runs, so every candidate runs on the
-same pair of zygotes, which end with the pool's last holder. The first
+state carries over), forked by the process's shared zygote
+(runner.fork_server); the first wrong value or failure is the feedback.
+generate holds that server while it runs, so every candidate runs on the
+same zygote, which ends with the server's last holder. The first
 candidate passing every check is written to the on-disk cache; retries
 re-send the identical prompt and rely on sampling temperature for
 variation. Generation for a given cache key happens once: lookups hit the
@@ -41,7 +41,7 @@ from .errors import (
     ToolchainUnavailable,
 )
 from .prompts import Example, Violation, ViolationKind, build_codegen, extract_block
-from .runner import DEFAULT_INVOKE_TIMEOUT, fork_pool, run_once, scratch_dir
+from .runner import DEFAULT_INVOKE_TIMEOUT, fork_server, run_once, scratch_dir
 from .template import PromptTemplate, _check_binding, substitute_comment
 from .types import IDENT_RE, TypeSchema, VoidType, render
 
@@ -297,7 +297,7 @@ def generate(client, spec: TaskSpec, config: CodegenConfig | None = None) -> Gen
     code, syntax-check it, run every test example through the harness. The
     winning candidate is cached and returned with its retry count. Raises
     GenerationFailed with the last violation and the full attempt transcript.
-    Test examples run on the shared zygotes, held until this returns or
+    Test examples run on the shared zygote, held until this returns or
     raises. Concurrent calls for the same cache key are serialized by a file
     lock; whoever enters second finds the cache populated.
     """
@@ -309,7 +309,7 @@ def generate(client, spec: TaskSpec, config: CodegenConfig | None = None) -> Gen
         messages = [Message("user", build_codegen(spec).text)]
         transcript: list[tuple[str, Violation]] = []
         violation: Violation | None = None
-        zygotes = fork_pool()  # kept alive from one candidate to the next
+        zygote = fork_server()  # kept alive from one candidate to the next
         try:
             for attempt in range(config.max_retries + 1):
                 response = client.complete(messages, temperature=config.temperature)
@@ -325,7 +325,7 @@ def generate(client, spec: TaskSpec, config: CodegenConfig | None = None) -> Gen
                     )
                 transcript.append((response, violation))
         finally:
-            del zygotes  # a traceback kept by the caller must not keep them running
+            del zygote  # a traceback kept by the caller must not keep it running
         raise GenerationFailed(violation, transcript)
 
 

@@ -27,16 +27,17 @@ changes into the scratch directory (also its TMPDIR and HOME), installs the
 sandbox, answers the sets in order with a fresh namespace for each, as the
 one-shot mode does up to its first error document, and leaves with os._exit
 (answer_each). The zygote relays each line, gives each set its own timeout
-({"ok": false, "timeout": true, ...}) and MAX_RESPONSE_BYTES, kills the
-child after its last line and only then reaps it, so the reap overlaps the
-parent's next step.
+({"ok": false, "timeout": true, ...}) and MAX_RESPONSE_BYTES, and kills the
+child after its last line. A child that answered is reaped as workers are,
+so the reap overlaps the parent's next step; on an error path the zygote
+waits for it, as the error text needs its exit status.
 
 A request {"worker": true, "source": <path>, "scratch": <dir>} is answered
 with the pid of a warm worker forked the same way: it logs to stderr.log,
 loads the source once and answers each request line on the FIFO `in` in the
 scratch directory on the FIFO `out`, until end of file. The parent made both
 FIFOs and holds their other ends; the zygote opens the worker's ends before
-it forks, reaps exited workers on SIGCHLD and before each request, and at
+it forks, reaps exited children on SIGCHLD and before each request, and at
 end of input without SIGTERM (the owner has gone) waits for them.
 
 Before executing the generated source an audit-hook sandbox is installed in
@@ -366,15 +367,15 @@ def serve(fifo_in, fifo_out, source, code):
         write_line(fifo_out, encode_response(handle_request(namespace, load_error, request)))
 
 
-def reap(workers, options=os.WNOHANG):
-    """Reap the pids in `workers` that have exited (options 0: wait for each)."""
-    for pid in list(workers):
+def reap(children, options=os.WNOHANG):
+    """Reap the pids in `children` that have exited (options 0: wait for each)."""
+    for pid in list(children):
         try:
             if not os.waitpid(pid, options)[0]:
                 continue
         except ChildProcessError:  # reaped meanwhile, by the SIGCHLD handler
             pass
-        workers.discard(pid)
+        children.discard(pid)
 
 
 def answer_each(source_path, request, code, fd):
@@ -391,10 +392,11 @@ def answer_each(source_path, request, code, fd):
             return
 
 
-def run_forked(request, protocol_in, protocol_out, compiled):
+def run_forked(request, protocol_in, protocol_out, compiled, children):
     """Answer `request` in one forked child (answer_each) and relay its lines
     up to the first error, or an error document for the set it does not
-    answer in time. `compiled` is the zygote's compile_once cache."""
+    answer in time. `compiled` is the zygote's compile_once cache; a child
+    that answered joins `children`, the pids reaped on SIGCHLD."""
     scratch, timeout, source = request["scratch"], request["timeout"], request["source"]
     code = compile_once(source, compiled)
     read_fd, write_fd = os.pipe()
@@ -403,24 +405,26 @@ def run_forked(request, protocol_in, protocol_out, compiled):
     os.close(write_fd)
     unread, why = bytearray(), None
     try:
-        try:
-            for _ in request["args"]:
-                line, why = read_line(read_fd, timeout, MAX_RESPONSE_BYTES, unread)
-                if why is None:
-                    write_line(protocol_out, text := line.decode("utf-8", errors="replace"))
-                if why is not None or not text.startswith(SUCCESS):
-                    break
-        finally:
-            # Kill the child on every path; one still running here has answered,
-            # closed its pipe, overrun its time or outgrown the response limit.
-            os.close(read_fd)
-            os.kill(pid, _signal.SIGKILL)
-        if why is None:
-            # Answer, then reap: the reap overlaps the parent's decode and its
-            # next request. Error paths reap first; their text needs the status.
-            return
+        for _ in request["args"]:
+            line, why = read_line(read_fd, timeout, MAX_RESPONSE_BYTES, unread)
+            if why is None:
+                write_line(protocol_out, text := line.decode("utf-8", errors="replace"))
+            if why is not None or not text.startswith(SUCCESS):
+                break
     finally:
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        # Kill the child on every path; one still running here has answered,
+        # closed its pipe, overrun its time or outgrown the response limit.
+        os.close(read_fd)
+        os.kill(pid, _signal.SIGKILL)
+        if why is None:
+            # Kill, then add, then reap: added before the kill, the child could
+            # be reaped on SIGCHLD and the kill hit a reused pid; the pass
+            # reaps it if its SIGCHLD came before the add.
+            children.add(pid)
+            reap(children)
+    if why is None:
+        return  # reaped later, while the parent decodes and sends its next request
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if why == "timeout":
         error = {"ok": False, "timeout": True, "error": f"{request.get('entry')} exceeded {timeout}s"}
     elif why == "oversize":
@@ -448,27 +452,26 @@ def main(argv):
         write_line(protocol_out, encode_response(response))
 
     if fork_server:
-        compiled, workers = {}, set()
-        # A terminated zygote still reaps the child it is waiting for, then
-        # leaves at once: it holds nothing worth finalizing.
+        compiled, children = {}, set()
+        # A terminated zygote leaves at once: it holds nothing worth finalizing.
         _signal.signal(_signal.SIGTERM, lambda signum, frame: sys.exit(0))
-        _signal.signal(_signal.SIGCHLD, lambda signum, frame: reap(workers))
+        _signal.signal(_signal.SIGCHLD, lambda signum, frame: reap(children))
         try:
             for request in requests(protocol_in, protocol_out):
-                reap(workers)
+                reap(children)
                 try:
                     if request.get("worker"):
-                        workers.add(pid := fork_worker(request, protocol_in, protocol_out, compiled))
+                        children.add(pid := fork_worker(request, protocol_in, protocol_out, compiled))
                         respond({"ok": True, "result": pid})
                     else:
-                        run_forked(request, protocol_in, protocol_out, compiled)
+                        run_forked(request, protocol_in, protocol_out, compiled, children)
                 except (AttributeError, TypeError, KeyError) as exc:
                     respond({"ok": False, "error": f"fork request is malformed: {exc!r}"})
                 except OSError as exc:
                     respond({"ok": False, "error": f"fork request failed: {exc}"})
-            reap(workers, 0)
+            reap(children, 0)
         except SystemExit:
-            reap(workers)
+            reap(children)
         os._exit(0)
 
     source_path = argv[1]

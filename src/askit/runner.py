@@ -5,8 +5,8 @@ Each run() makes a fresh askit-run-* scratch directory and sends one request
 for a list of argument sets; the zygote forks one fresh child that works
 there, installs the sandbox and answers the sets in order, each in a fresh
 module namespace (process-wide state carries over). The zygote starts at its
-first request, or at start(), and is replaced when found dead before one;
-requests to one server are serialized.
+first request and is replaced when found dead before one; requests to one
+server are serialized.
 
 A Worker is a long-lived child that a zygote forks: it loads the generated
 module once, so module state persists across calls and a call costs a round
@@ -14,22 +14,18 @@ trip over two FIFOs in its askit-worker-* scratch directory. This process
 is not its parent: it ends the worker through a pidfd, which never names a
 reused pid, and the zygote reaps it.
 
-A process shares one ForkPool of two fork servers, which take requests in
-turn: one zygote reaps its last child while the other forks the next, and
-two callers run in parallel. The pool's first run starts both zygotes, so
-the second boots while the first run waits; a spawn boots only the zygote
-whose turn it is. run_once (codegen's vetting, call_isolated) and Worker use
-the pool that fork_pool() returns, which this module holds by a weak
-reference only. Its holders keep it alive: codegen.generate while it runs,
-each open CompiledFunction (in a forked copy, from its first call_isolated
-on), a DefinedFunction from its first compile miss on, and the `askit`
-command line; a Worker holds the server that forked it. When the last
-holder goes, the zygotes end; close() ends them at once (open workers still
-answer), and later requests start them again. A forked copy of the process
-drops the pool and starts its own.
+A process shares one ForkServer, which fork_server() returns and this module
+holds by a weak reference only. run_once (codegen's vetting, call_isolated)
+runs on it and every Worker is forked by it. Its holders keep it alive:
+codegen.generate while it runs, each open CompiledFunction (in a forked
+copy, from its first call_isolated on), a DefinedFunction from its first
+compile miss on, the `askit` command line, and each Worker. When the last
+holder goes, the zygote ends; close() ends it at once (open workers still
+answer), and a later request starts it again. A forked copy of the process
+drops the server and starts its own.
 
-Zygotes are the only interpreters askit starts: `python -I -S -B
-<scratch>/harness.pyc`, from bytecode compiled once per process, in their
+The zygote is the only interpreter askit starts: `python -I -S -B
+<scratch>/harness.pyc`, from bytecode compiled once per process, in its
 own askit-worker-* scratch directory, without `site` (generated code sees
 the standard library only) and with a minimal environment. A request is one
 line each way under a deadline and a size cap (MAX_RESPONSE_BYTES); every
@@ -43,7 +39,6 @@ copy's descriptors.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import marshal
 import os
@@ -113,8 +108,8 @@ def run_once(
     timeout: float = DEFAULT_INVOKE_TIMEOUT,
 ) -> Any:
     """Execute entry(**args) from a source file in a fresh process forked
-    by the process's shared zygotes; see ForkServer.run."""
-    return fork_pool().run(source_path, entry, args, timeout)
+    by the process's shared zygote; see ForkServer.run."""
+    return fork_server().run(source_path, entry, args, timeout)
 
 
 @contextmanager
@@ -225,9 +220,9 @@ class _HarnessProcess:
 
 
 class Worker(_HarnessProcess):
-    """A warm harness process for one source, forked by a zygote of the
-    process's pool; see the module docstring. run_once is the fully
-    isolated variant. Thread-safe: calls are serialized."""
+    """A warm harness process for one source, forked by the process's
+    shared zygote, which it holds; see the module docstring. run_once is
+    the fully isolated variant. Thread-safe: calls are serialized."""
 
     def __init__(self, source_path: str | Path, call_timeout: float = DEFAULT_INVOKE_TIMEOUT):
         super().__init__()
@@ -245,7 +240,8 @@ class Worker(_HarnessProcess):
             reader = os.open(fifo_in, os.O_RDONLY | os.O_NONBLOCK)
             try:
                 fds["requests"] = os.open(fifo_in, os.O_WRONLY)
-                self._zygote, self.pid = fork_pool().spawn(self.source_path, scratch)
+                self._zygote = fork_server()
+                self.pid = self._zygote.spawn(self.source_path, scratch)
             finally:
                 os.close(reader)
             fds["pidfd"] = os.pidfd_open(self.pid)
@@ -307,7 +303,7 @@ class ForkServer(_HarnessProcess):
                         document = _decode_response(raw, lambda since=logged: self._stderr_tail(since))
                     except AskitError as exc:  # ExecutionError, ExecutionTimeout or ProtocolError
                         # A copy without traceback: through its frames' callers, the caller's
-                        # frame would hold it in a reference cycle, and with it the zygotes.
+                        # frame would hold it in a reference cycle, and with it the zygote.
                         return [*outcomes, type(exc)(*exc.args)]
                     outcomes.append(document.get("result"))
                     logged = document.get("logged", logged)
@@ -322,74 +318,41 @@ class ForkServer(_HarnessProcess):
             raw = self._exchange(request, FORK_SERVER_GRACE)
             return _decode_response(raw, lambda: self._stderr_tail(logged)).get("result")
 
-    def start(self) -> None:
-        """Start the zygote now, unless it runs or a request holds this server."""
-        if self._lock.acquire(blocking=False):
-            try:
-                self._ensure_zygote()
-            finally:
-                self._lock.release()
-
     def _ensure_zygote(self) -> None:  # hold self._lock
         if not self.alive:
             self.close()
             self._start(["--fork-server"])
 
 
-class ForkPool:
-    """Two fork servers that take runs in turn; see the module docstring."""
-
-    def __init__(self):
-        self._servers = (ForkServer(), ForkServer())
-        self._turns = itertools.count()
-
-    def run(self, *args, **kwargs) -> Any:
-        """ForkServer.run on the next server in turn."""
-        turn = next(self._turns)
-        if turn == 0:
-            self._servers[1].start()  # it boots while the first run waits for the other
-        return self._servers[turn % 2].run(*args, **kwargs)
-
-    def spawn(self, source_path: str, scratch: str) -> tuple[ForkServer, int]:
-        """A warm worker forked by the next server in turn: that server and
-        the worker's pid. It boots no other zygote."""
-        server = self._servers[next(self._turns) % 2]
-        return server, server.spawn(source_path, scratch)
-
-    def close(self) -> None:
-        for server in self._servers:
-            server.close()
+_server_lock = threading.Lock()
+_server: weakref.ref[ForkServer] | None = None
 
 
-_pool_lock = threading.Lock()
-_pool: weakref.ref[ForkPool] | None = None
-
-
-def fork_pool() -> ForkPool:
-    """The process's shared pool; a new one when no holder keeps one alive.
-    Its zygotes start at its first run."""
-    global _pool
-    with _pool_lock:
-        pool = _pool() if _pool is not None else None
-        if pool is None:
-            pool = ForkPool()
-            _pool = weakref.ref(pool)
-        return pool
+def fork_server() -> ForkServer:
+    """The process's shared fork server; a new one when no holder keeps one
+    alive. Its zygote starts at its first request."""
+    global _server
+    with _server_lock:
+        server = _server() if _server is not None else None
+        if server is None:
+            server = ForkServer()
+            _server = weakref.ref(server)
+        return server
 
 
 def close() -> None:
-    """End the shared zygotes now; later runs start them again."""
-    pool = _pool() if _pool is not None else None
-    if pool is not None:
-        pool.close()
+    """End the shared zygote now; a later request starts it again."""
+    server = _server() if _server is not None else None
+    if server is not None:
+        server.close()
 
 
-def _forget_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _forget_server() -> None:
+    global _server, _server_lock
+    _server, _server_lock = None, threading.Lock()
 
 
-os.register_at_fork(after_in_child=_forget_pool)  # a forked copy starts zygotes of its own
+os.register_at_fork(after_in_child=_forget_server)  # a forked copy starts a zygote of its own
 
 
 def _kill_worker(pidfd: int) -> None:

@@ -65,6 +65,21 @@ def gone(pid, timeout: float = 5.0, zombie_ok: bool = False) -> bool:
         time.sleep(0.01)
 
 
+def count_starts(monkeypatch):
+    """The arguments of each harness interpreter started from now on, in a
+    list that fills as runner._HarnessProcess._start is called."""
+    from askit import runner
+
+    starts, real_start = [], runner._HarnessProcess._start
+
+    def start(self, harness_args):
+        starts.append(harness_args)
+        return real_start(self, harness_args)
+
+    monkeypatch.setattr(runner._HarnessProcess, "_start", start)
+    return starts
+
+
 @pytest.fixture
 def golden():
     def read(name: str) -> str:

@@ -23,7 +23,7 @@ from askit.errors import (
 )
 from askit.prompts import Example
 from askit.types import INT, STR, VOID, list_of, literal, record, union, validate
-from conftest import gone
+from conftest import count_starts, gone
 
 SENTIMENT = union(literal("positive"), literal("negative"))
 BOOK = record({"title": STR, "author": STR, "year": INT})
@@ -282,7 +282,7 @@ class TestCompile:
         compiled = self.factorial(client).compile(CodegenConfig(cache_dir=tmp_path))
         assert compiled(n=3) == 6
         worker = compiled._worker
-        runner.close()  # askit.close(): the zygotes end
+        runner.close()  # askit.close(): the zygote ends
         assert not worker._zygote.alive
         assert compiled(n=4) == 24
         assert compiled._worker is worker
@@ -292,20 +292,14 @@ class TestCompile:
 
     def test_first_warm_call_on_a_cache_hit_starts_one_interpreter(self, tmp_path, monkeypatch):
         runner.close()
-        starts, real_start = [], runner._HarnessProcess._start
-
-        def start(self, harness_args):
-            starts.append(harness_args)
-            return real_start(self, harness_args)
-
-        monkeypatch.setattr(runner._HarnessProcess, "_start", start)
+        starts = count_starts(monkeypatch)
         config = CodegenConfig(cache_dir=tmp_path)
         defined = self.factorial(ScriptedClient([]))
         cache_store(defined.spec, FACTORIAL_CODE + "\n", config)
         with defined.compile(config) as compiled:
             assert compiled.generated.from_cache
             assert compiled(n=5) == 120
-            assert starts == [["--fork-server"]]  # one zygote, not the pair
+            assert starts == [["--fork-server"]]  # the zygote; it forks the worker
 
     def test_call_that_kills_its_worker_runs_once(self, tmp_path, monkeypatch):
         source = "import os\ndef crash(*, n):\n    os._exit(1)"
@@ -453,14 +447,7 @@ class TestForkSafety:
             assert compiled.call_isolated(n=6) == 720
 
     def test_isolated_calls_in_a_forked_copy_start_one_pair_of_zygotes(self, tmp_path, monkeypatch):
-        starts = []
-        real_start = runner._HarnessProcess._start
-
-        def start(self, harness_args):
-            starts.append(harness_args)
-            return real_start(self, harness_args)
-
-        monkeypatch.setattr(runner._HarnessProcess, "_start", start)
+        starts = count_starts(monkeypatch)
         client = ScriptedClient([code_response(FACTORIAL_CODE)])
         with TestCompile().factorial(client).compile(CodegenConfig(cache_dir=tmp_path)) as compiled:
             assert compiled.call_isolated(n=3) == 6
@@ -475,6 +462,6 @@ class TestForkSafety:
             assert _fork(body) == 0
             os.close(write_fd)
             with os.fdopen(read_fd) as answer:
-                assert answer.read() == "2"  # not two per call
+                assert answer.read() == "1"  # not one per call
             assert compiled.call_isolated(n=6) == 720
             assert compiled(n=6) == 720

@@ -9,7 +9,6 @@ import pytest
 import askit.api as api
 import askit.cli as cli
 import askit.codegen as codegen_mod
-import askit.runner as runner
 from askit.clients import DEFAULT_MODEL_ID, RecordingClient, ScriptedClient, fixture_key
 from askit.cli import main
 from askit.codegen import CodegenConfig, generate
@@ -17,7 +16,7 @@ from askit.engine import DEFAULT_TEMPERATURE, EngineConfig, Message, ask_until_v
 from askit.prompts import build_codegen
 from askit.taskfile import load_task_file
 from askit.errors import GenerationFailed, ToolchainUnavailable
-from conftest import DEMO_FIXTURES, DEMO_TASKS, live_children
+from conftest import DEMO_FIXTURES, DEMO_TASKS, count_starts, live_children
 
 
 def envelope(answer, reason="because"):
@@ -344,14 +343,7 @@ class TestCodegenCommand:
         }
         task_path = write_tasks(tmp_path, tasks)
         fixtures = write_fixtures(tmp_path / "fixtures.jsonl", task_path, candidates)
-        starts = []
-        real_start = runner._HarnessProcess._start
-
-        def start(self, harness_args):
-            starts.append(harness_args)
-            return real_start(self, harness_args)
-
-        monkeypatch.setattr(runner._HarnessProcess, "_start", start)
+        starts = count_starts(monkeypatch)
         argv = [
             "codegen", task_path,
             "--jobs", "2",
@@ -363,7 +355,7 @@ class TestCodegenCommand:
         rows = json.loads(capsys.readouterr().out)["tasks"]
         assert {row["name"]: row["retries_used"] for row in rows} == {"addNumbers": 1, "mulNumbers": 0, "subNumbers": 2}
         assert {row["status"] for row in rows} == {"generated"}
-        assert starts == [["--fork-server"]] * 2  # not one zygote per task
+        assert starts == [["--fork-server"]]  # one zygote for every task and job
 
     def test_only_subset(self, capsys, tmp_path):
         argv = [
@@ -513,14 +505,7 @@ class TestBenchCommand:
         assert metrics["execution_time_us"] < 25_000  # the mean is over 50,000 us
 
     def test_tasks_share_one_pair_of_zygotes(self, capsys, tmp_path, monkeypatch):
-        starts = []
-        real_start = runner._HarnessProcess._start
-
-        def start(self, harness_args):
-            starts.append(harness_args)
-            return real_start(self, harness_args)
-
-        monkeypatch.setattr(runner._HarnessProcess, "_start", start)
+        starts = count_starts(monkeypatch)
         only = ["--only", "calculateFactorial", "--only", "sumNumbers", "--only", "sortNumbers"]
         code = main(
             ["bench", str(DEMO_TASKS), *only, "--fixtures", str(DEMO_FIXTURES), "--repeat", "1",
@@ -528,7 +513,7 @@ class TestBenchCommand:
         )
         assert code == 0
         assert len(json.loads(capsys.readouterr().out)["tasks"]) == 3
-        assert starts.count(["--fork-server"]) == 2  # not one zygote per task
+        assert starts.count(["--fork-server"]) == 1  # not one zygote per task
 
     def test_fixtures_flag_required(self):
         with pytest.raises(SystemExit):

@@ -42,7 +42,7 @@ from askit.prompts import Example, Violation, ViolationKind
 from askit.runner import run_once, scratch_dir
 from askit.template import parse
 from askit.types import INT, STR, list_of
-from conftest import gone, live_children, parent_of
+from conftest import count_starts, gone, live_children, parent_of
 from schemagen import random_spec
 
 
@@ -519,12 +519,12 @@ class TestForkServerOwnership:
         assert compiled.call_isolated(x=2, y=3) == 5
         assert compiled.call_isolated(x=4, y=3) == 7
         zygotes = live_children() - before
-        assert len(zygotes) == 2  # the warm worker is not a child: a zygote forked it
+        assert len(zygotes) == 1  # the warm worker is not a child: the zygote forked it
         worker = compiled._worker.pid
-        assert str(parent_of(worker)) in zygotes
+        assert zygotes == {str(parent_of(worker))}
         compiled.close()
         assert gone(worker)  # its zygote has reaped it
-        assert live_children() - before == zygotes  # the defined function still holds the zygotes
+        assert live_children() - before == zygotes  # the defined function still holds the zygote
         del compiled, defined
         assert live_children() - before == set()
 
@@ -535,11 +535,11 @@ class TestForkServerOwnership:
                          client=ScriptedClient([code_response(ADD_PY)]))
         with defined.compile(CodegenConfig(cache_dir=tmp_path)) as compiled:
             assert compiled.call_isolated(x=2, y=3) == 5
-            assert len(live_children() - before) == 2  # the two zygotes
+            assert len(live_children() - before) == 1  # the zygote
             askit.close()
             assert live_children() - before == set()
             assert compiled.call_isolated(x=4, y=3) == 7
-            assert len(live_children() - before) == 1  # the zygote whose turn it was
+            assert len(live_children() - before) == 1  # the zygote, started again
         askit.close()
         assert live_children() - before == set()
 
@@ -551,26 +551,29 @@ class TestForkServerOwnership:
 
     def test_test_examples_share_one_fork_server(self, tmp_path, monkeypatch):
         before = live_children()
-        pools, starts = [], []
-        real_run_once, real_start = codegen_mod.run_once, runner._HarnessProcess._start
+        servers, real_run_once = [], codegen_mod.run_once
 
         def spy(*args, **kwargs):
-            pools.append(id(runner.fork_pool()))  # an id: holding the pool would keep it alive
+            servers.append(id(runner.fork_server()))  # an id: holding the server would keep it alive
             return real_run_once(*args, **kwargs)
 
-        def start(self, harness_args):
-            starts.append(harness_args)
-            return real_start(self, harness_args)
-
         monkeypatch.setattr(codegen_mod, "run_once", spy)
-        monkeypatch.setattr(runner._HarnessProcess, "_start", start)
+        starts = count_starts(monkeypatch)
         spec = replace(fib_spec(), tests=fib_spec().tests + (Example({"n": 1}, [0, 1, 1]),))
         client = ScriptedClient([code_response(FIB_WRONG), code_response(FIB_RIGHT)])
         generate(client, spec, CodegenConfig(cache_dir=tmp_path))
-        assert len(pools) == 2  # one run per candidate, whatever its number of test examples
-        assert len(set(pools)) == 1
-        assert starts == [["--fork-server"]] * 2  # each zygote of the pair, once
+        assert len(servers) == 2  # one run per candidate, whatever its number of test examples
+        assert len(set(servers)) == 1
+        assert starts == [["--fork-server"]]
         assert live_children() - before == set()
+
+    def test_an_unheld_generate_starts_one_zygote(self, tmp_path, monkeypatch):
+        gc.collect()  # nothing from earlier tests may hold the shared server
+        runner.close()
+        starts = count_starts(monkeypatch)
+        client = ScriptedClient([code_response(FIB_WRONG), code_response(FIB_RIGHT)])
+        assert generate(client, fib_spec(), CodegenConfig(cache_dir=tmp_path)).retries_used == 1
+        assert starts == [["--fork-server"]]
 
 
 def _fork_that_exits_normally():
@@ -803,10 +806,10 @@ class TestOneChildPerCandidate:
         assert _per_example_loop(source, square_spec(), config).detail == 'input {"n":2}: expected 4, got -1'
 
     def test_no_child_is_left_when_generate_returns_or_raises(self, tmp_path):
-        gc.collect()  # a pool that garbage of earlier tests still holds would serve this one
+        gc.collect()  # a server that garbage of earlier tests still holds would serve this one
         before = live_children()
         raising = code_response(FEEDBACK_CANDIDATES["raise_at_2"])
-        gc.disable()  # a reference cycle would keep the zygotes until a collection
+        gc.disable()  # a reference cycle would keep the zygote until a collection
         try:
             client = ScriptedClient([raising, code_response(_square_candidate({}))])
             assert generate(client, square_spec(), CodegenConfig(cache_dir=tmp_path / "a")).retries_used == 1

@@ -18,7 +18,7 @@ from askit import harness, runner
 from askit.errors import ExecutionError, ExecutionTimeout, ProtocolError
 from askit.runner import DEFAULT_INVOKE_TIMEOUT, HARNESS_PATH, Worker, _decode_response, run_once
 from askit.runner import ForkServer
-from conftest import REPO, gone, parent_of
+from conftest import REPO, count_starts, gone, parent_of
 
 ADD_SOURCE = "def add(*, x, y):\n    return x + y\n"
 
@@ -256,7 +256,7 @@ class TestWorker:
 
 
 class TestForkedWorker:
-    """A Worker is a child of one of the pool's zygotes, not of this process."""
+    """A Worker is a child of the shared zygote, not of this process."""
 
     def test_each_worker_sees_fresh_module_state(self, tmp_path):
         dirty = write_source(
@@ -277,19 +277,19 @@ class TestForkedWorker:
             "    return sorted(globals()), [m for m in ('askit_leak', 'fnmatch') if m in sys.modules]\n",
             name="probe.py",
         )
-        pool = runner.fork_pool()
+        server = runner.fork_server()
         try:
             with Worker(dirty) as worker:
                 assert worker.call("f", {}) == 0
-            assert [run_once(dirty, "f", {}) for _ in range(2)] == [0, 0]  # on both zygotes
+            assert [run_once(dirty, "f", {}) for _ in range(2)] == [0, 0]
             workers = [Worker(probe) for _ in range(2)]
-            assert {worker._zygote for worker in workers} == set(pool._servers)
+            assert all(worker._zygote is server for worker in workers)
             for worker in workers:
                 # The zygote's preload (json, traceback) may be there; nothing else is.
                 assert worker.call("f", {}) == [["__builtins__", "__file__", "__name__", "f", "sys"], []]
                 worker.close()
         finally:
-            pool.close()
+            server.close()
 
     def test_worker_is_a_zygote_child_reaped_after_close(self, tmp_path):
         worker = Worker(write_source(tmp_path, ADD_SOURCE))
@@ -350,15 +350,27 @@ class TestForkedWorker:
             assert server.run(source, "add", {"x": 2, "y": 3}) == 5
             assert server._proc.pid == zygote
 
-    def test_a_spawn_on_an_idle_pool_boots_one_zygote(self, tmp_path):
-        pool = runner.ForkPool()
+    def test_a_spawn_on_an_idle_pool_boots_one_zygote(self, tmp_path, monkeypatch):
+        starts = count_starts(monkeypatch)
+        server = ForkServer()
         try:
-            pool.spawn(str(write_source(tmp_path, ADD_SOURCE)), str(tmp_path))  # no FIFOs: refused
+            server.spawn(str(write_source(tmp_path, ADD_SOURCE)), str(tmp_path))  # no FIFOs: refused
         except ExecutionError:
             pass
         finally:
-            assert [server.alive for server in pool._servers] == [True, False]
-            pool.close()
+            assert server.alive and starts == [["--fork-server"]]
+            server.close()
+
+    def test_bare_workers_in_a_loop_share_one_zygote(self, tmp_path, monkeypatch):
+        gc.collect()  # nothing from earlier tests may hold the shared server
+        runner.close()
+        starts = count_starts(monkeypatch)
+        source = write_source(tmp_path, ADD_SOURCE)
+        for i in range(20):
+            worker = Worker(source)  # it holds the server, which forks the next one too
+            assert worker.call("add", {"x": i, "y": 1}) == i + 1
+        worker.close()
+        assert starts == [["--fork-server"]]
 
     def test_serve_mode_is_gone(self, tmp_path):
         proc = subprocess.run(
@@ -525,32 +537,15 @@ class TestForkServer:
 
 
 class TestForkPool:
+    """The process's shared fork server, runner.fork_server()."""
+
     PARENT_SOURCE = "import os\ndef f():\n    return os.getppid()\n"
 
-    def test_runs_alternate_between_two_zygotes(self, tmp_path):
-        source = write_source(tmp_path, self.PARENT_SOURCE)
-        pool = runner.ForkPool()
-        try:
-            zygotes = [pool.run(source, "f", {}) for _ in range(4)]
-        finally:
-            pool.close()
-        assert zygotes[0] != zygotes[1]
-        assert zygotes == zygotes[:2] * 2
-
-    def test_first_run_starts_both_zygotes(self, tmp_path):
-        pool = runner.ForkPool()
-        try:
-            assert not any(server.alive for server in pool._servers)
-            assert pool.run(write_source(tmp_path, ADD_SOURCE), "add", {"x": 1, "y": 2}) == 3
-            assert all(server.alive for server in pool._servers)
-        finally:
-            pool.close()
-
-    def test_close_ends_an_idle_zygote_at_end_of_input(self, monkeypatch):
+    def test_close_ends_an_idle_zygote_at_end_of_input(self, tmp_path, monkeypatch):
         # SIGTERM that lands just before the zygote blocks on its next read
         # is handled only after that read returns; end of input must do.
         server = ForkServer()
-        server.start()
+        assert server.run(write_source(tmp_path, ADD_SOURCE), "add", {"x": 1, "y": 2}) == 3
         zygote = server._proc
         monkeypatch.setattr(subprocess.Popen, "terminate", lambda self: None)
         started = time.perf_counter()
@@ -560,29 +555,29 @@ class TestForkPool:
 
     def test_shared_pool_ends_with_its_last_holder(self, tmp_path):
         source = write_source(tmp_path, ADD_SOURCE)
-        pool = runner.fork_pool()
-        assert runner.fork_pool() is pool
+        server = runner.fork_server()
+        assert runner.fork_server() is server
         assert run_once(source, "add", {"x": 1, "y": 2}) == 3
         assert run_once(source, "add", {"x": 2, "y": 2}) == 4
-        zygotes = [server._proc for server in pool._servers]
-        assert all(zygote.poll() is None for zygote in zygotes)
-        del pool
-        assert all(zygote.poll() is not None for zygote in zygotes)
-        assert run_once(source, "add", {"x": 3, "y": 2}) == 5  # a new pool, for this run alone
+        zygote = server._proc
+        assert zygote.poll() is None
+        del server
+        assert zygote.poll() is not None
+        assert run_once(source, "add", {"x": 3, "y": 2}) == 5  # a new server, for this run alone
 
     def test_close_ends_the_zygotes_and_the_next_run_starts_one(self, tmp_path):
         source = write_source(tmp_path, self.PARENT_SOURCE)
-        pool = runner.fork_pool()
+        server = runner.fork_server()
         first = run_once(source, "f", {})
         runner.close()
-        assert not any(server.alive for server in pool._servers)
+        assert not server.alive
         assert run_once(source, "f", {}) != first
-        assert runner.fork_pool() is pool
-        pool.close()
+        assert runner.fork_server() is server
+        server.close()
 
     def test_forked_child_starts_a_pool_of_its_own(self, tmp_path):
         source = write_source(tmp_path, self.PARENT_SOURCE)
-        pool = runner.fork_pool()
+        server = runner.fork_server()
         zygote = run_once(source, "f", {})
         read_fd, write_fd = os.pipe()
         pid = os.fork()
@@ -591,7 +586,7 @@ class TestForkPool:
             try:
                 os.close(read_fd)
                 mine = run_once(source, "f", {})
-                os.write(write_fd, f"{runner.fork_pool() is not pool} {mine != zygote}".encode())
+                os.write(write_fd, f"{runner.fork_server() is not server} {mine != zygote}".encode())
                 status = 0
             finally:
                 os._exit(status)
@@ -599,9 +594,9 @@ class TestForkPool:
         with os.fdopen(read_fd) as answer:
             assert answer.read() == "True True"
         assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-        assert pool._servers[0].alive
-        assert zygote in {run_once(source, "f", {}) for _ in range(2)}  # the caller's zygote still serves
-        pool.close()
+        assert server.alive
+        assert run_once(source, "f", {}) == zygote  # the caller's zygote still serves
+        server.close()
 
 
 def _one_shot_error(source, entry):
@@ -680,6 +675,26 @@ class TestCompileOnce:
                 while children.read_text().split() and time.monotonic() < deadline:
                     time.sleep(0.005)
                 assert children.read_text().split() == []
+
+    @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"), reason="Linux /proc only")
+    def test_back_to_back_runs_on_one_zygote_all_answer_and_leave_no_zombie(self, tmp_path):
+        # The zygote kills an answered child, then adds it to its reap set: the
+        # other order lets SIGCHLD reap a child that exited first, and the kill
+        # then fails (or hits a reused pid).
+        source = write_source(tmp_path, ADD_SOURCE)
+        server = runner.fork_server()
+        try:
+            assert run_once(source, "add", {"x": 0, "y": 1}) == 1
+            zygote = server._proc.pid
+            assert [run_once(source, "add", {"x": i, "y": 1}) for i in range(1000)] == list(range(1, 1001))
+            assert server._proc.pid == zygote
+            children = Path(f"/proc/{zygote}/task/{zygote}/children")
+            deadline = time.monotonic() + 1.0
+            while children.read_text().split() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert children.read_text().split() == []
+        finally:
+            server.close()
 
     @pytest.mark.parametrize("start", [lambda source: Worker(source), lambda source: ForkServer()], ids=["worker", "fork_server"])
     def test_harness_starts_from_bytecode_in_its_own_scratch(self, tmp_path, start):

@@ -16,11 +16,12 @@ Run from the repository root:
 
 It runs the workload untraced through perfbench/run.py's `run` with one
 set-up and a zero-second timed phase (which still completes the compile
-workload's first round), with runner._HarnessProcess._start, which starts
+workload's first round), with runner.ForkServer._start, which starts
 every harness interpreter, wrapped to count its calls (`--fork-server`
 launches are zygotes, any other a warm worker of its own), api.generate
 wrapped to count misses, codegen.run_once to count vetting runs and
-ForkServer._exchange to count forked children, and prints one JSON object.
+ForkServer._exchange, which sends each fork request, to count forked
+children, and prints one JSON object.
 Only the counts are reported; the run is too short for its timings to mean
 anything.
 """
@@ -51,16 +52,16 @@ def main(argv: list[str]) -> int:
     import askit.codegen
     import askit.runner
 
-    harness_process, api, codegen = askit.runner._HarnessProcess, askit.api, askit.codegen
-    original_start, original_exchange = harness_process._start, harness_process._exchange
+    server, api, codegen = askit.runner.ForkServer, askit.api, askit.codegen
+    original_start, original_exchange = server._start, server._exchange
     original_generate, original_run_once = api.generate, codegen.run_once
     counts = {"interpreter_starts": 0, "zygote_starts": 0, "worker_starts": 0, "misses": 0,
               "vetting_runs": 0, "forked_children": 0}
 
-    def start(self, harness_args):
+    def start(self):
+        original_start(self)
         counts["interpreter_starts"] += 1
-        counts["zygote_starts" if harness_args == ["--fork-server"] else "worker_starts"] += 1
-        return original_start(self, harness_args)
+        counts["zygote_starts" if self._proc.args[5:] == ["--fork-server"] else "worker_starts"] += 1
 
     def generate(*rest, **kwargs):
         counts["misses"] += 1
@@ -71,16 +72,15 @@ def main(argv: list[str]) -> int:
         return original_run_once(*rest, **kwargs)
 
     def exchange(self, *rest, **kwargs):
-        if isinstance(self, askit.runner.ForkServer):  # a request to a zygote: a run or a worker, one fork each
-            counts["forked_children"] += 1
+        counts["forked_children"] += 1  # a fork request: a run or a worker, one fork each
         return original_exchange(self, *rest, **kwargs)
 
-    harness_process._start, harness_process._exchange = start, exchange
+    server._start, server._exchange = start, exchange
     api.generate, codegen.run_once = generate, run_once
     try:
         result = bench.run(args.workload, args.seed, 0.0, trace=False, setup_reps=1)
     finally:
-        harness_process._start, harness_process._exchange = original_start, original_exchange
+        server._start, server._exchange = original_start, original_exchange
         api.generate, codegen.run_once = original_generate, original_run_once
     print(json.dumps({
         "workload": args.workload,

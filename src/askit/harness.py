@@ -16,29 +16,22 @@ The harness keeps the protocol channel to itself: the real stdout/stdin file
 descriptors are duplicated away before user code runs, fd 1 is pointed at
 stderr (so stray prints cannot corrupt responses) and fd 0 at /dev/null.
 
-The fork server is a zygote that never runs generated code. A run request
-names the source file, a scratch directory, a timeout and argument sets:
+The fork server is a zygote that never runs generated code. It answers each
+request line with the pid of a child it forks (fork_request), or an error:
 
-    {"source": <path>, "scratch": <dir>, "timeout": <s>, "entry": ..., "args": [{...}, ...]}
+    {"source": <path>, "scratch": <dir>, "entry": ..., "args": [{...}, ...]}   a run
+    {"source": <path>, "scratch": <dir>}                                      a warm worker
 
-The zygote compiles the source unless it compiled the same text at the same
-path before (compile_once) and forks one fresh child per request, which
-changes into the scratch directory (also its TMPDIR and HOME), installs the
-sandbox, answers the sets in order with a fresh namespace for each, as the
-one-shot mode does up to its first error document, and leaves with os._exit
-(answer_each). The zygote relays each line, gives each set its own timeout
-({"ok": false, "timeout": true, ...}) and MAX_RESPONSE_BYTES, and kills the
-child after its last line. A child that answered is reaped as workers are,
-so the reap overlaps the parent's next step; on an error path the zygote
-waits for it, as the error text needs its exit status.
-
-A request {"worker": true, "source": <path>, "scratch": <dir>} is answered
-with the pid of a warm worker forked the same way: it logs to stderr.log,
-loads the source once and answers each request line on the FIFO `in` in the
-scratch directory on the FIFO `out`, until end of file. The parent made both
-FIFOs and holds their other ends; the zygote opens the worker's ends before
-it forks, reaps exited children on SIGCHLD and before each request, and at
-end of input without SIGTERM (the owner has gone) waits for them.
+The caller made the FIFO `out` (for a worker also `in`) in the scratch
+directory and holds its other end. The child works and logs (stderr.log)
+there. A run's child answers the sets on `out` in order, each in a fresh
+namespace, up to its first error document, and leaves (answer_each); a
+worker loads the source once and answers each line on `in` until end of file
+(serve). The caller enforces timeouts and the size cap and kills through a
+pidfd. The zygote keeps a write end of each child's `out`: before it reaps
+an exited child (on SIGCHLD) it writes {"ok": false, "error": "harness
+exited with status N"} there. At end of input without SIGTERM (the owner
+has gone) it kills the runs' children and waits for all.
 
 Before executing the generated source an audit-hook sandbox is installed in
 the process that runs it: file writes, renames and deletes outside the
@@ -316,18 +309,22 @@ def requests(protocol_in, protocol_out):
 
 def fork_child(scratch, inherited, body):
     """Fork a child that closes the zygote's descriptors in `inherited`,
-    changes into `scratch` (also its TMPDIR and HOME), installs the sandbox,
-    runs body() and leaves with os._exit; its pid."""
+    changes into `scratch` (also its TMPDIR and HOME), logs to stderr.log
+    there, installs the sandbox, runs body() and leaves with os._exit; its pid."""
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             for signum in (_signal.SIGTERM, _signal.SIGCHLD):
                 _signal.signal(signum, _signal.SIG_DFL)
+            _signal.pthread_sigmask(_signal.SIG_UNBLOCK, {_signal.SIGCHLD})
             for fd in inherited:
                 os.close(fd)
             os.chdir(scratch)
             os.environ["TMPDIR"] = os.environ["HOME"] = scratch
+            log = os.open("stderr.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o600)
+            for fd in (1, 2):
+                os.dup2(log, fd)
             install_sandbox(scratch)
             body()
             status = 0
@@ -342,24 +339,35 @@ def fork_child(scratch, inherited, body):
     return pid
 
 
-def fork_worker(request, protocol_in, protocol_out, compiled):
-    """Fork a warm worker for a worker request; its pid."""
-    scratch, source = request["scratch"], request["source"]
+def fork_request(request, protocol, children, compiled):
+    """Fork the child that a fork request asks for; its pid. A run's child
+    (the request has "args") answers them (answer_each), a warm worker reads
+    requests from the FIFO `in` (serve); each answers on the FIFO `out`, both
+    in the request's scratch directory. `compiled` is the compile_once cache;
+    the zygote keeps a write end of `out` of its own in `children` (reap)."""
+    scratch, source, run = request["scratch"], request["source"], "args" in request
     code = compile_once(source, compiled)
-    fifos = [os.open(os.path.join(scratch, "in"), os.O_RDONLY | os.O_NONBLOCK)]
+    # `out` is opened twice: the child makes its end blocking, the zygote's must not be.
+    ends = []
     try:
-        fifos.append(os.open(os.path.join(scratch, "out"), os.O_WRONLY | os.O_NONBLOCK))
-        return fork_child(scratch, (protocol_in, protocol_out), lambda: serve(*fifos, source, code))
+        for name, flags in [("out", os.O_WRONLY), ("out", os.O_WRONLY), *([] if run else [("in", os.O_RDONLY)])]:
+            ends.append(os.open(os.path.join(scratch, name), flags | os.O_NONBLOCK))
+        kept, out, *fifo_in = ends
+        body = (lambda: answer_each(source, request, code, out)) if run else (lambda: serve(*fifo_in, out, source, code))
+        _signal.pthread_sigmask(_signal.SIG_BLOCK, {_signal.SIGCHLD})  # no reap until `children` holds the pid
+        try:
+            pid = fork_child(scratch, (*protocol, *(end for end, _ in children.values()), kept), body)
+            children[pid] = ends.pop(0), run
+        finally:
+            _signal.pthread_sigmask(_signal.SIG_UNBLOCK, {_signal.SIGCHLD})
+        return pid
     finally:
-        for fd in fifos:
+        for fd in ends:
             os.close(fd)
 
 
 def serve(fifo_in, fifo_out, source, code):
-    """A worker's life: log to stderr.log, load once, answer until end of input."""
-    log = os.open("stderr.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o600)
-    for fd in (1, 2):
-        os.dup2(log, fd)
+    """A worker's life: load once, answer until end of input."""
     for fd in (fifo_in, fifo_out):
         os.set_blocking(fd, True)
     namespace, load_error = load(source, code)
@@ -367,21 +375,11 @@ def serve(fifo_in, fifo_out, source, code):
         write_line(fifo_out, encode_response(handle_request(namespace, load_error, request)))
 
 
-def reap(children, options=os.WNOHANG):
-    """Reap the pids in `children` that have exited (options 0: wait for each)."""
-    for pid in list(children):
-        try:
-            if not os.waitpid(pid, options)[0]:
-                continue
-        except ChildProcessError:  # reaped meanwhile, by the SIGCHLD handler
-            pass
-        children.discard(pid)
-
-
 def answer_each(source_path, request, code, fd):
     """A run's child: answer each argument set of `request` in order with one
     line on `fd`, each in a fresh namespace, up to the first error. A success
     also carries "logged", the stderr log's size after its set's output."""
+    os.set_blocking(fd, True)
     for args in request["args"]:
         response = handle_request(*load(source_path, code), {**request, "args": args})
         sys.stdout.flush()
@@ -392,46 +390,26 @@ def answer_each(source_path, request, code, fd):
             return
 
 
-def run_forked(request, protocol_in, protocol_out, compiled, children):
-    """Answer `request` in one forked child (answer_each) and relay its lines
-    up to the first error, or an error document for the set it does not
-    answer in time. `compiled` is the zygote's compile_once cache; a child
-    that answered joins `children`, the pids reaped on SIGCHLD."""
-    scratch, timeout, source = request["scratch"], request["timeout"], request["source"]
-    code = compile_once(source, compiled)
-    read_fd, write_fd = os.pipe()
-    pid = fork_child(
-        scratch, (read_fd, protocol_in, protocol_out), lambda: answer_each(source, request, code, write_fd))
-    os.close(write_fd)
-    unread, why = bytearray(), None
-    try:
-        for _ in request["args"]:
-            line, why = read_line(read_fd, timeout, MAX_RESPONSE_BYTES, unread)
-            if why is None:
-                write_line(protocol_out, text := line.decode("utf-8", errors="replace"))
-            if why is not None or not text.startswith(SUCCESS):
-                break
-    finally:
-        # Kill the child on every path; one still running here has answered,
-        # closed its pipe, overrun its time or outgrown the response limit.
-        os.close(read_fd)
-        os.kill(pid, _signal.SIGKILL)
-        if why is None:
-            # Kill, then add, then reap: added before the kill, the child could
-            # be reaped on SIGCHLD and the kill hit a reused pid; the pass
-            # reaps it if its SIGCHLD came before the add.
-            children.add(pid)
-            reap(children)
-    if why is None:
-        return  # reaped later, while the parent decodes and sends its next request
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if why == "timeout":
-        error = {"ok": False, "timeout": True, "error": f"{request.get('entry')} exceeded {timeout}s"}
-    elif why == "oversize":
-        error = {"ok": False, "error": f"response exceeds {MAX_RESPONSE_BYTES} bytes"}
-    else:
-        error = {"ok": False, "error": f"harness exited with status {status}"}
-    write_line(protocol_out, encode_response(error))
+def reap(children, options=os.WNOHANG):
+    """Reap the children in `children` that have exited (options 0: wait for
+    each). It maps a pid to the zygote's write end of that child's `out` and
+    whether the child is a run's: before the pid can be reused, the child's
+    exit status goes there as an error document, which its caller reads in
+    place of an answer."""
+    for pid in list(children):
+        try:
+            exited = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | options)
+        except ChildProcessError:  # reaped meanwhile, by a reap that interrupted this one
+            continue
+        if exited is None or (claimed := children.pop(pid, None)) is None:
+            continue
+        status = exited.si_status if exited.si_code == os.CLD_EXITED else -exited.si_status
+        try:
+            write_line(claimed[0], encode_response({"ok": False, "error": f"harness exited with status {status}"}))
+        except OSError:  # the caller has gone, or reads no more
+            pass
+        os.close(claimed[0])
+        os.waitpid(pid, 0)
 
 
 def main(argv):
@@ -452,23 +430,24 @@ def main(argv):
         write_line(protocol_out, encode_response(response))
 
     if fork_server:
-        compiled, children = {}, set()
+        compiled, children = {}, {}
         # A terminated zygote leaves at once: it holds nothing worth finalizing.
         _signal.signal(_signal.SIGTERM, lambda signum, frame: sys.exit(0))
         _signal.signal(_signal.SIGCHLD, lambda signum, frame: reap(children))
         try:
             for request in requests(protocol_in, protocol_out):
-                reap(children)
                 try:
-                    if request.get("worker"):
-                        children.add(pid := fork_worker(request, protocol_in, protocol_out, compiled))
-                        respond({"ok": True, "result": pid})
-                    else:
-                        run_forked(request, protocol_in, protocol_out, compiled, children)
+                    respond({"ok": True, "result": fork_request(request, (protocol_in, protocol_out), children, compiled)})
                 except (AttributeError, TypeError, KeyError) as exc:
                     respond({"ok": False, "error": f"fork request is malformed: {exc!r}"})
                 except OSError as exc:
                     respond({"ok": False, "error": f"fork request failed: {exc}"})
+            # The owner has gone: a run's child answers no one now, and a warm
+            # worker leaves at the end of its own input.
+            _signal.signal(_signal.SIGCHLD, _signal.SIG_DFL)
+            for pid, (_, run) in children.items():
+                if run:
+                    os.kill(pid, _signal.SIGKILL)
             reap(children, 0)
         except SystemExit:
             reap(children)

@@ -1,18 +1,16 @@
 """Parent-side drivers for the execution harness.
 
 ForkServer keeps one zygote harness alive that never runs generated code.
-Each run() makes a fresh askit-run-* scratch directory and sends one request
-for a list of argument sets; the zygote forks one fresh child that works
-there, installs the sandbox and answers the sets in order, each in a fresh
-module namespace (process-wide state carries over). The zygote starts at its
-first request and is replaced when found dead before one; requests to one
-server are serialized.
-
-A Worker is a long-lived child that a zygote forks: it loads the generated
-module once, so module state persists across calls and a call costs a round
-trip over two FIFOs in its askit-worker-* scratch directory. This process
-is not its parent: it ends the worker through a pidfd, which never names a
-reused pid, and the zygote reaps it.
+Its lock covers one fork request, which the zygote answers with the pid of
+a child. The caller then talks to that child alone over FIFOs in the child's
+scratch directory, enforces each answer's timeout and size cap
+(MAX_RESPONSE_BYTES), and kills it through a pidfd, which never names a
+reused pid; the zygote reaps it and answers for it with its exit status.
+Each run() forks one fresh child (askit-run-*) that answers a list of
+argument sets in order, each in a fresh module namespace (process-wide state
+carries over). A Worker (askit-worker-*) loads the generated module once, so
+module state persists across calls. The zygote starts at the first fork
+request and is replaced when found dead before one.
 
 A process shares one ForkServer, which fork_server() returns and this module
 holds by a weak reference only. run_once (codegen's vetting, call_isolated)
@@ -27,13 +25,12 @@ drops the server and starts its own.
 The zygote is the only interpreter askit starts: `python -I -S -B
 <scratch>/harness.pyc`, from bytecode compiled once per process, in its
 own askit-worker-* scratch directory, without `site` (generated code sees
-the standard library only) and with a minimal environment. A request is one
-line each way under a deadline and a size cap (MAX_RESPONSE_BYTES); every
-harness process logs to a stderr.log and is shut down when its owner is
-closed or collected. Only the process that made a scratch directory removes
-it (scratch_dir), and only the one that started a harness process signals
-it: in a forked copy it reads as not alive, and closing it there closes that
-copy's descriptors.
+the standard library only) and with a minimal environment. A fork request is
+one line each way under a deadline; the zygote logs to a stderr.log and is
+shut down when its owner is closed or collected. Only the process that made
+a scratch directory removes it (scratch_dir), and only the one that started
+the zygote or asked for a child signals it: in a forked copy either reads as
+not alive, and closing it there closes that copy's descriptors.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ import sys
 import tempfile
 import threading
 import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from importlib.util import MAGIC_NUMBER
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -61,7 +58,7 @@ from .harness import MAX_RESPONSE_BYTES, read_line, write_line
 HARNESS_PATH = Path(__file__).with_name("harness.py")
 
 DEFAULT_INVOKE_TIMEOUT = 10.0
-# Time the zygote gets on top of a run's own timeout to fork, reap and reply.
+# Time the zygote gets to answer a fork request.
 FORK_SERVER_GRACE = 5.0
 
 
@@ -91,14 +88,23 @@ def _decode_response(raw: str, stderr_tail: Callable[[], str] = lambda: "") -> d
     if not isinstance(document, dict) or "ok" not in document:
         raise ProtocolError(f"harness output is not a response document: {raw[:200]!r}")
     if not document["ok"]:
-        error = document.get("error", "unknown error")
-        if document.get("timeout"):
-            raise ExecutionTimeout(error)
-        tail = stderr_tail()
-        if tail:
-            error = f"{error}\n{tail}"
-        raise ExecutionError(error)
+        raise _failure(document.get("error", "unknown error"), stderr_tail)
     return document
+
+
+def _failure(error: str, stderr_tail: Callable[[], str]) -> ExecutionError:
+    tail = stderr_tail()
+    return ExecutionError(f"{error}\n{tail}" if tail else error)
+
+
+def _tail(stderr_path: str | Path, since: int = 0) -> str:
+    """The last 500 bytes of a stderr log written after offset `since`."""
+    try:
+        with open(stderr_path, "rb") as log:
+            log.seek(max(since, log.seek(0, os.SEEK_END) - 500))
+            return log.read().decode("utf-8", errors="replace").strip()
+    except OSError:
+        return ""
 
 
 def run_once(
@@ -129,50 +135,65 @@ def _remove_scratch(path: str, owner: int) -> None:
         shutil.rmtree(path, ignore_errors=True)
 
 
-def _ready(fd: int, timeout: float = 0.0) -> bool:
-    """Readable or hung up within `timeout` s; a pidfd is once its process exits."""
-    return bool(select.select([fd], [], [], timeout)[0])
+def _ready(*fds: int, timeout: float = 0.0) -> bool:
+    """Any of `fds` readable or hung up within `timeout` s; a pidfd is once its process exits."""
+    return bool(select.select(fds, [], [], timeout)[0])
 
 
-class _HarnessProcess:
-    """A harness process, its request and response descriptors and its
-    stderr log; see the module docstring."""
+class _Child:
+    """A child that a zygote forked, seen from its caller: a pidfd, the read
+    end of the FIFO `out` it answers on, for a warm worker the write end of
+    the FIFO `in` it reads, and its stderr.log, all in a new scratch
+    directory named after `prefix`; see harness.fork_request."""
 
-    _finalizer = None
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._unread = bytearray()  # read past the last response line
-
-    def _start(self, harness_args: list[str]) -> None:
-        scratch, self._unread = tempfile.mkdtemp(prefix="askit-worker-"), bytearray()
+    def __init__(self, zygote: ForkServer, source_path: str, prefix: str, **run):
+        self._owner, self._unread, self._fds = os.getpid(), bytearray(), {}
+        scratch = tempfile.mkdtemp(prefix=prefix)
         self._stderr_path = Path(scratch) / "stderr.log"
-        stderr_handle = open(self._stderr_path, "wb")
-        harness = Path(scratch) / "harness.pyc"  # not compiled at each start
-        harness.write_bytes(_harness_pyc())
-        # -I: script directory off sys.path, PYTHON* env vars ignored; -S: no
-        # `site`, no .pth hooks (over half the start-up); -B: no bytecode writes.
-        self._proc = subprocess.Popen(
-            [sys.executable, "-I", "-S", "-B", str(harness), *harness_args],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=stderr_handle,
-            cwd=scratch,
-            env=_child_env(scratch),
-            bufsize=0,
-        )
-        self._requests, self._responses = self._proc.stdin.fileno(), self._proc.stdout.fileno()
-        self._owner = os.getpid()
-        self._finalizer = weakref.finalize(self, _shutdown, self._proc, scratch, stderr_handle, self._owner)
+        fifo, fds = functools.partial(os.path.join, scratch), self._fds
+        try:
+            os.mkfifo(fifo("out"), 0o600)
+            fds["out"] = os.open(fifo("out"), os.O_RDONLY | os.O_NONBLOCK)
+            if not run:
+                os.mkfifo(fifo("in"), 0o600)
+                # Connect before the worker exists, so that it never reads end of
+                # file before its first request; a reader only lets the open pass.
+                fds["reader"] = os.open(fifo("in"), os.O_RDONLY | os.O_NONBLOCK)
+                fds["in"] = os.open(fifo("in"), os.O_WRONLY)
+                os.close(fds.pop("reader"))
+            self.pid = zygote.spawn(source_path, scratch, **run)
+            with suppress(ProcessLookupError):  # reaped already: its exit status is on `out`
+                fds["pidfd"] = os.pidfd_open(self.pid)
+        except BaseException:
+            _end_child(fds, self._unread, scratch, self._owner)
+            raise
+        self._finalizer = weakref.finalize(self, _end_child, fds, self._unread, scratch, self._owner)
 
     @property
     def alive(self) -> bool:
-        """Running, not closed, and started by this process, not by the one it was forked from."""
-        return bool(self._finalizer and self._finalizer.alive) and self._owner == os.getpid() and not self._exited()
+        """Not closed, forked for this process (not for the one it was forked from) and not exited."""
+        return self._finalizer.alive and self._owner == os.getpid() and not _has_left(self._fds, self._unread)
+
+    def _receive(self, entry: str, timeout: float | None, since: int = 0) -> dict:
+        """The next answer on `out`, or the failure it reports raised with what
+        the child logged after offset `since`. A child that does not answer
+        within `timeout` s, or answers past MAX_RESPONSE_BYTES, is killed
+        first, so that it logs nothing more."""
+        line, why = read_line(self._fds["out"], timeout, MAX_RESPONSE_BYTES, self._unread)
+        stderr_tail = functools.partial(_tail, self._stderr_path, since)
+        if why is None:
+            return _decode_response(line.decode("utf-8", errors="replace"), stderr_tail)
+        # Nothing in time: no exit status yet either. Too much: the child is still
+        # writing a line longer than a pipe holds. End of file: the zygote died.
+        if why != "closed" and "pidfd" in self._fds:
+            _kill(self._fds["pidfd"], wait=2.0)
+        if why == "timeout":
+            raise ExecutionTimeout(f"{entry} exceeded {timeout}s")
+        error = f"response exceeds {MAX_RESPONSE_BYTES} bytes" if why == "oversize" else "harness closed its output"
+        raise _failure(error, stderr_tail)
 
     def close(self) -> None:
-        if self._finalizer is not None:
-            self._finalizer()
+        self._finalizer()
 
     def __enter__(self):
         return self
@@ -180,99 +201,39 @@ class _HarnessProcess:
     def __exit__(self, *exc_info):
         self.close()
 
-    def _exited(self) -> bool:
-        return self._proc.poll() is not None
 
-    def _exchange(self, request: str, timeout: float | None) -> str:
-        """One request line out, its first response line back; hold self._lock."""
-        try:
-            write_line(self._requests, request)
-        except OSError as exc:
-            self._kill()
-            raise ExecutionError(f"harness pipe closed: {self._stderr_tail()}") from exc
-        return self._receive(timeout)
-
-    def _receive(self, timeout: float | None) -> str:
-        """The next response line; hold self._lock. A process that does not answer,
-        or answers past the size cap, is killed: its channel may not line up."""
-        line, why = read_line(self._responses, timeout, MAX_RESPONSE_BYTES, self._unread)
-        if why is None:
-            return line.decode("utf-8", errors="replace")
-        self._kill()
-        if why == "timeout":
-            raise ExecutionTimeout(f"no response within {timeout}s")
-        if why == "oversize":
-            raise ExecutionError(f"harness response exceeds {MAX_RESPONSE_BYTES} bytes")
-        raise ExecutionError(f"harness closed its output: {self._stderr_tail()}")
-
-    def _kill(self) -> None:
-        self._proc.kill()
-        self._proc.wait(timeout=5.0)
-
-    def _stderr_tail(self, since: int = 0) -> str:
-        """The last 500 bytes the harness wrote to stderr after offset `since`."""
-        try:
-            with open(self._stderr_path, "rb") as log:
-                log.seek(max(since, log.seek(0, os.SEEK_END) - 500))
-                return log.read().decode("utf-8", errors="replace").strip()
-        except OSError:
-            return ""
-
-
-class Worker(_HarnessProcess):
+class Worker(_Child):
     """A warm harness process for one source, forked by the process's
     shared zygote, which it holds; see the module docstring. run_once is
     the fully isolated variant. Thread-safe: calls are serialized."""
 
     def __init__(self, source_path: str | Path, call_timeout: float = DEFAULT_INVOKE_TIMEOUT):
-        super().__init__()
         self.source_path = os.path.abspath(source_path)  # the worker runs elsewhere
         self.call_timeout = call_timeout
-        scratch, self._owner, fds = tempfile.mkdtemp(prefix="askit-worker-"), os.getpid(), {}
-        self._stderr_path = Path(scratch) / "stderr.log"
-        fifo_in, fifo_out = os.path.join(scratch, "in"), os.path.join(scratch, "out")
-        try:
-            for fifo in (fifo_in, fifo_out):
-                os.mkfifo(fifo, 0o600)
-            fds["responses"] = os.open(fifo_out, os.O_RDONLY | os.O_NONBLOCK)
-            # Connect before the worker exists, so that it never reads end of
-            # file before its first request; this reader only lets the open pass.
-            reader = os.open(fifo_in, os.O_RDONLY | os.O_NONBLOCK)
-            try:
-                fds["requests"] = os.open(fifo_in, os.O_WRONLY)
-                self._zygote = fork_server()
-                self.pid = self._zygote.spawn(self.source_path, scratch)
-            finally:
-                os.close(reader)
-            fds["pidfd"] = os.pidfd_open(self.pid)
-            # The worker holds the only write end of `out` until it exits, so
-            # no hang-up there now proves that the pidfd names the live worker.
-            if _ready(fds["responses"]):
-                raise ExecutionError(f"worker exited at start: {self._stderr_tail()}")
-        except BaseException:
-            _end_worker(fds, scratch, self._owner)
-            raise
-        self._requests, self._responses, self._pidfd = fds["requests"], fds["responses"], fds["pidfd"]
-        self._finalizer = weakref.finalize(self, _end_worker, fds, scratch, self._owner)
+        self._lock, self._zygote = threading.Lock(), fork_server()
+        super().__init__(self._zygote, self.source_path, "askit-worker-")
 
     def call(self, entry: str, args: Mapping[str, Any]) -> Any:
         request = json.dumps({"entry": entry, "args": dict(args)}, ensure_ascii=False)
         with self._lock:
             if not self._finalizer.alive:  # its descriptor numbers may name other files by now
                 raise ExecutionError("worker is closed")
-            raw = self._exchange(request, self.call_timeout)
-        return _decode_response(raw, self._stderr_tail).get("result")
-
-    def _exited(self) -> bool:
-        return _ready(self._pidfd)
-
-    def _kill(self) -> None:
-        _kill_worker(self._pidfd)
+            try:
+                write_line(self._fds["in"], request)
+            except BrokenPipeError:
+                pass  # it has exited: its exit status is the answer
+            return self._receive(entry, self.call_timeout).get("result")
 
 
-class ForkServer(_HarnessProcess):
-    """A zygote harness that forks one fresh child per run, and warm
-    workers; see the module docstring. Thread-safe: requests are serialized."""
+class ForkServer:
+    """The zygote: a harness process that never runs generated code and
+    forks the child of each run and each warm worker; see the module
+    docstring. Thread-safe: only a fork request holds its lock."""
+
+    _finalizer = None
+
+    def __init__(self):
+        self._lock = threading.Lock()
 
     def run(
         self,
@@ -290,38 +251,82 @@ class ForkServer(_HarnessProcess):
             if isinstance(outcomes[0], AskitError):
                 raise outcomes.pop()  # held by no local of this frame, which its traceback holds
             return outcomes[0]
-        grace, outcomes = None if timeout is None else timeout + FORK_SERVER_GRACE, []
-        with scratch_dir("askit-run-") as scratch:
-            request = json.dumps({"source": os.path.abspath(source_path), "scratch": scratch, "timeout": timeout,
-                                  "entry": entry, "args": [dict(arg_set) for arg_set in args]}, ensure_ascii=False)
-            with self._lock:
-                self._ensure_zygote()
-                logged = os.path.getsize(self._stderr_path)
-                while len(outcomes) < len(args):
-                    try:
-                        raw = self._receive(grace) if outcomes else self._exchange(request, grace)
-                        document = _decode_response(raw, lambda since=logged: self._stderr_tail(since))
-                    except AskitError as exc:  # ExecutionError, ExecutionTimeout or ProtocolError
-                        # A copy without traceback: through its frames' callers, the caller's
-                        # frame would hold it in a reference cycle, and with it the zygote.
-                        return [*outcomes, type(exc)(*exc.args)]
+        outcomes, logged, sets = [], 0, [dict(arg_set) for arg_set in args]
+        try:
+            with _Child(self, os.path.abspath(source_path), "askit-run-", entry=entry, args=sets) as child:
+                while len(outcomes) < len(sets):
+                    document = child._receive(entry, timeout, logged)
                     outcomes.append(document.get("result"))
                     logged = document.get("logged", logged)
+        except AskitError as exc:  # ExecutionError, ExecutionTimeout or ProtocolError
+            # A copy without traceback: through its frames' callers, the caller's
+            # frame would hold it in a reference cycle, and with it the zygote.
+            outcomes.append(type(exc)(*exc.args))
         return outcomes
 
-    def spawn(self, source_path: str, scratch: str) -> int:
-        """The pid of a new warm worker for `source_path`, answering on the FIFOs in `scratch`."""
-        request = json.dumps({"worker": True, "source": source_path, "scratch": scratch}, ensure_ascii=False)
+    def spawn(self, source_path: str, scratch: str, **run) -> int:
+        """The pid of a child forked for `source_path` that works in `scratch`:
+        given `run` (an `entry` and a list of `args`), a run's child, else a
+        warm worker; see harness.fork_request."""
+        request = json.dumps({"source": source_path, "scratch": scratch, **run}, ensure_ascii=False)
         with self._lock:
-            self._ensure_zygote()
-            logged = os.path.getsize(self._stderr_path)
-            raw = self._exchange(request, FORK_SERVER_GRACE)
-            return _decode_response(raw, lambda: self._stderr_tail(logged)).get("result")
+            if not self.alive:
+                self.close()
+                self._start()
+            return _decode_response(self._exchange(request, FORK_SERVER_GRACE)).get("result")
 
-    def _ensure_zygote(self) -> None:  # hold self._lock
-        if not self.alive:
-            self.close()
-            self._start(["--fork-server"])
+    @property
+    def alive(self) -> bool:
+        """Running, not closed, and started by this process, not by the one it was forked from."""
+        return bool(self._finalizer and self._finalizer.alive) and self._owner == os.getpid() and self._proc.poll() is None
+
+    def close(self) -> None:
+        if self._finalizer is not None:
+            self._finalizer()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def _start(self) -> None:
+        scratch = tempfile.mkdtemp(prefix="askit-worker-")
+        try:
+            self._stderr_path = Path(scratch) / "stderr.log"
+            harness = Path(scratch) / "harness.pyc"  # not compiled at each start
+            harness.write_bytes(_harness_pyc())
+            with open(self._stderr_path, "wb") as stderr:
+                # -I: script directory off sys.path, PYTHON* env vars ignored; -S: no
+                # `site`, no .pth hooks (over half the start-up); -B: no bytecode writes.
+                self._proc = subprocess.Popen(
+                    [sys.executable, "-I", "-S", "-B", str(harness), "--fork-server"],
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    stderr=stderr,
+                    cwd=scratch,
+                    env=_child_env(scratch),
+                    bufsize=0,
+                )
+        except BaseException:
+            _remove_scratch(scratch, os.getpid())
+            raise
+        self._owner = os.getpid()
+        self._finalizer = weakref.finalize(self, _shutdown, self._proc, scratch, self._owner)
+
+    def _exchange(self, request: str, timeout: float) -> str:
+        """One fork request out, its one-line answer back; hold self._lock.
+        A zygote that does not answer in time is killed."""
+        try:
+            write_line(self._proc.stdin.fileno(), request)
+            line, why = read_line(self._proc.stdout.fileno(), timeout, MAX_RESPONSE_BYTES)
+        except OSError as exc:
+            why = str(exc)
+        if why is not None:
+            self._proc.kill()
+            self._proc.wait()
+            raise ExecutionError(f"fork server failed ({why}): {_tail(self._stderr_path)}")
+        return line.decode("utf-8", errors="replace")
 
 
 _server_lock = threading.Lock()
@@ -355,27 +360,35 @@ def _forget_server() -> None:
 os.register_at_fork(after_in_child=_forget_server)  # a forked copy starts a zygote of its own
 
 
-def _kill_worker(pidfd: int) -> None:
-    """SIGKILL through a pidfd, then wait until the worker has exited; its zygote reaps it."""
-    try:
+def _kill(pidfd: int, wait: float = 0.0) -> None:
+    """SIGKILL through a pidfd, then wait up to `wait` s for the exit; the zygote reaps."""
+    with suppress(ProcessLookupError):
         signal.pidfd_send_signal(pidfd, signal.SIGKILL)
-    except ProcessLookupError:
-        return
-    _ready(pidfd, 2.0)
+    _ready(pidfd, timeout=wait)
 
 
-def _end_worker(fds: dict[str, int], scratch: str, owner: int) -> None:
-    """Kill the worker and close its descriptors; in a forked copy, the latter alone."""
+def _has_left(fds: dict[str, int], unread: bytearray) -> bool:
+    """Whether a forked child has exited. The zygote writes its exit status on
+    `out` before it reaps it, and a child writes nothing there past the
+    answers its caller asked for, so while nothing more is there the child
+    is not reaped and its pidfd, if it was opened, names it."""
+    return "pidfd" not in fds or bool(unread) or _ready(fds["out"], fds["pidfd"])
+
+
+def _end_child(fds: dict[str, int], unread: bytearray, scratch: str, owner: int) -> None:
+    """Kill a forked child unless it has left, close its descriptors and
+    remove its scratch directory; in a forked copy, close the descriptors alone."""
     try:
-        if os.getpid() == owner and "pidfd" in fds:
-            _kill_worker(fds["pidfd"])
+        if os.getpid() == owner and not _has_left(fds, unread):
+            _kill(fds["pidfd"])
     finally:
         for fd in fds.values():
             os.close(fd)
+        fds.clear()
         _remove_scratch(scratch, owner)
 
 
-def _shutdown(proc, scratch, stderr_handle, owner):
+def _shutdown(proc, scratch, owner):
     mine = os.getpid() == owner  # in a forked copy: close its pipes, nothing more
     try:
         if mine and proc.poll() is None:
@@ -390,10 +403,9 @@ def _shutdown(proc, scratch, stderr_handle, owner):
                 proc.kill()
                 proc.wait(timeout=2.0)
     finally:
-        for stream in (proc.stdin, proc.stdout, stderr_handle):
+        for stream in (proc.stdin, proc.stdout):
             try:
-                if stream:
-                    stream.close()
+                stream.close()
             except OSError:
                 pass
         _remove_scratch(scratch, owner)

@@ -66,17 +66,17 @@ def gone(pid, timeout: float = 5.0, zombie_ok: bool = False) -> bool:
 
 
 def count_starts(monkeypatch):
-    """The arguments of each harness interpreter started from now on, in a
-    list that fills as runner._HarnessProcess._start is called."""
+    """The arguments after the script of each harness interpreter started from
+    now on, in a list that fills as runner.ForkServer._start is called."""
     from askit import runner
 
-    starts, real_start = [], runner._HarnessProcess._start
+    starts, real_start = [], runner.ForkServer._start
 
-    def start(self, harness_args):
-        starts.append(harness_args)
-        return real_start(self, harness_args)
+    def start(self):
+        real_start(self)
+        starts.append(self._proc.args[5:])
 
-    monkeypatch.setattr(runner._HarnessProcess, "_start", start)
+    monkeypatch.setattr(runner.ForkServer, "_start", start)
     return starts
 
 

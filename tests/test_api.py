@@ -321,6 +321,17 @@ class TestCompile:
                 compiled(n=2)  # the dead worker is replaced before sending
             assert len(started) == 2
 
+    def test_a_call_that_exits_fails_with_its_status_and_the_next_call_restarts(self, tmp_path):
+        source = "import os\ndef crash(*, n):\n    if n == 1:\n        os._exit(3)\n    return n"
+        client = ScriptedClient([code_response(source)])
+        defined = define(INT, "Crash on {{n}}", param_schemas={"n": INT}, name="crash", client=client)
+        with defined.compile(CodegenConfig(cache_dir=tmp_path)) as compiled:
+            with pytest.raises(ExecutionError, match="^harness exited with status 3$"):
+                compiled(n=1)
+            worker = compiled._worker
+            assert compiled(n=2) == 2
+            assert compiled._worker is not worker
+
     def test_call_isolated(self, tmp_path):
         client = ScriptedClient([code_response(FACTORIAL_CODE)])
         with self.factorial(client).compile(CodegenConfig(cache_dir=tmp_path)) as compiled:

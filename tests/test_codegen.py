@@ -760,6 +760,21 @@ class TestOneChildPerCandidate:
         assert violation.detail.startswith('input {"n":2} raised: ValueError: two is bad')
         assert "noise from example 2" in violation.detail and "noise from example 1" not in violation.detail
 
+    @pytest.mark.parametrize(
+        "body, detail",
+        [
+            ("print('bye', file=sys.stderr); os._exit(3)", 'input {"n":2} raised: harness exited with status 3\nbye'),
+            ("time.sleep(30)", 'input {"n":2} raised: square exceeded 0.5s'),
+            ("print('mine', file=sys.stderr); raise ValueError('two is bad')",
+             'input {"n":2} raised: ValueError: two is bad\nmine'),
+        ],
+        ids=["exit", "timeout", "raise"],
+    )
+    def test_feedback_texts_are_byte_exact(self, tmp_path, body, detail):
+        source = _square_candidate({1: "print('not mine', file=sys.stderr); return 1", 2: body})
+        violation = codegen_mod._run_test_examples(source, square_spec(), CodegenConfig(cache_dir=tmp_path, invoke_timeout=0.5))
+        assert violation.detail == detail
+
     def test_a_passing_candidate_is_one_run(self, tmp_path, monkeypatch):
         runs, real = [], codegen_mod.run_once
         monkeypatch.setattr(codegen_mod, "run_once", lambda *args, **kwargs: runs.append(args) or real(*args, **kwargs))

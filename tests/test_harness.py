@@ -10,6 +10,7 @@ import threading
 import time
 import traceback
 import weakref
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -324,22 +325,28 @@ class TestForkedWorker:
             time.sleep(0.005)
         assert gone(zygote, zombie_ok=True)
 
-    def test_zygote_death_fails_an_inflight_run_while_a_worker_lives(self, tmp_path):
-        # The worker must not hold the zygote's protocol pipe open.
+    def test_an_inflight_run_and_a_worker_outlive_their_zygote(self, tmp_path):
+        # Once forked, neither needs the zygote nor holds its protocol pipe open.
         good = write_source(tmp_path, ADD_SOURCE)
-        slow = write_source(tmp_path, "import time\ndef f():\n    time.sleep(3)\n", name="slow.py")
+        slow = write_source(tmp_path, SLOW_PID_SOURCE, name="slow.py")
         with Worker(good) as worker:
             assert worker.call("add", {"x": 1, "y": 1}) == 2
             server = worker._zygote
             killer = threading.Timer(0.3, server._proc.kill)
             killer.start()
-            started = time.perf_counter()
-            with pytest.raises(ExecutionError):
-                server.run(slow, "f", {}, timeout=30)
-            assert time.perf_counter() - started < 2.0
+            child = server.run(slow, "f", {}, timeout=5)
             killer.join()
-            assert worker.call("add", {"x": 2, "y": 2}) == 4  # it outlives its zygote
+            assert worker.call("add", {"x": 2, "y": 2}) == 4
             assert server.run(good, "add", {"x": 2, "y": 3}) == 5  # a new zygote
+        assert gone(child, zombie_ok=True)  # orphaned with its zygote gone: killed, reaped by init
+
+    def test_a_worker_start_is_not_held_up_by_a_slow_run(self, tmp_path):
+        slow = write_source(tmp_path, SLOW_SOURCE, name="slow.py")
+        with _running_in_a_thread(lambda: run_once(slow, "f", {}, timeout=30)):
+            started = time.perf_counter()
+            with Worker(write_source(tmp_path, ADD_SOURCE)) as worker:
+                assert worker.call("add", {"x": 1, "y": 2}) == 3
+            assert time.perf_counter() - started < 0.5
 
     def test_spawn_into_a_directory_without_fifos_fails_and_the_zygote_serves_on(self, tmp_path):
         source = write_source(tmp_path, ADD_SOURCE)
@@ -383,6 +390,25 @@ class TestForkedWorker:
 COUNTER_SOURCE = "calls = []\ndef f():\n    calls.append(1)\n    return len(calls)\n"
 
 
+SLOW_SOURCE = "import time\ndef f():\n    time.sleep(1)\n    return 1\n"
+SLOW_PID_SOURCE = "import os, time\ndef f():\n    time.sleep(1)\n    return os.getpid()\n"
+
+
+@contextmanager
+def _running_in_a_thread(work):
+    """Run work() in another thread while the body runs, from 0.2 s after it
+    starts; the body's exit waits for work's result, which must be 1."""
+    results = []
+    thread = threading.Thread(target=lambda: results.append(work()))
+    thread.start()
+    time.sleep(0.2)
+    try:
+        yield
+    finally:
+        thread.join(timeout=30)
+    assert results == [1]
+
+
 class TestForkServer:
     def test_each_run_sees_fresh_module_state(self, tmp_path):
         source = write_source(tmp_path, COUNTER_SOURCE)
@@ -399,16 +425,18 @@ class TestForkServer:
         assert [outcome[:2] for outcome in outcomes] == [[1, 1], [2, 1], [3, 1]]  # a fresh namespace each
         assert len({outcome[2] for outcome in outcomes}) == 1  # one child
 
-    def test_a_failure_ends_the_outcomes_and_the_child(self, tmp_path):
+    def test_a_failure_ends_the_outcomes_and_the_child(self, tmp_path, monkeypatch):
         source = write_source(tmp_path, "import sys\ndef f(*, x):\n    print(f'ran {x}', file=sys.stderr)\n"
                                         "    if x == 2:\n        raise ValueError('two')\n    return x\n")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(runner, "_remove_scratch", lambda path, owner: None)  # keep each run's stderr.log
         with ForkServer() as server:
             outcomes = server.run(source, "f", [{"x": 1}, {"x": 2}, {"x": 3}])
             assert server.run(source, "f", {"x": 4}) == 4
-            logged = server._stderr_path.read_text()
+        logged = sorted(path.read_text().split() for path in tmp_path.glob("askit-run-*/stderr.log"))
         assert outcomes[0] == 1 and len(outcomes) == 2
         assert isinstance(outcomes[1], ExecutionError) and str(outcomes[1]) == "ValueError: two\nran 2"
-        assert logged.split() == ["ran", "1", "ran", "2", "ran", "4"]  # the third set never ran
+        assert logged == [["ran", "1", "ran", "2"], ["ran", "4"]]  # the third set never ran
 
     def test_each_argument_set_has_its_own_timeout(self, tmp_path):
         source = write_source(tmp_path, "import time\ndef f(*, s):\n    time.sleep(s)\n    return s\n")
@@ -425,7 +453,7 @@ class TestForkServer:
         with ForkServer() as server:
             assert server.run(source, "f", [{"n": 700}] * 3) == ["x" * 700] * 3  # 2,100 bytes in all
             outcomes = server.run(source, "f", [{"n": 700}, {"n": 2048}, {"n": 700}])
-            assert not server.alive
+            assert server.alive  # the run's child was killed, not the zygote
         assert outcomes[0] == "x" * 700 and len(outcomes) == 2
         assert isinstance(outcomes[1], ExecutionError) and "exceeds 1024 bytes" in str(outcomes[1])
 
@@ -501,19 +529,19 @@ class TestForkServer:
             assert server.run(good, "add", {"x": 2, "y": 3}) == 5
             assert server._proc.pid == zygote
 
-    def test_zygote_death_fails_the_run_instead_of_hanging(self, tmp_path):
-        slow = write_source(tmp_path, "import time\ndef f():\n    time.sleep(2)\n", name="slow.py")
+    def test_a_run_outlives_its_zygote(self, tmp_path):
+        slow = write_source(tmp_path, SLOW_PID_SOURCE, name="slow.py")
         good = write_source(tmp_path, ADD_SOURCE)
         with ForkServer() as server:
             assert server.run(good, "add", {"x": 1, "y": 1}) == 2
-            killer = threading.Timer(0.3, server._proc.kill)
+            zygote = server._proc
+            killer = threading.Timer(0.3, zygote.kill)
             killer.start()
-            started = time.perf_counter()
-            with pytest.raises(ExecutionError):
-                server.run(slow, "f", {}, timeout=30)
-            assert time.perf_counter() - started < 1.5
+            child = server.run(slow, "f", {}, timeout=5)
             killer.join()
-            assert server.run(good, "add", {"x": 2, "y": 3}) == 5  # a new zygote
+            assert server.run(good, "add", {"x": 2, "y": 3}) == 5
+            assert server._proc is not zygote and zygote.returncode is not None  # a new zygote; the old one reaped
+        assert gone(child, zombie_ok=True)  # orphaned with its zygote gone: killed, reaped by init
 
     def test_stderr_tail_belongs_to_the_failing_run(self, tmp_path):
         noisy = write_source(tmp_path, "def f(*, tag):\n    print(tag)\n    raise ValueError(tag)\n")
@@ -524,6 +552,46 @@ class TestForkServer:
                 server.run(noisy, "f", {"tag": "second-run"})
         assert "first-run" in str(first.value)
         assert "first-run" not in str(second.value) and "second-run" in str(second.value)
+
+    def test_a_fast_run_is_not_held_up_by_a_slow_one(self, tmp_path):
+        slow = write_source(tmp_path, SLOW_SOURCE, name="slow.py")
+        with _running_in_a_thread(lambda: run_once(slow, "f", {}, timeout=30)):
+            started = time.perf_counter()
+            assert run_once(write_source(tmp_path, ADD_SOURCE), "add", {"x": 1, "y": 2}) == 3
+            assert time.perf_counter() - started < 0.5
+
+    def test_concurrent_failing_runs_overlap_and_carry_only_their_own_tails(self, tmp_path):
+        noisy = write_source(
+            tmp_path, "import sys, time\ndef f(*, tag):\n    print(tag, file=sys.stderr)\n"
+                      "    time.sleep(0.5)\n    raise ValueError(tag)\n")
+        assert run_once(write_source(tmp_path, ADD_SOURCE, name="add.py"), "add", {"x": 1, "y": 2}) == 3  # zygote up
+        errors = {}
+
+        def fail(tag):
+            errors[tag] = str(run_once(noisy, "f", [{"tag": tag}])[0])
+
+        threads = [threading.Thread(target=fail, args=(tag,)) for tag in ("first-run", "second-run")]
+        started = time.perf_counter()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert time.perf_counter() - started < 0.9  # one after the other would take 1 s
+        assert errors == {tag: f"ValueError: {tag}\n{tag}" for tag in ("first-run", "second-run")}
+
+    def test_a_failed_zygote_start_leaves_no_scratch(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        source = write_source(tmp_path, ADD_SOURCE)
+
+        def no_descriptors(*args, **kwargs):
+            raise OSError(24, "Too many open files")
+
+        monkeypatch.setattr(subprocess, "Popen", no_descriptors)
+        with ForkServer() as server:
+            for _ in range(3):
+                with pytest.raises(OSError, match="Too many open files"):
+                    server.run(source, "add", {"x": 1, "y": 2})
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["gen.py"]
 
     def test_close_reaps_zygote_and_run_once_starts_its_own(self, tmp_path):
         source = write_source(tmp_path, ADD_SOURCE)
@@ -780,15 +848,24 @@ class TestResponseCap:
                 worker.call("f", {})
             assert not worker.alive
 
-    def test_oversized_relayed_response_kills_the_zygote(self, tmp_path, monkeypatch):
+    def test_oversized_run_response_kills_the_child_not_the_zygote(self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner, "MAX_RESPONSE_BYTES", 1024)
         good = write_source(tmp_path, ADD_SOURCE)
+        big = write_source(tmp_path, "import os\ndef f():\n    print(os.getpid())\n    return 'x' * 2048\n", name="big.py")
         with ForkServer() as server:
             assert server.run(good, "add", {"x": 1, "y": 1}) == 2
-            with pytest.raises(ExecutionError, match="exceeds 1024 bytes"):
-                server.run(write_source(tmp_path, self.BIG_SOURCE, name="big.py"), "f", {})
-            assert not server.alive
+            zygote = server._proc.pid
+            (outcome,) = server.run(big, "f", [{}])
+            assert isinstance(outcome, ExecutionError) and "exceeds 1024 bytes" in str(outcome)
+            assert gone(int(str(outcome).split()[-1]))  # the child, which the zygote reaped
+            assert server.alive and server._proc.pid == zygote
             assert server.run(good, "add", {"x": 2, "y": 3}) == 5
+
+    def test_an_oversized_answer_carries_only_what_the_function_logged(self, tmp_path):
+        source = write_source(tmp_path, "def f():\n    print('big')\n    return 'x' * (17 << 20)\n")
+        (outcome,) = run_once(source, "f", [{}])  # an exception without traceback
+        assert isinstance(outcome, ExecutionError)
+        assert str(outcome) == f"response exceeds {harness.MAX_RESPONSE_BYTES} bytes\nbig"
 
     def test_cap_is_well_above_bulk_payloads(self):
         assert runner.MAX_RESPONSE_BYTES is harness.MAX_RESPONSE_BYTES

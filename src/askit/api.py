@@ -24,7 +24,7 @@ from .encoding import stable_digest
 from .engine import EngineConfig, ask_until_valid
 from .errors import NotCodable, SchemaError
 from .prompts import examples_from
-from .runner import Worker, fork_server
+from .runner import Worker, WorkerLeft, _Closing, fork_server
 from .template import _check_binding, parse
 from .types import TypeSchema, VoidType, render
 
@@ -36,9 +36,7 @@ class AskResult(NamedTuple):
 
 
 def _merge_args(args, kwargs):
-    merged = dict(args or {})
-    merged.update(kwargs)
-    return merged
+    return dict(args or {}, **kwargs)
 
 
 def ask(
@@ -89,12 +87,7 @@ def define(
     """
     template = parse(template_text)
     if param_schemas is not None:
-        if isinstance(param_schemas, Mapping):
-            schema_items = tuple(param_schemas.items())
-        else:
-            schema_items = tuple(param_schemas)
-    else:
-        schema_items = None
+        param_schemas = tuple(param_schemas.items() if isinstance(param_schemas, Mapping) else param_schemas)
     fewshot_examples = examples_from(fewshot, "fewshot")
     test_examples = examples_from(tests, "tests")
     if not test_examples and reuse_fewshot_as_tests:
@@ -105,7 +98,7 @@ def define(
         name=name,
         template=template,
         return_schema=answer_schema,
-        param_schemas=schema_items,
+        param_schemas=param_schemas,
         fewshot=fewshot_examples,
         tests=test_examples,
         target_language=target_language,
@@ -177,18 +170,20 @@ def compile(
     return CompiledFunction(spec, generated, config)
 
 
-class CompiledFunction:
+class CompiledFunction(_Closing):
     """A task backed by validated generated code; calls never touch the client.
 
     Calls go through a warm worker that the process's shared zygote forks at
-    the first call; a worker found dead before a call is replaced, and a
-    call that kills its worker is not run again. call_isolated() runs each
-    call in a fresh process forked by the same zygote, which this function
-    keeps alive while it is open; each isolated call takes hold of the
-    calling process's own server, so a forked copy keeps its zygote from one
-    call to the next. close(), or leaving it as a context manager, ends the
-    worker and lets go of the zygote; it ends when its last holder does, or
-    at askit.close(), which leaves an open function's worker answering.
+    the first call. Thread-safe: a call takes its worker's lock alone, this
+    function's lock starts, replaces and closes the worker. A worker found
+    gone before a call is replaced, and a call that kills its worker is not
+    run again. call_isolated() runs each call in a fresh process forked by
+    the same zygote, which this function keeps alive while it is open; each
+    isolated call takes hold of the calling process's own server, so a
+    forked copy keeps its zygote from one call to the next. close(), or
+    leaving it as a context manager, ends the worker and lets go of the
+    zygote; it ends when its last holder does, or at askit.close(), which
+    leaves an open function's worker answering.
     """
 
     def __init__(self, spec: TaskSpec, generated: GeneratedFunction, config: CodegenConfig):
@@ -210,11 +205,12 @@ class CompiledFunction:
     def __call__(self, args: Mapping[str, Any] | None = None, /, **kwargs) -> Any:
         merged = _merge_args(args, kwargs)
         _check_binding(self._spec.template, merged)
-        with self._lock:
-            if self._worker is not None and not self._worker.alive:
-                self._worker.close()
-                self._worker = None
-            return self._ensure_worker().call(self._generated.entry, merged)
+        worker = self._worker or self._worker_other_than(None)
+        try:
+            return worker.call(self._generated.entry, merged)
+        except WorkerLeft:  # nothing was sent: the call goes to a new worker, once
+            worker.close()
+            return self._worker_other_than(worker).call(self._generated.entry, merged)
 
     def call_isolated(self, args: Mapping[str, Any] | None = None, /, **kwargs) -> Any:
         """One fresh forked harness process for this call only."""
@@ -230,15 +226,9 @@ class CompiledFunction:
                 self._worker = None
         self._zygote = None
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-    def _ensure_worker(self) -> Worker:
-        if self._worker is None:
-            self._worker = Worker(
-                self._generated.cache_path, call_timeout=self._config.invoke_timeout
-            )
-        return self._worker
+    def _worker_other_than(self, gone: Worker | None) -> Worker:
+        """The open worker; a new one when there is none or it is `gone`."""
+        with self._lock:
+            if self._worker is None or self._worker is gone:
+                self._worker = Worker(self._generated.cache_path, call_timeout=self._config.invoke_timeout)
+            return self._worker

@@ -1,7 +1,7 @@
 """Child-process harness that loads generated source and calls one function.
 
-Run as a script by `python -I -S -B`; the parent starts it from bytecode
-and imports it only for MAX_RESPONSE_BYTES, read_line and write_line:
+Run as a script by `python -I -S -B`; the parent starts it from bytecode and
+imports it only for MAX_RESPONSE_BYTES, read_line, write_line, dumps and loads:
 
     python -I -S -B harness.py SOURCE_FILE          one request, one response
     python -I -S -B harness.py --fork-server        one forked child per line
@@ -56,6 +56,7 @@ import time
 
 import _json
 import _signal
+import _thread
 
 # Longest response line, newline excluded, that either side of a pipe accepts.
 MAX_RESPONSE_BYTES = 16 << 20
@@ -140,8 +141,8 @@ JSON_WHITESPACE = " \t\n\r"
 def loads(text):
     """json.loads(text) for a str."""
     try:
-        value, end = _scan_json(text, len(text) - len(text.lstrip(JSON_WHITESPACE)))
-        if end >= len(text.rstrip(JSON_WHITESPACE)):
+        value, end = _scan_json(text, 0 if text[:1] not in JSON_WHITESPACE else len(text) - len(text.lstrip(JSON_WHITESPACE)))
+        if end == len(text) or end >= len(text.rstrip(JSON_WHITESPACE)):
             return value
     except Exception:  # noqa: BLE001 - StopIteration, or SystemError without json.decoder
         pass
@@ -153,11 +154,19 @@ def _not_serializable(value):  # json.JSONEncoder.default
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
+_encoders = _thread._local()  # one per thread: an encoder's markers dict is not shared
+
+
 def dumps(value):
     """json.dumps(value, ensure_ascii=False)."""
-    # markers, default, encoder, indent, separators, sort_keys, skipkeys, allow_nan
-    encode = _json.make_encoder({}, _not_serializable, _json.encode_basestring, None, ": ", ", ", False, False, True)
-    return "".join(encode(value, 0))
+    if (encode := getattr(_encoders, "encode", None)) is None:
+        # markers, default, encoder, indent, separators, sort_keys, skipkeys, allow_nan
+        encode = _encoders.encode = _json.make_encoder({}, _not_serializable, _json.encode_basestring, None, ": ", ", ", False, False, True)
+    try:
+        return "".join(encode(value, 0))
+    except BaseException:
+        encode.markers.clear()  # the ids that an encoding which raised left behind
+        raise
 
 
 # Exceptions whose line traceback builds from more than type and str(): the
@@ -268,25 +277,33 @@ def encode_response(response):
 
 
 def write_line(fd, text):
-    data = memoryview((text + "\n").encode("utf-8"))
-    while data:
-        data = data[os.write(fd, data):]
+    data = (text + "\n").encode("utf-8")
+    if (written := os.write(fd, data)) < len(data):  # a line longer than the pipe holds
+        data = memoryview(data)[written:]
+        while data:
+            data = data[os.write(fd, data):]
 
 
 def read_line(fd, timeout, limit, data=None):
-    """The first line on `fd`, without its newline, read within `timeout`
-    seconds (None: no limit). Returns (line, None) or (b"", why), where why
-    is "timeout", "closed" (end of file first) or "oversize" (over `limit`).
-    `data`, a bytearray, keeps what is read past the line for the next call."""
+    """The first line on `fd` (non-blocking: a line already there costs no
+    select), without its newline, read within `timeout` seconds (None: no
+    limit). Returns (line, None) or (b"", why), where why is "timeout",
+    "closed" (end of file first) or "oversize" (over `limit`). `data`, a
+    bytearray, keeps what is read past the line for the next call."""
     deadline = None if timeout is None else time.monotonic() + timeout
     data = bytearray() if data is None else data
     while (end := data.find(b"\n")) < 0 and len(data) <= limit:
-        remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-        if not select.select([fd], [], [], remaining)[0]:
-            return b"", "timeout"
-        chunk = os.read(fd, 65536)
+        try:
+            chunk = os.read(fd, 65536)
+        except BlockingIOError:
+            remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+            if not select.select([fd], [], [], remaining)[0]:
+                return b"", "timeout"
+            continue
         if not chunk:
             return b"", "closed"
+        if not data and chunk.find(b"\n") == len(chunk) - 1 <= limit:
+            return chunk[:-1], None  # one whole line, as a warm call's answer comes
         data += chunk
     if end < 0 or end > limit:
         return b"", "oversize"
@@ -297,8 +314,8 @@ def read_line(fd, timeout, limit, data=None):
 def requests(protocol_in, protocol_out):
     """Each JSON request line on `protocol_in` until end of file; a line that
     is not JSON is answered on `protocol_out` with an error document."""
-    for line in os.fdopen(protocol_in, "r", encoding="utf-8"):
-        if line := line.strip():
+    for line in os.fdopen(protocol_in, "rb"):
+        if line := line.decode("utf-8").strip():
             try:
                 request = loads(line)
             except ValueError as exc:

@@ -36,7 +36,6 @@ not alive, and closing it there closes that copy's descriptors.
 from __future__ import annotations
 
 import functools
-import json
 import marshal
 import os
 import select
@@ -50,10 +49,10 @@ import weakref
 from contextlib import contextmanager, suppress
 from importlib.util import MAGIC_NUMBER
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .errors import AskitError, ExecutionError, ExecutionTimeout, ProtocolError
-from .harness import MAX_RESPONSE_BYTES, read_line, write_line
+from .harness import MAX_RESPONSE_BYTES, dumps, loads, read_line, write_line
 
 HARNESS_PATH = Path(__file__).with_name("harness.py")
 
@@ -72,28 +71,23 @@ def _harness_pyc() -> bytes:
 
 def _child_env(scratch: str) -> dict[str, str]:
     # Deliberately minimal: no API keys, no PYTHONPATH, temp dir inside scratch.
-    return {
-        "PATH": os.environ.get("PATH", ""),
-        "TMPDIR": scratch,
-        "HOME": scratch,
-        "LANG": os.environ.get("LANG", "C.UTF-8"),
-    }
+    return {"PATH": os.environ.get("PATH", ""), "TMPDIR": scratch, "HOME": scratch, "LANG": os.environ.get("LANG", "C.UTF-8")}
 
 
-def _decode_response(raw: str, stderr_tail: Callable[[], str] = lambda: "") -> dict:
+def _decode_response(raw: str, stderr_path: Path | None = None, since: int = 0) -> dict:
     try:
-        document = json.loads(raw)
+        document = loads(raw)
     except ValueError as exc:
         raise ProtocolError(f"harness output is not valid JSON: {raw[:200]!r}") from exc
     if not isinstance(document, dict) or "ok" not in document:
         raise ProtocolError(f"harness output is not a response document: {raw[:200]!r}")
     if not document["ok"]:
-        raise _failure(document.get("error", "unknown error"), stderr_tail)
+        raise _failure(document.get("error", "unknown error"), stderr_path, since)
     return document
 
 
-def _failure(error: str, stderr_tail: Callable[[], str]) -> ExecutionError:
-    tail = stderr_tail()
+def _failure(error: str, stderr_path: Path | None, since: int = 0) -> ExecutionError:
+    tail = _tail(stderr_path, since) if stderr_path else ""
     return ExecutionError(f"{error}\n{tail}" if tail else error)
 
 
@@ -107,12 +101,8 @@ def _tail(stderr_path: str | Path, since: int = 0) -> str:
         return ""
 
 
-def run_once(
-    source_path: str | Path,
-    entry: str,
-    args: Mapping[str, Any] | Sequence[Mapping[str, Any]],
-    timeout: float = DEFAULT_INVOKE_TIMEOUT,
-) -> Any:
+def run_once(source_path: str | Path, entry: str, args: Mapping[str, Any] | Sequence[Mapping[str, Any]],
+             timeout: float = DEFAULT_INVOKE_TIMEOUT) -> Any:
     """Execute entry(**args) from a source file in a fresh process forked
     by the process's shared zygote; see ForkServer.run."""
     return fork_server().run(source_path, entry, args, timeout)
@@ -135,25 +125,31 @@ def _remove_scratch(path: str, owner: int) -> None:
         shutil.rmtree(path, ignore_errors=True)
 
 
-def _ready(*fds: int, timeout: float = 0.0) -> bool:
-    """Any of `fds` readable or hung up within `timeout` s; a pidfd is once its process exits."""
-    return bool(select.select(fds, [], [], timeout)[0])
+class _Closing:
+    """Closed on leaving a `with` block."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
 
-class _Child:
+class _Child(_Closing):
     """A child that a zygote forked, seen from its caller: a pidfd, the read
     end of the FIFO `out` it answers on, for a warm worker the write end of
     the FIFO `in` it reads, and its stderr.log, all in a new scratch
     directory named after `prefix`; see harness.fork_request."""
 
     def __init__(self, zygote: ForkServer, source_path: str, prefix: str, **run):
-        self._owner, self._unread, self._fds = os.getpid(), bytearray(), {}
+        self._owner, self._unread, self._fds, self._exits = os.getpid(), bytearray(), {}, select.poll()
         scratch = tempfile.mkdtemp(prefix=prefix)
         self._stderr_path = Path(scratch) / "stderr.log"
         fifo, fds = functools.partial(os.path.join, scratch), self._fds
         try:
             os.mkfifo(fifo("out"), 0o600)
             fds["out"] = os.open(fifo("out"), os.O_RDONLY | os.O_NONBLOCK)
+            self._exits.register(fds["out"], select.POLLIN)
             if not run:
                 os.mkfifo(fifo("in"), 0o600)
                 # Connect before the worker exists, so that it never reads end of
@@ -164,15 +160,16 @@ class _Child:
             self.pid = zygote.spawn(source_path, scratch, **run)
             with suppress(ProcessLookupError):  # reaped already: its exit status is on `out`
                 fds["pidfd"] = os.pidfd_open(self.pid)
+                self._exits.register(fds["pidfd"], select.POLLIN)
         except BaseException:
-            _end_child(fds, self._unread, scratch, self._owner)
+            _end_child(fds, self._unread, self._exits, scratch, self._owner)
             raise
-        self._finalizer = weakref.finalize(self, _end_child, fds, self._unread, scratch, self._owner)
+        self._finalizer = weakref.finalize(self, _end_child, fds, self._unread, self._exits, scratch, self._owner)
 
     @property
     def alive(self) -> bool:
         """Not closed, forked for this process (not for the one it was forked from) and not exited."""
-        return self._finalizer.alive and self._owner == os.getpid() and not _has_left(self._fds, self._unread)
+        return self._finalizer.alive and self._owner == os.getpid() and not _has_left(self._fds, self._unread, self._exits)
 
     def _receive(self, entry: str, timeout: float | None, since: int = 0) -> dict:
         """The next answer on `out`, or the failure it reports raised with what
@@ -180,9 +177,8 @@ class _Child:
         within `timeout` s, or answers past MAX_RESPONSE_BYTES, is killed
         first, so that it logs nothing more."""
         line, why = read_line(self._fds["out"], timeout, MAX_RESPONSE_BYTES, self._unread)
-        stderr_tail = functools.partial(_tail, self._stderr_path, since)
         if why is None:
-            return _decode_response(line.decode("utf-8", errors="replace"), stderr_tail)
+            return _decode_response(line.decode("utf-8", errors="replace"), self._stderr_path, since)
         # Nothing in time: no exit status yet either. Too much: the child is still
         # writing a line longer than a pipe holds. End of file: the zygote died.
         if why != "closed" and "pidfd" in self._fds:
@@ -190,22 +186,22 @@ class _Child:
         if why == "timeout":
             raise ExecutionTimeout(f"{entry} exceeded {timeout}s")
         error = f"response exceeds {MAX_RESPONSE_BYTES} bytes" if why == "oversize" else "harness closed its output"
-        raise _failure(error, stderr_tail)
+        raise _failure(error, self._stderr_path, since)
 
     def close(self) -> None:
         self._finalizer()
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc_info):
-        self.close()
+class WorkerLeft(ExecutionError):
+    """Nothing was sent: the Worker was closed, is another process's or has exited; a new one may take the call."""
 
 
 class Worker(_Child):
     """A warm harness process for one source, forked by the process's
     shared zygote, which it holds; see the module docstring. run_once is
-    the fully isolated variant. Thread-safe: calls are serialized."""
+    the fully isolated variant. Thread-safe: one lock serializes each call
+    with its liveness check (which reads `out`, so outside the lock it would
+    take another call's unread answer for an exit) and with close()."""
 
     def __init__(self, source_path: str | Path, call_timeout: float = DEFAULT_INVOKE_TIMEOUT):
         self.source_path = os.path.abspath(source_path)  # the worker runs elsewhere
@@ -214,18 +210,27 @@ class Worker(_Child):
         super().__init__(self._zygote, self.source_path, "askit-worker-")
 
     def call(self, entry: str, args: Mapping[str, Any]) -> Any:
-        request = json.dumps({"entry": entry, "args": dict(args)}, ensure_ascii=False)
+        """entry(**args) in the worker; WorkerLeft when it was gone before the send."""
+        request = dumps({"entry": entry, "args": dict(args)})
         with self._lock:
-            if not self._finalizer.alive:  # its descriptor numbers may name other files by now
-                raise ExecutionError("worker is closed")
-            try:
+            if not self._finalizer.alive or self._owner != os.getpid():  # its descriptors may name other files
+                raise WorkerLeft("worker is closed" if self._owner == os.getpid() else "worker is another process's")
+            if _has_left(self._fds, self._unread, self._exits):
+                try:
+                    self._receive(entry, self.call_timeout)  # its exit status, or end of file
+                except AskitError as exc:
+                    raise WorkerLeft(*exc.args) from None
+                raise WorkerLeft("worker has exited")  # what it read was a late answer to a call that timed out
+            with suppress(BrokenPipeError):  # it has exited since: its exit status is the answer
                 write_line(self._fds["in"], request)
-            except BrokenPipeError:
-                pass  # it has exited: its exit status is the answer
             return self._receive(entry, self.call_timeout).get("result")
 
+    def close(self) -> None:
+        with self._lock:  # not under a call that reads its descriptors
+            super().close()
 
-class ForkServer:
+
+class ForkServer(_Closing):
     """The zygote: a harness process that never runs generated code and
     forks the child of each run and each warm worker; see the module
     docstring. Thread-safe: only a fork request holds its lock."""
@@ -235,13 +240,8 @@ class ForkServer:
     def __init__(self):
         self._lock = threading.Lock()
 
-    def run(
-        self,
-        source_path: str | Path,
-        entry: str,
-        args: Mapping[str, Any] | Sequence[Mapping[str, Any]],
-        timeout: float | None = DEFAULT_INVOKE_TIMEOUT,
-    ) -> Any:
+    def run(self, source_path: str | Path, entry: str, args: Mapping[str, Any] | Sequence[Mapping[str, Any]],
+            timeout: float | None = DEFAULT_INVOKE_TIMEOUT) -> Any:
         """entry(**args) from `source_path`, in a child forked for this run:
         for one mapping, its result or its failure raised; for a list, one
         outcome per call (each timed apart) up to the first failure, whose
@@ -268,7 +268,7 @@ class ForkServer:
         """The pid of a child forked for `source_path` that works in `scratch`:
         given `run` (an `entry` and a list of `args`), a run's child, else a
         warm worker; see harness.fork_request."""
-        request = json.dumps({"source": source_path, "scratch": scratch, **run}, ensure_ascii=False)
+        request = dumps({"source": source_path, "scratch": scratch, **run})
         with self._lock:
             if not self.alive:
                 self.close()
@@ -283,12 +283,6 @@ class ForkServer:
     def close(self) -> None:
         if self._finalizer is not None:
             self._finalizer()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
 
     def _start(self) -> None:
         scratch = tempfile.mkdtemp(prefix="askit-worker-")
@@ -308,6 +302,7 @@ class ForkServer:
                     env=_child_env(scratch),
                     bufsize=0,
                 )
+            os.set_blocking(self._proc.stdout.fileno(), False)  # for read_line
         except BaseException:
             _remove_scratch(scratch, os.getpid())
             raise
@@ -361,25 +356,25 @@ os.register_at_fork(after_in_child=_forget_server)  # a forked copy starts a zyg
 
 
 def _kill(pidfd: int, wait: float = 0.0) -> None:
-    """SIGKILL through a pidfd, then wait up to `wait` s for the exit; the zygote reaps."""
+    """SIGKILL through a pidfd, then wait up to `wait` s for the exit (the pidfd reads as ready); the zygote reaps."""
     with suppress(ProcessLookupError):
         signal.pidfd_send_signal(pidfd, signal.SIGKILL)
-    _ready(pidfd, timeout=wait)
+    select.select([pidfd], [], [], wait)
 
 
-def _has_left(fds: dict[str, int], unread: bytearray) -> bool:
-    """Whether a forked child has exited. The zygote writes its exit status on
-    `out` before it reaps it, and a child writes nothing there past the
-    answers its caller asked for, so while nothing more is there the child
-    is not reaped and its pidfd, if it was opened, names it."""
-    return "pidfd" not in fds or bool(unread) or _ready(fds["out"], fds["pidfd"])
+def _has_left(fds: dict[str, int], unread: bytearray, exits: select.poll) -> bool:
+    """Whether a forked child has exited; `exits` polls `out` and its pidfd. The
+    zygote writes its exit status on `out` before it reaps it, and a child writes
+    nothing there past the answers its caller asked for, so while nothing more
+    is there the child is not reaped and its pidfd, if it was opened, names it."""
+    return "pidfd" not in fds or bool(unread) or bool(exits.poll(0))
 
 
-def _end_child(fds: dict[str, int], unread: bytearray, scratch: str, owner: int) -> None:
+def _end_child(fds: dict[str, int], unread: bytearray, exits: select.poll, scratch: str, owner: int) -> None:
     """Kill a forked child unless it has left, close its descriptors and
     remove its scratch directory; in a forked copy, close the descriptors alone."""
     try:
-        if os.getpid() == owner and not _has_left(fds, unread):
+        if os.getpid() == owner and not _has_left(fds, unread, exits):
             _kill(fds["pidfd"])
     finally:
         for fd in fds.values():
@@ -404,8 +399,6 @@ def _shutdown(proc, scratch, owner):
                 proc.wait(timeout=2.0)
     finally:
         for stream in (proc.stdin, proc.stdout):
-            try:
+            with suppress(OSError):
                 stream.close()
-            except OSError:
-                pass
         _remove_scratch(scratch, owner)

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 import signal
+import sys
 import tempfile
 import time
 
@@ -376,6 +377,47 @@ class TestCompile:
         assert not errors
         assert dict(results) == {3: 6, 4: 24, 5: 120, 6: 720}
 
+    def test_threads_sharing_one_function_get_their_own_answers_from_one_worker(self, tmp_path, monkeypatch):
+        # The liveness check reads the worker's `out`: made outside the lock
+        # that serializes the call, it sees another thread's unread answer as
+        # an exit, and the worker is replaced under a call in flight.
+        import threading
+
+        started = []
+
+        class CountingWorker(api.Worker):
+            def __init__(self, *args, **kwargs):
+                started.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(api, "Worker", CountingWorker)
+        client = ScriptedClient([code_response("def triple(*, n):\n    return 3 * n")])
+        defined = define(INT, "Triple {{n}}", param_schemas={"n": INT}, name="triple", client=client)
+        with defined.compile(CodegenConfig(cache_dir=tmp_path, invoke_timeout=5.0)) as compiled:
+            wrong, errors = [], []
+
+            def work(thread):  # up to its first wrong answer or error
+                try:
+                    for n in range(1000 * thread, 1000 * thread + 200):
+                        if (answer := compiled(n=n)) != 3 * n:
+                            return wrong.append((n, answer))
+                except Exception as exc:  # noqa: BLE001
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(thread,)) for thread in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # threads switch between a call's steps
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and wrong == []
+        assert len(started) == 1
+
     def test_unified_transition_single_task(self, tmp_path):
         """Same template, both paths, equal outputs on every test input."""
         tests = [{"input": {"n": 5}, "output": 120}, {"input": {"n": 0}, "output": 1}]
@@ -445,6 +487,7 @@ class TestForkSafety:
         ids=["os_exit", "close_and_exit_handlers", "multiprocessing"],
     )
     def test_forked_child_leaves_the_callers_harness_alone(self, tmp_path, monkeypatch, fork):
+        runner.close()  # a zygote kept by an earlier test's garbage starts again, under tmp_path
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         client = ScriptedClient([code_response(FACTORIAL_CODE)])
         with TestCompile().factorial(client).compile(CodegenConfig(cache_dir=tmp_path / "cache")) as compiled:

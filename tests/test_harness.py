@@ -249,6 +249,31 @@ class TestWorker:
             assert worker.call("add", {"x": 1, "y": 2}) == 3
         assert run_once("gen.py", "add", {"x": 1, "y": 2}) == 3
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            {"text": "héllo ✓ 😀 \u2028", "ключ": {"日本": "語"}},
+            {"nan": float("nan"), "inf": float("inf"), "minus_inf": float("-inf")},
+            {"pair": (1, (2, "x")), "empty": ()},
+            {"big": 10**300 + 7, "neg": -(10**301)},
+        ],
+        ids=["non_ascii", "nan_inf", "tuples", "big_ints"],
+    )
+    def test_request_line_is_what_json_dumps_writes(self, tmp_path, monkeypatch, args):
+        written, real_write_line = [], runner.write_line
+        with Worker(write_source(tmp_path, "def f(**kwargs):\n    return sorted(kwargs)\n")) as worker:
+            monkeypatch.setattr(runner, "write_line", lambda fd, text: written.append(text) or real_write_line(fd, text))
+            assert worker.call("f", args) == sorted(args)
+        assert [line + "\n" for line in written] == [json.dumps({"entry": "f", "args": args}, ensure_ascii=False) + "\n"]
+
+    def test_an_unserializable_argument_raises_what_json_raises_and_the_worker_answers_on(self, tmp_path):
+        expected = _outcome(lambda request: json.dumps(request, ensure_ascii=False), {"entry": "add", "args": {"x": object(), "y": 1}})
+        assert expected[0] is TypeError
+        with Worker(write_source(tmp_path, ADD_SOURCE)) as worker:
+            with pytest.raises(TypeError, match=f"^{expected[1]}$"):
+                worker.call("add", {"x": object(), "y": 1})
+            assert worker.call("add", {"x": 1, "y": 2}) == 3
+
     def test_close_reaps_process(self, tmp_path):
         worker = Worker(write_source(tmp_path, ADD_SOURCE))
         assert worker.call("add", {"x": 1, "y": 1}) == 2
@@ -873,6 +898,7 @@ class TestResponseCap:
 
     def test_read_line_stops_at_the_limit(self):
         read_fd, write_fd = os.pipe()
+        os.set_blocking(read_fd, False)  # as read_line requires
         try:
             os.write(write_fd, b"y" * 2048)
             assert harness.read_line(read_fd, 5.0, 1024) == (b"", "oversize")
@@ -889,6 +915,7 @@ class TestResponseCap:
 
     def test_read_line_keeps_what_it_read_past_a_line_and_caps_each_line(self):
         read_fd, write_fd = os.pipe()
+        os.set_blocking(read_fd, False)  # as read_line requires
         try:
             unread = bytearray()
             os.write(write_fd, b"a" * 700 + b"\n" + b"b" * 700 + b"\n" + b"c" * 100)

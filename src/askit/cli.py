@@ -2,7 +2,7 @@
 
     askit show-prompt TASKFILE NAME [--mode direct|codegen] [--args JSON]
     askit ask         TASKFILE NAME [--args JSON] [backend options]
-    askit codegen     TASKFILE [--only NAME]... [--cache-dir DIR] [backend options]
+    askit codegen     TASKFILE [--only NAME]... [--cache-dir DIR] [--jobs N] [backend options]
     askit bench       TASKFILE --fixtures PATH [--repeat K] [backend options]
 
 Machine-readable output is a single JSON document on stdout (show-prompt
@@ -41,7 +41,7 @@ from .errors import (
     RetriesExhausted,
     ToolchainUnavailable,
 )
-from .prompts import build_codegen, build_direct
+from .prompts import LANGUAGES, build_codegen, build_direct
 from .runner import fork_server, scratch_dir
 from .taskfile import TaskFile, load_task_file
 
@@ -113,7 +113,7 @@ def _cmd_show_prompt(args) -> int:
         spec = entry.to_spec(target_language=args.target)
         sys.stdout.write(build_codegen(spec).text)
         return EXIT_OK
-    spec = entry.to_spec()
+    spec = entry.spec
     bound = _parse_args_json(args.args)
     prompt = build_direct(spec.template, bound, spec.return_schema, spec.fewshot)
     sys.stdout.write(prompt.text)
@@ -124,14 +124,14 @@ def _cmd_ask(args) -> int:
     task_file = load_task_file(args.task_file)
     entry = _entry(task_file, args.name)
     client = _build_client(args)
-    defined = api.DefinedFunction(entry.to_spec(), client, EngineConfig(temperature=args.temperature))
+    defined = api.DefinedFunction(entry.spec, client, EngineConfig(temperature=args.temperature))
     result = defined.ask(_parse_args_json(args.args))
     _emit({"answer": result.value, "reason": result.reason, "attempts": result.attempts})
     return EXIT_OK
 
 
 def _loc(source: str, language: str) -> int:
-    comment = "#" if language == "python" else "//"
+    comment = LANGUAGES[language].comment
     count = 0
     for line in source.splitlines():
         stripped = line.strip()
@@ -141,6 +141,8 @@ def _loc(source: str, language: str) -> int:
 
 
 def _cmd_codegen(args) -> int:
+    if args.jobs < 1:
+        return _fail("--jobs must be >= 1", EXIT_USAGE)
     task_file = load_task_file(args.task_file)
     if args.only:
         entries = [_entry(task_file, name) for name in args.only]
@@ -159,15 +161,12 @@ def _cmd_codegen(args) -> int:
     def compile_one(entry):
         defined = api.DefinedFunction(entry.to_spec(target_language=args.target), client)
         try:
-            return entry.name, api.compile(defined, config).generated, None
+            return defined.name, api.compile(defined, config).generated, None
         except GenerationFailed as exc:  # exc, kept, would hold main()'s zygote until gc
-            return entry.name, None, exc.violation
+            return defined.name, None, exc.violation
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(compile_one, entries))
-    else:
-        results = [compile_one(entry) for entry in entries]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        results = list(pool.map(compile_one, entries))
 
     rows = []
     any_failed = False
@@ -194,10 +193,10 @@ def _cmd_bench(args) -> int:
     if args.repeat < 1:
         return _fail("--repeat must be >= 1", EXIT_USAGE)
     task_file = load_task_file(args.task_file)
-    entries = [entry for entry in task_file.entries.values() if entry.codable and entry.tests]
+    entries = [entry for entry in task_file.entries.values() if entry.codable and entry.spec.tests]
     if args.only:
         only = set(args.only)
-        entries = [entry for entry in entries if entry.name in only]
+        entries = [entry for entry in entries if entry.spec.name in only]
     if not entries:
         return _fail("no intersecting tasks (codable with tests) selected", EXIT_USAGE)
     client = _build_client(args, cycle=True)
@@ -209,7 +208,7 @@ def _cmd_bench(args) -> int:
 
         rows = []
         for entry in entries:
-            defined = api.DefinedFunction(entry.to_spec(), client, engine_config)
+            defined = api.DefinedFunction(entry.spec, client, engine_config)
             probe = dict(defined.spec.tests[0].input)
 
             direct_times = []
@@ -234,7 +233,7 @@ def _cmd_bench(args) -> int:
 
             rows.append(
                 {
-                    "name": entry.name,
+                    "name": defined.name,
                     "metrics": {
                         "latency_s": latency_s,
                         "execution_time_us": execution_s * 1e6,

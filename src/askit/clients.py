@@ -1,4 +1,4 @@
-"""Model-client backends behind one `complete(messages)` interface.
+"""Model-client backends behind one `complete(messages, *, temperature)` interface.
 
 Four interchangeable clients:
 
@@ -11,7 +11,7 @@ Four interchangeable clients:
 Fixture records are keyed by a digest of (model id, temperature bucket,
 ordered message contents). Identical requests recorded several times (code
 generation retries resend the same prompt) replay as an ordered list with a
-per-key cursor.
+per-key cursor. A client holds no temperature: each call names its own.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     ResponseTooLarge,
     ScriptExhausted,
 )
-from .engine import DEFAULT_TEMPERATURE, Message, check_temperature
+from .engine import Message
 
 MODEL_ENV_VAR = "ASKIT_MODEL"
 API_KEY_ENV_VAR = "OPENAI_API_KEY"
@@ -49,12 +49,10 @@ class ClientConfig:
     model_id: str = DEFAULT_MODEL_ID
     api_key: str = ""
     base_url: str = DEFAULT_BASE_URL
-    temperature: float = DEFAULT_TEMPERATURE
     timeout: float = 60.0
     max_response_bytes: int = 4 * 1024 * 1024
 
     def __post_init__(self):
-        check_temperature(self.temperature)
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
 
@@ -124,21 +122,16 @@ class LiveClient:
     def model_id(self) -> str:
         return self.config.model_id
 
-    @property
-    def default_temperature(self) -> float:
-        return self.config.temperature
-
-    def complete(self, messages: Sequence[Message], *, temperature: float | None = None) -> str:
+    def complete(self, messages: Sequence[Message], *, temperature: float) -> str:
         if not messages:
             raise ValueError("dialogue must be non-empty")
         with self._lock:
             self.call_count += 1
-        temp = self.default_temperature if temperature is None else temperature
         body = json.dumps(
             {
                 "model": self.config.model_id,
                 "messages": [m.to_wire() for m in messages],
-                "temperature": temp,
+                "temperature": temperature,
                 "n": 1,
             }
         ).encode("utf-8")
@@ -206,18 +199,13 @@ class RecordingClient:
     def model_id(self) -> str:
         return self.inner.model_id
 
-    @property
-    def default_temperature(self) -> float:
-        return self.inner.default_temperature
-
-    def complete(self, messages: Sequence[Message], *, temperature: float | None = None) -> str:
-        temp = self.default_temperature if temperature is None else temperature
+    def complete(self, messages: Sequence[Message], *, temperature: float) -> str:
         response = self.inner.complete(messages, temperature=temperature)
         record = {
-            "key": fixture_key(self.model_id, temp, messages),
+            "key": fixture_key(self.model_id, temperature, messages),
             "request": {
                 "model": self.model_id,
-                "temperature": temp,
+                "temperature": temperature,
                 "messages": [m.to_wire() for m in messages],
             },
             "response": response,
@@ -244,12 +232,10 @@ class ReplayClient:
         self,
         path: str | Path,
         model_id: str | None = None,
-        default_temperature: float = DEFAULT_TEMPERATURE,
         cycle: bool = False,
         delay_s: float = 0.0,
     ):
         self.model_id = model_id or os.environ.get(MODEL_ENV_VAR, DEFAULT_MODEL_ID)
-        self.default_temperature = default_temperature
         self.cycle = cycle
         self.delay_s = delay_s
         self._store: dict[str, list[str]] = {}
@@ -259,9 +245,8 @@ class ReplayClient:
         for record in _read_jsonl(Path(path)):
             self._store.setdefault(record["key"], []).append(record["response"])
 
-    def complete(self, messages: Sequence[Message], *, temperature: float | None = None) -> str:
-        temp = self.default_temperature if temperature is None else temperature
-        key = fixture_key(self.model_id, temp, messages)
+    def complete(self, messages: Sequence[Message], *, temperature: float) -> str:
+        key = fixture_key(self.model_id, temperature, messages)
         with self._lock:
             self.call_count += 1
             responses = self._store.get(key)
@@ -288,14 +273,13 @@ class ScriptedClient:
 
     def __init__(self, responses: Sequence[str], model_id: str = "scripted"):
         self.model_id = model_id
-        self.default_temperature = DEFAULT_TEMPERATURE
         self._responses = list(responses)
         self._next = 0
         self._lock = threading.Lock()
         self.call_count = 0
-        self.requests: list[tuple[tuple[Message, ...], float | None]] = []
+        self.requests: list[tuple[tuple[Message, ...], float]] = []
 
-    def complete(self, messages: Sequence[Message], *, temperature: float | None = None) -> str:
+    def complete(self, messages: Sequence[Message], *, temperature: float) -> str:
         with self._lock:
             self.call_count += 1
             self.requests.append((tuple(messages), temperature))

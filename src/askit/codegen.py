@@ -40,25 +40,12 @@ from .errors import (
     TemplateError,
     ToolchainUnavailable,
 )
-from .prompts import Example, Violation, ViolationKind, build_codegen, extract_block
+from .prompts import LANGUAGES, Example, Violation, ViolationKind, build_codegen, extract_block
 from .runner import DEFAULT_INVOKE_TIMEOUT, fork_server, run_once, scratch_dir
 from .template import PromptTemplate, _check_binding, substitute_comment
 from .types import IDENT_RE, TypeSchema, VoidType, render
 
 DEFAULT_CACHE_DIR = "askit"
-
-
-@dataclass(frozen=True)
-class TargetLanguage:
-    name: str  # doubles as the markdown fence tag
-    extension: str
-    runnable: bool
-
-
-LANGUAGES = {
-    "python": TargetLanguage("python", "py", runnable=True),
-    "typescript": TargetLanguage("typescript", "ts", runnable=False),
-}
 
 
 @dataclass(frozen=True)
@@ -122,6 +109,8 @@ class CodegenConfig:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         check_temperature(self.temperature)
+        if self.invoke_timeout <= 0:
+            raise ValueError("invoke_timeout must be positive")
         object.__setattr__(self, "cache_dir", Path(self.cache_dir))
         if self.codable_allowlist is not None:
             object.__setattr__(self, "codable_allowlist", frozenset(self.codable_allowlist))
@@ -331,7 +320,7 @@ def generate(client, spec: TaskSpec, config: CodegenConfig | None = None) -> Gen
 
 def _vet_candidate(response: str, spec: TaskSpec, config: CodegenConfig) -> tuple[str | None, Violation | None]:
     try:
-        source = extract_block(response, LANGUAGES[spec.target_language].name)
+        source = extract_block(response, spec.target_language)
     except BlockNotFound as exc:
         return None, Violation(ViolationKind.NO_CODE_BLOCK, str(exc))
     if not source.endswith("\n"):

@@ -92,6 +92,20 @@ class Violation:
 
 
 @dataclass(frozen=True)
+class TargetLanguage:
+    extension: str
+    comment: str  # line-comment mark in a code generation skeleton
+    runnable: bool  # the harness can run it
+
+
+# Every codegen target; the name doubles as the markdown fence tag.
+LANGUAGES = {
+    "python": TargetLanguage("py", "#", runnable=True),
+    "typescript": TargetLanguage("ts", "//", runnable=False),
+}
+
+
+@dataclass(frozen=True)
 class DirectPrompt:
     text: str
     schema: Record  # the wrapped {reason, answer} envelope schema
@@ -154,8 +168,6 @@ _ONE_SHOT = {
         "```"
     ),
 }
-
-_COMMENT_PREFIX = {"typescript": "//", "python": "#"}
 
 
 def build_direct(
@@ -238,8 +250,6 @@ def build_codegen(spec: "TaskSpec") -> CodegenPrompt:
     comment, plus one comment line per few-shot example.
     """
     language = spec.target_language
-    if language not in _ONE_SHOT:
-        raise SchemaError(f"unsupported codegen language {language!r}")
     skeleton = _skeleton(spec, language)
     text = f"{_ONE_SHOT[language]}\n\nQ: Implement the following function:\n```{language}\n{skeleton}\n```"
     return CodegenPrompt(text=text, target_language_tag=language, skeleton=skeleton)
@@ -250,7 +260,7 @@ def _skeleton(spec: "TaskSpec", language: str) -> str:
         (name, None) for name in spec.template.params
     ]
     signature = synthesize_signature(spec.name, spec.return_schema, params, language)
-    mark = _COMMENT_PREFIX[language]
+    mark = LANGUAGES[language].comment
     body = [f"    {mark} {substitute_comment(spec.template)}"]
     for example in spec.fewshot:
         call = json.dumps(dict(example.input), ensure_ascii=False)

@@ -2,8 +2,9 @@
 
 A task file is `{"version": 1, "tasks": [...]}` where each entry carries
 name, template, return_schema, and optionally param_schemas, fewshot, tests,
-codable, and target_language. Schemas are written in a small textual syntax
-mirroring the type constructors:
+codable, and target_language. Loading builds each entry's TaskSpec once; a
+TaskEntry is that spec plus the codable flag. Schemas are written in a small
+textual syntax mirroring the type constructors:
 
     int  float  bool  str  void
     literal(123)  literal('yes')  literal(true)
@@ -21,13 +22,13 @@ from __future__ import annotations
 
 import ast
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping
 
 from .codegen import TaskSpec
 from .errors import TaskFileError
-from .prompts import Example, examples_from
+from .prompts import examples_from
 from .template import parse as parse_template
 from .types import (
     BOOL,
@@ -115,25 +116,14 @@ def _field_name(node: ast.expr | None) -> str:
 
 @dataclass(frozen=True)
 class TaskEntry:
-    name: str
-    template_text: str
-    return_schema: TypeSchema | VoidType
-    param_schemas: tuple[tuple[str, TypeSchema], ...] | None
-    fewshot: tuple[Example, ...]
-    tests: tuple[Example, ...]
-    codable: bool
-    target_language: str
+    spec: TaskSpec
+    codable: bool  # `askit codegen` (without --only) and `askit bench` select it
 
     def to_spec(self, target_language: str | None = None) -> TaskSpec:
-        return TaskSpec(
-            name=self.name,
-            template=parse_template(self.template_text),
-            return_schema=self.return_schema,
-            param_schemas=self.param_schemas,
-            fewshot=self.fewshot,
-            tests=self.tests,
-            target_language=target_language or self.target_language,
-        )
+        """The entry's spec, or a copy for another target language (checked again)."""
+        if target_language is None:
+            return self.spec
+        return replace(self.spec, target_language=target_language)
 
 
 @dataclass(frozen=True)
@@ -185,18 +175,16 @@ def load_task_file(path: str | Path) -> TaskFile:
         param_schemas = None if params_raw is None else tuple(
             (key, _param_schema(key, value)) for key, value in params_raw.items()
         )
-        entry = TaskEntry(
+        spec = TaskSpec(
             name=name,
-            template_text=template_text,
+            template=parse_template(template_text),
             return_schema=parse_schema_text(return_text),
             param_schemas=param_schemas,
             fewshot=examples_from(item.get("fewshot"), f"task {name!r} fewshot"),
             tests=examples_from(item.get("tests"), f"task {name!r} tests"),
-            codable=codable,
             target_language=target_language,
         )
-        entry.to_spec()  # fail fast: template parses, schemas line up
-        entries[name] = entry
+        entries[name] = TaskEntry(spec, codable)
     return TaskFile(version=1, entries=entries)
 
 

@@ -445,6 +445,18 @@ class TestCodegenCommand:
         )
         assert main(["codegen", tasks, "--backend", "replay", "--fixtures", "f"]) == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_2(self, capsys, tmp_path, jobs):
+        code = main(
+            ["codegen", str(DEMO_TASKS), "--jobs", jobs, "--backend", "replay",
+             "--fixtures", str(DEMO_FIXTURES), "--cache-dir", str(tmp_path / "cache")]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "askit: --jobs must be >= 1\n"
+        assert captured.out == ""
+        assert not (tmp_path / "cache").exists()
+
 
 class TestBenchCommand:
     def test_repeat_zero_exits_2(self, capsys):

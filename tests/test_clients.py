@@ -1,5 +1,7 @@
 import json
 import socket
+import subprocess
+import sys
 import time
 
 import pytest
@@ -23,6 +25,7 @@ from askit.errors import (
 )
 from askit.template import parse
 from askit.types import INT
+from conftest import DEMO_FIXTURES, REPO
 
 MESSAGES = [Message("user", "hello")]
 
@@ -34,19 +37,19 @@ def envelope(answer):
 class TestScriptedClient:
     def test_pops_in_order(self):
         client = ScriptedClient(["a", "b"])
-        assert client.complete(MESSAGES) == "a"
-        assert client.complete(MESSAGES) == "b"
+        assert client.complete(MESSAGES, temperature=1.0) == "a"
+        assert client.complete(MESSAGES, temperature=1.0) == "b"
 
     def test_exhaustion(self):
         client = ScriptedClient(["a"])
-        client.complete(MESSAGES)
+        client.complete(MESSAGES, temperature=1.0)
         with pytest.raises(ScriptExhausted):
-            client.complete(MESSAGES)
+            client.complete(MESSAGES, temperature=1.0)
 
     def test_call_count(self):
         client = ScriptedClient(["a", "b"])
-        client.complete(MESSAGES)
-        client.complete(MESSAGES)
+        client.complete(MESSAGES, temperature=1.0)
+        client.complete(MESSAGES, temperature=1.0)
         assert client.call_count == 2
 
 
@@ -106,6 +109,22 @@ class TestRecordReplay:
         assert record["request"]["temperature"] == 0.5
         assert record["request"]["messages"] == [{"role": "user", "content": "hello"}]
 
+    def test_record_line_is_pinned(self, tmp_path):
+        store = tmp_path / "fx.jsonl"
+        RecordingClient(ScriptedClient(["resp"], model_id="m"), store).complete(MESSAGES, temperature=0.5)
+        assert store.read_text(encoding="utf-8") == (
+            '{"key": "1e659ae162e5def0", "request": {"model": "m", "temperature": 0.5,'
+            ' "messages": [{"role": "user", "content": "hello"}]}, "response": "resp"}\n'
+        )
+
+    def test_demo_fixture_script_rebuilds_the_committed_store(self, tmp_path):
+        store = tmp_path / "demo.jsonl"
+        subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "make_demo_fixtures.py"), str(store)],
+            check=True, capture_output=True, timeout=120,
+        )
+        assert store.read_bytes() == DEMO_FIXTURES.read_bytes()
+
     def test_delay_simulates_latency(self, tmp_path):
         store = tmp_path / "fx.jsonl"
         RecordingClient(ScriptedClient(["resp"], model_id="m"), store).complete(MESSAGES, temperature=1.0)
@@ -158,7 +177,7 @@ class TestLiveClient:
     def test_http_error_carries_status_and_excerpt(self):
         client = LiveClient(self.config(), transport=lambda *a: (500, {}, b"server exploded"))
         with pytest.raises(HttpError) as err:
-            client.complete(MESSAGES)
+            client.complete(MESSAGES, temperature=1.0)
         assert err.value.status == 500
         assert "server exploded" in err.value.body_excerpt
 
@@ -172,7 +191,7 @@ class TestLiveClient:
             return 200, {}, self.completion_body("ok")
 
         client = LiveClient(self.config(), transport=transport)
-        assert client.complete(MESSAGES) == "ok"
+        assert client.complete(MESSAGES, temperature=1.0) == "ok"
         assert len(calls) == 2
 
     def test_transient_failure_retries_once_then_surfaces(self):
@@ -186,7 +205,7 @@ class TestLiveClient:
 
         client = LiveClient(self.config(), transport=transport)
         with pytest.raises(RequestTimeout):
-            client.complete(MESSAGES)
+            client.complete(MESSAGES, temperature=1.0)
         assert len(calls) == 2
 
     def test_response_too_large(self):
@@ -195,17 +214,17 @@ class TestLiveClient:
             transport=lambda *a: (200, {}, self.completion_body("x")),
         )
         with pytest.raises(ResponseTooLarge):
-            client.complete(MESSAGES)
+            client.complete(MESSAGES, temperature=1.0)
 
     def test_malformed_completion(self):
         client = LiveClient(self.config(), transport=lambda *a: (200, {}, b'{"weird": true}'))
         with pytest.raises(ClientError):
-            client.complete(MESSAGES)
+            client.complete(MESSAGES, temperature=1.0)
 
     def test_empty_dialogue_rejected(self):
         client = LiveClient(self.config(), transport=lambda *a: (200, {}, b"{}"))
         with pytest.raises(ValueError):
-            client.complete([])
+            client.complete([], temperature=1.0)
 
 
 class TestClientConfig:
@@ -224,8 +243,6 @@ class TestClientConfig:
         assert config.api_key == ""
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ClientConfig(temperature=3.0)
         with pytest.raises(ValueError):
             ClientConfig(timeout=0)
 

@@ -678,6 +678,11 @@ class TestCodegenConfig:
         with pytest.raises(ValueError):
             CodegenConfig(max_retries=-1)
 
+    @pytest.mark.parametrize("timeout", [0, -1.5])
+    def test_invoke_timeout_must_be_positive(self, timeout):
+        with pytest.raises(ValueError, match="^invoke_timeout must be positive$"):
+            CodegenConfig(invoke_timeout=timeout)
+
     def test_allowlist(self):
         assert CodegenConfig().allows("anything")
         config = CodegenConfig(codable_allowlist={"add", "math_*"})

@@ -5,7 +5,7 @@ import pytest
 
 from askit import codegen
 from askit.cli import build_parser
-from askit.clients import ClientConfig, ReplayClient, ScriptedClient
+from askit.clients import ScriptedClient
 from askit.codegen import CodegenConfig
 from askit.engine import (
     DEFAULT_MAX_RETRIES,
@@ -142,7 +142,7 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(temperature=2.5)
 
-    @pytest.mark.parametrize("config", [EngineConfig, CodegenConfig, ClientConfig])
+    @pytest.mark.parametrize("config", [EngineConfig, CodegenConfig])
     @pytest.mark.parametrize("temperature", [-0.1, 2.5])
     def test_every_config_checks_temperature_alike(self, config, temperature):
         with pytest.raises(ValueError, match=r"^temperature must be within \[0\.0, 2\.0\]$"):
@@ -152,15 +152,10 @@ class TestEngineConfig:
         assert CodegenConfig().max_retries == EngineConfig().max_direct_retries == DEFAULT_MAX_RETRIES
         assert build_parser().parse_args(["codegen", "tasks.json"]).max_retries == DEFAULT_MAX_RETRIES
 
-    def test_one_temperature_default(self, tmp_path):
-        fixtures = tmp_path / "fixtures.jsonl"
-        fixtures.write_text("", encoding="utf-8")
+    def test_one_temperature_default(self):
         defaults = [
             EngineConfig().temperature,
             CodegenConfig().temperature,
-            ClientConfig().temperature,
-            ReplayClient(fixtures).default_temperature,
-            ScriptedClient([]).default_temperature,
             build_parser().parse_args(["ask", "tasks.json", "name"]).temperature,
             build_parser().parse_args(["bench", "tasks.json", "--fixtures", "f"]).temperature,
         ]

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from askit.errors import AskitError, TaskFileError
+from askit import taskfile
+from askit.errors import AskitError, SchemaError, TaskFileError
 from askit.taskfile import load_task_file, parse_schema_text
 from askit.types import (
     BOOL,
@@ -124,7 +125,7 @@ class TestSchemaTextRoundTrip:
 
     def test_demo_schemas_parse_back_equal(self):
         for entry in load_task_file(DEMO_TASKS).entries.values():
-            schemas = [entry.return_schema, *(schema for _, schema in entry.param_schemas or ())]
+            schemas = [entry.spec.return_schema, *(schema for _, schema in entry.spec.param_schemas or ())]
             for schema in schemas:
                 assert parse_schema_text(schema_text(schema)) == schema
 
@@ -224,7 +225,7 @@ class TestLoadTaskFile:
         assert list(task_file.entries)[:2] == ["getSentiment", "getBooks"]
         factorial = task_file.get("calculateFactorial")
         assert factorial.codable
-        assert len(factorial.tests) == 2
+        assert len(factorial.spec.tests) == 2
         spec = factorial.to_spec()
         assert spec.template.params == ("n",)
         assert spec.return_schema == INT
@@ -233,6 +234,29 @@ class TestLoadTaskFile:
         task_file = load_task_file(DEMO_TASKS)
         spec = task_file.get("calculateFactorial").to_spec(target_language="typescript")
         assert spec.target_language == "typescript"
+
+    def test_to_spec_returns_the_held_spec(self):
+        entry = load_task_file(DEMO_TASKS).get("calculateFactorial")
+        assert entry.to_spec() is entry.spec
+
+    def test_unknown_target_language_is_checked_again(self):
+        entry = load_task_file(DEMO_TASKS).get("calculateFactorial")
+        with pytest.raises(SchemaError, match="cobol"):
+            entry.to_spec(target_language="cobol")
+
+    def test_each_template_parses_once(self, monkeypatch):
+        parsed = []
+        real = taskfile.parse_template
+
+        def counting(text):
+            parsed.append(text)
+            return real(text)
+
+        monkeypatch.setattr(taskfile, "parse_template", counting)
+        task_file = load_task_file(DEMO_TASKS)
+        for entry in task_file.entries.values():
+            entry.to_spec()
+        assert sorted(parsed) == sorted(entry.spec.template.raw for entry in task_file.entries.values())
 
     def test_unknown_name_raises_key_error(self):
         task_file = load_task_file(DEMO_TASKS)

@@ -19,6 +19,7 @@ from .codegen import (
     cache_lookup,
     generate,
     invoke,
+    require_harness,
 )
 from .encoding import stable_digest
 from .engine import EngineConfig, ask_until_valid
@@ -230,5 +231,6 @@ class CompiledFunction(_Closing):
         """The open worker; a new one when there is none or it is `gone`."""
         with self._lock:
             if self._worker is None or self._worker is gone:
+                require_harness(self._generated)
                 self._worker = Worker(self._generated.cache_path, call_timeout=self._config.invoke_timeout)
             return self._worker

@@ -18,6 +18,7 @@ import json
 import os
 import statistics
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -157,13 +158,19 @@ def _cmd_codegen(args) -> int:
         max_retries=args.max_retries,
         require_param_schemas=False,
     )
+    failed = threading.Event()  # an error that ends the command: start no more tasks
 
     def compile_one(entry):
+        if failed.is_set():
+            return None  # never read: pool.map raises the earlier task's error first
         defined = api.DefinedFunction(entry.to_spec(target_language=args.target), client)
         try:
             return defined.name, api.compile(defined, config).generated, None
         except GenerationFailed as exc:  # exc, kept, would hold main()'s zygote until gc
             return defined.name, None, exc.violation
+        except BaseException:
+            failed.set()
+            raise
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         results = list(pool.map(compile_one, entries))

@@ -242,10 +242,15 @@ def syntax_check(source: str, language: str) -> Violation | None:
     return Violation(ViolationKind.SYNTAX_ERROR, diagnostics[-500:])
 
 
-def invoke(fn: GeneratedFunction, args: Mapping[str, Any], timeout: float = DEFAULT_INVOKE_TIMEOUT) -> Any:
-    """Run a cached function in a fresh forked process and return its value."""
+def require_harness(fn: GeneratedFunction) -> None:
+    """Raise ToolchainUnavailable unless the harness can run the function's language."""
     if not LANGUAGES[fn.language].runnable:
         raise ToolchainUnavailable(f"no execution harness for {fn.language}")
+
+
+def invoke(fn: GeneratedFunction, args: Mapping[str, Any], timeout: float = DEFAULT_INVOKE_TIMEOUT) -> Any:
+    """Run a cached function in a fresh forked process and return its value."""
+    require_harness(fn)
     return run_once(fn.cache_path, fn.entry, args, timeout=timeout)
 
 

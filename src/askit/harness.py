@@ -1,37 +1,35 @@
-"""Child-process harness that loads generated source and calls one function.
+"""Child-process harness: a zygote that forks the children that run generated code.
 
-Run as a script by `python -I -S -B`; the parent starts it from bytecode and
+Run as a script, its only mode; the parent starts it from bytecode and
 imports it only for MAX_RESPONSE_BYTES, read_line, write_line, dumps and loads:
 
-    python -I -S -B harness.py SOURCE_FILE          one request, one response
     python -I -S -B harness.py --fork-server        one forked child per line
 
-Wire protocol, one JSON document per direction:
-
-    request   {"entry": <name>, "args": {...}}
-    response  {"ok": true, "result": ...}
-    response  {"ok": false, "error": <text>}
-
-The harness keeps the protocol channel to itself: the real stdout/stdin file
-descriptors are duplicated away before user code runs, fd 1 is pointed at
-stderr (so stray prints cannot corrupt responses) and fd 0 at /dev/null.
-
-The fork server is a zygote that never runs generated code. It answers each
-request line with the pid of a child it forks (fork_request), or an error:
+The zygote never runs generated code. It answers each request line with the
+pid of a child it forks (fork_request), or an error:
 
     {"source": <path>, "scratch": <dir>, "entry": ..., "args": [{...}, ...]}   a run
     {"source": <path>, "scratch": <dir>}                                      a warm worker
 
 The caller made the FIFO `out` (for a worker also `in`) in the scratch
 directory and holds its other end. The child works and logs (stderr.log)
-there. A run's child answers the sets on `out` in order, each in a fresh
-namespace, up to its first error document, and leaves (answer_each); a
-worker loads the source once and answers each line on `in` until end of file
-(serve). The caller enforces timeouts and the size cap and kills through a
-pidfd. The zygote keeps a write end of each child's `out`: before it reaps
-an exited child (on SIGCHLD) it writes {"ok": false, "error": "harness
-exited with status N"} there. At end of input without SIGTERM (the owner
-has gone) it kills the runs' children and waits for all.
+there; its fds 1 and 2 go to the log, so stray prints cannot corrupt its
+answers, one JSON document per line each way:
+
+    request   {"entry": <name>, "args": {...}}
+    response  {"ok": true, "result": ...}
+    response  {"ok": false, "error": <text>}
+
+A run's child answers the sets on `out` in order, each in a fresh namespace,
+up to its first error document, and leaves (answer_each); a worker loads the
+source once and answers each line on `in` until end of file (serve). The
+caller enforces timeouts and the size cap and kills through a pidfd. The
+zygote keeps a write end of each child's `out`: before it reaps an exited
+child (on SIGCHLD) it writes {"ok": false, "error": "harness exited with
+status N"} there. Its owner ends it with SIGKILL; a child needs nothing from
+it. End of input means that the owner has gone without ending it: the
+zygote kills every child, reaps them, and removes their scratch directories
+and its own (its working directory).
 
 Before executing the generated source an audit-hook sandbox is installed in
 the process that runs it: file writes, renames and deletes outside the
@@ -236,7 +234,7 @@ def compile_once(source_path, cache):
                 cache.clear()
             cached = cache[source_path] = text, compile(text, source_path, "exec")
         return cached[1]
-    except Exception:  # noqa: BLE001 - not BaseException: SIGTERM's SystemExit still ends the zygote
+    except Exception:  # noqa: BLE001 - the child reports why
         return None
 
 
@@ -332,8 +330,7 @@ def fork_child(scratch, inherited, body):
     if pid == 0:
         status = 1
         try:
-            for signum in (_signal.SIGTERM, _signal.SIGCHLD):
-                _signal.signal(signum, _signal.SIG_DFL)
+            _signal.signal(_signal.SIGCHLD, _signal.SIG_DFL)
             _signal.pthread_sigmask(_signal.SIG_UNBLOCK, {_signal.SIGCHLD})
             for fd in inherited:
                 os.close(fd)
@@ -361,7 +358,7 @@ def fork_request(request, protocol, children, compiled):
     (the request has "args") answers them (answer_each), a warm worker reads
     requests from the FIFO `in` (serve); each answers on the FIFO `out`, both
     in the request's scratch directory. `compiled` is the compile_once cache;
-    the zygote keeps a write end of `out` of its own in `children` (reap)."""
+    `children` keeps the zygote's own write end of `out` and the scratch (reap)."""
     scratch, source, run = request["scratch"], request["source"], "args" in request
     code = compile_once(source, compiled)
     # `out` is opened twice: the child makes its end blocking, the zygote's must not be.
@@ -370,11 +367,11 @@ def fork_request(request, protocol, children, compiled):
         for name, flags in [("out", os.O_WRONLY), ("out", os.O_WRONLY), *([] if run else [("in", os.O_RDONLY)])]:
             ends.append(os.open(os.path.join(scratch, name), flags | os.O_NONBLOCK))
         kept, out, *fifo_in = ends
-        body = (lambda: answer_each(source, request, code, out)) if run else (lambda: serve(*fifo_in, out, source, code))
+        body = (lambda: answer_each(source, request, code, out)) if run else (lambda: serve(*fifo_in, out, source, code, scratch))
         _signal.pthread_sigmask(_signal.SIG_BLOCK, {_signal.SIGCHLD})  # no reap until `children` holds the pid
         try:
             pid = fork_child(scratch, (*protocol, *(end for end, _ in children.values()), kept), body)
-            children[pid] = ends.pop(0), run
+            children[pid] = ends.pop(0), scratch
         finally:
             _signal.pthread_sigmask(_signal.SIG_UNBLOCK, {_signal.SIGCHLD})
         return pid
@@ -383,13 +380,20 @@ def fork_request(request, protocol, children, compiled):
             os.close(fd)
 
 
-def serve(fifo_in, fifo_out, source, code):
-    """A worker's life: load once, answer until end of input."""
+def serve(fifo_in, fifo_out, source, code, scratch):
+    """A worker's life: load once, answer until end of input. That, or a
+    closed `out`, means that its caller, who would kill it, has gone: then
+    it removes its scratch directory."""
     for fd in (fifo_in, fifo_out):
         os.set_blocking(fd, True)
     namespace, load_error = load(source, code)
-    for request in requests(fifo_in, fifo_out):
-        write_line(fifo_out, encode_response(handle_request(namespace, load_error, request)))
+    try:
+        for request in requests(fifo_in, fifo_out):
+            write_line(fifo_out, encode_response(handle_request(namespace, load_error, request)))
+    except BrokenPipeError:
+        pass
+    import shutil  # only on this path
+    shutil.rmtree(scratch, ignore_errors=True)
 
 
 def answer_each(source_path, request, code, fd):
@@ -407,15 +411,14 @@ def answer_each(source_path, request, code, fd):
             return
 
 
-def reap(children, options=os.WNOHANG):
-    """Reap the children in `children` that have exited (options 0: wait for
-    each). It maps a pid to the zygote's write end of that child's `out` and
-    whether the child is a run's: before the pid can be reused, the child's
-    exit status goes there as an error document, which its caller reads in
-    place of an answer."""
+def reap(children):
+    """Reap the children in `children` that have exited. It maps a pid to the
+    zygote's write end of that child's `out` and its scratch directory:
+    before the pid can be reused, the child's exit status goes to `out` as
+    an error document, which its caller reads in place of an answer."""
     for pid in list(children):
         try:
-            exited = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | options)
+            exited = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG)
         except ChildProcessError:  # reaped meanwhile, by a reap that interrupted this one
             continue
         if exited is None or (claimed := children.pop(pid, None)) is None:
@@ -430,12 +433,11 @@ def reap(children, options=os.WNOHANG):
 
 
 def main(argv):
-    fork_server = argv[1:] == ["--fork-server"]
-    if len(argv) != 2 or (argv[1].startswith("--") and not fork_server):
-        print("usage: harness.py SOURCE_FILE | harness.py --fork-server", file=sys.stderr)
+    if argv[1:] != ["--fork-server"]:
+        print("usage: harness.py --fork-server", file=sys.stderr)
         return 2
 
-    # Claim the protocol descriptors before any user code can touch them.
+    # Claim the protocol descriptors: no child may read or write them.
     protocol_out = os.dup(1)
     protocol_in = os.dup(0)
     os.dup2(2, 1)
@@ -443,44 +445,24 @@ def main(argv):
     os.dup2(devnull_fd, 0)
     os.close(devnull_fd)
 
-    def respond(response):
-        write_line(protocol_out, encode_response(response))
-
-    if fork_server:
-        compiled, children = {}, {}
-        # A terminated zygote leaves at once: it holds nothing worth finalizing.
-        _signal.signal(_signal.SIGTERM, lambda signum, frame: sys.exit(0))
-        _signal.signal(_signal.SIGCHLD, lambda signum, frame: reap(children))
+    compiled, children = {}, {}
+    _signal.signal(_signal.SIGCHLD, lambda signum, frame: reap(children))
+    for request in requests(protocol_in, protocol_out):
         try:
-            for request in requests(protocol_in, protocol_out):
-                try:
-                    respond({"ok": True, "result": fork_request(request, (protocol_in, protocol_out), children, compiled)})
-                except (AttributeError, TypeError, KeyError) as exc:
-                    respond({"ok": False, "error": f"fork request is malformed: {exc!r}"})
-                except OSError as exc:
-                    respond({"ok": False, "error": f"fork request failed: {exc}"})
-            # The owner has gone: a run's child answers no one now, and a warm
-            # worker leaves at the end of its own input.
-            _signal.signal(_signal.SIGCHLD, _signal.SIG_DFL)
-            for pid, (_, run) in children.items():
-                if run:
-                    os.kill(pid, _signal.SIGKILL)
-            reap(children, 0)
-        except SystemExit:
-            reap(children)
-        os._exit(0)
-
-    source_path = argv[1]
-    install_sandbox(os.getcwd())
-    # Drain the request before touching user code so a large payload can
-    # never deadlock against a module that is slow to load.
-    raw = os.fdopen(protocol_in, "r", encoding="utf-8").read()
-    try:
-        request = loads(raw)
-    except ValueError as exc:
-        respond({"ok": False, "error": f"request is not valid JSON: {exc}"})
-        return 0
-    respond(handle_request(*load(source_path), request))
+            response = {"ok": True, "result": fork_request(request, (protocol_in, protocol_out), children, compiled)}
+        except (AttributeError, TypeError, KeyError) as exc:
+            response = {"ok": False, "error": f"fork request is malformed: {exc!r}"}
+        except OSError as exc:
+            response = {"ok": False, "error": f"fork request failed: {exc}"}
+        write_line(protocol_out, encode_response(response))
+    # The owner has gone without ending the zygote: no child has a caller now.
+    _signal.signal(_signal.SIGCHLD, _signal.SIG_DFL)
+    import shutil  # only on this path
+    for pid, (_, scratch) in children.items():
+        os.kill(pid, _signal.SIGKILL)
+        os.waitpid(pid, 0)
+        shutil.rmtree(scratch, ignore_errors=True)
+    shutil.rmtree(os.getcwd(), ignore_errors=True)
     return 0
 
 

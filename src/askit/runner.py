@@ -18,19 +18,19 @@ runs on it and every Worker is forked by it. Its holders keep it alive:
 codegen.generate while it runs, each open CompiledFunction (in a forked
 copy, from its first call_isolated on), a DefinedFunction from its first
 compile miss on, the `askit` command line, and each Worker. When the last
-holder goes, the zygote ends; close() ends it at once (open workers still
-answer), and a later request starts it again. A forked copy of the process
-drops the server and starts its own.
+holder goes, or at close(), the zygote is killed (open workers still answer),
+and a later request starts it again; at end of input (the process has gone)
+it kills every child it forked. A forked copy of the process starts its own.
 
 The zygote is the only interpreter askit starts: `python -I -S -B
 <scratch>/harness.pyc`, from bytecode compiled once per process, in its
 own askit-worker-* scratch directory, without `site` (generated code sees
 the standard library only) and with a minimal environment. A fork request is
-one line each way under a deadline; the zygote logs to a stderr.log and is
-shut down when its owner is closed or collected. Only the process that made
-a scratch directory removes it (scratch_dir), and only the one that started
-the zygote or asked for a child signals it: in a forked copy either reads as
-not alive, and closing it there closes that copy's descriptors.
+one line each way under a deadline; the zygote logs to a stderr.log. Only
+the process that made a scratch directory removes it (scratch_dir), or once
+it has gone the harness, and only the one that started the zygote or asked
+for a child signals it: in a forked copy either reads as not alive, and
+closing it there closes that copy's descriptors.
 """
 
 from __future__ import annotations
@@ -384,19 +384,12 @@ def _end_child(fds: dict[str, int], unread: bytearray, exits: select.poll, scrat
 
 
 def _shutdown(proc, scratch, owner):
-    mine = os.getpid() == owner  # in a forked copy: close its pipes, nothing more
+    """Kill and reap the zygote, close its pipes and remove its scratch
+    directory; in a forked copy, close the pipes alone."""
     try:
-        if mine and proc.poll() is None:
-            # End of input first: a zygote that SIGTERM reaches just before it
-            # blocks reading its next request handles the signal only after
-            # that read returns, so end of input is what makes it leave.
-            proc.stdin.close()
-            proc.terminate()
-            try:
-                proc.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=2.0)
+        if os.getpid() == owner:
+            proc.kill()
+            proc.wait()
     finally:
         for stream in (proc.stdin, proc.stdout):
             with suppress(OSError):

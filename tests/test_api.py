@@ -20,6 +20,7 @@ from askit.errors import (
     ExecutionError,
     NotCodable,
     SchemaError,
+    ToolchainUnavailable,
     UnboundParameter,
 )
 from askit.prompts import Example
@@ -264,6 +265,18 @@ class TestCompile:
 
             with pytest.raises(UnknownParameter):
                 compiled({"n": 1, "m": 2})
+
+    def test_a_function_in_a_language_without_a_harness_raises_before_forking_a_worker(self, tmp_path, monkeypatch):
+        config = CodegenConfig(cache_dir=tmp_path)
+        defined = define(INT, "add {{x}} and {{y}}", param_schemas={"x": INT, "y": INT}, name="add",
+                         target_language="typescript", client=ScriptedClient([]))
+        cache_store(defined.spec, "function add(x: number, y: number): number {\n  return x + y;\n}\n", config)
+        monkeypatch.setattr(api, "Worker", lambda *args, **kwargs: pytest.fail("a worker was forked"))
+        with defined.compile(config) as compiled:
+            assert compiled.generated.from_cache
+            for _ in range(2):
+                with pytest.raises(ToolchainUnavailable, match="^no execution harness for typescript$"):
+                    compiled(x=1, y=2)
 
     def test_worker_restarts_after_death(self, tmp_path):
         client = ScriptedClient([code_response(FACTORIAL_CODE)])

@@ -416,6 +416,19 @@ class TestCodegenCommand:
         assert "neverRight" in captured.err
         assert list(cache.glob("*.py"))
 
+    def test_no_task_starts_after_an_error_that_ends_the_command(self, capsys, tmp_path, monkeypatch):
+        # The first task's fixture miss ends the command; the pool's thread
+        # takes the second task before main() sees that, and must not run it.
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        clients, build = [], cli._build_client
+        monkeypatch.setattr(cli, "_build_client", lambda args: clients.append(build(args)) or clients[-1])
+        code = main(["codegen", str(DEMO_TASKS), "--jobs", "1", "--backend", "replay", "--fixtures", str(empty),
+                     "--cache-dir", str(tmp_path / "cache")])
+        assert code == 4
+        assert "no recorded response" in capsys.readouterr().err
+        assert clients[0].call_count == 1
+
     def test_toolchain_unavailable_exits_5(self, capsys, tmp_path, monkeypatch):
         tasks = write_tasks(tmp_path, [ADD_TASK])
         store = tmp_path / "fx.jsonl"

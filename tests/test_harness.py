@@ -3,6 +3,8 @@
 import gc
 import json
 import os
+import select
+import signal
 import subprocess
 import sys
 import tempfile
@@ -30,32 +32,29 @@ def write_source(tmp_path, source, name="gen.py"):
     return path
 
 
+def _answer_bytes(source, request):
+    """The bytes a Worker for `source` writes on its FIFO `out` in answer to
+    the request line `request` written on its FIFO `in`."""
+    with Worker(source) as worker:
+        os.write(worker._fds["in"], request + b"\n")
+        answer = b""
+        while not answer.endswith(b"\n"):
+            assert select.select([worker._fds["out"]], [], [], 30)[0], "no answer"
+            answer += os.read(worker._fds["out"], 65536)
+        return answer
+
+
 class TestWireProtocol:
     def test_request_and_response_documents_are_bit_exact(self, tmp_path):
         """Pins the harness protocol: one JSON document each way."""
         source = write_source(tmp_path, ADD_SOURCE)
         request = b'{"entry": "add", "args": {"x": 2, "y": 3}}'
-        proc = subprocess.run(
-            [sys.executable, "-I", "-B", str(HARNESS_PATH), str(source)],
-            input=request,
-            capture_output=True,
-            cwd=tmp_path,
-            timeout=30,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout == b'{"ok": true, "result": 5}\n'
+        assert _answer_bytes(source, request) == b'{"ok": true, "result": 5}\n'
 
     def test_error_document_shape(self, tmp_path):
         source = write_source(tmp_path, "def boom():\n    raise ValueError('nope')\n")
         request = b'{"entry": "boom", "args": {}}'
-        proc = subprocess.run(
-            [sys.executable, "-I", "-B", str(HARNESS_PATH), str(source)],
-            input=request,
-            capture_output=True,
-            cwd=tmp_path,
-            timeout=30,
-        )
-        document = json.loads(proc.stdout)
+        document = json.loads(_answer_bytes(source, request))
         assert document["ok"] is False
         assert "ValueError: nope" in document["error"]
 
@@ -336,19 +335,71 @@ class TestForkedWorker:
             f"worker = Worker({str(source)!r})\n"
             "assert worker.call('add', {'x': 1, 'y': 2}) == 3\n"
             "print(worker.pid, worker._zygote._proc.pid, flush=True)\n"
+            "print(os.path.dirname(worker._stderr_path), os.path.dirname(worker._zygote._stderr_path), flush=True)\n"
             "os._exit(0)\n"
         )
         proc = subprocess.run([sys.executable, "-c", owner], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        worker, zygote = map(int, proc.stdout.split())
+        pids, scratches = proc.stdout.splitlines()
+        worker, zygote = map(int, pids.split())
         deadline = time.monotonic() + 5.0
         while (parent := parent_of(worker)) is not None:  # until reaped
-            # Never orphaned: the zygote saw end of input and waited for it
+            # Never orphaned: the zygote saw end of input and reaped it
             # (0 is read while the zygote releases the reaped worker).
             assert parent in (zygote, 0)
             assert time.monotonic() < deadline
             time.sleep(0.005)
         assert gone(zygote, zombie_ok=True)
+        for scratch in scratches.split():  # removed by the harness: the owner cannot
+            assert os.path.basename(scratch).startswith("askit-worker-")
+            assert not os.path.exists(scratch)
+
+    def test_a_busy_worker_and_its_zygote_end_when_their_owner_dies(self, tmp_path):
+        source = write_source(tmp_path, "def spin():\n    while True:\n        pass\n")
+        owner = (
+            "import os, sys\n"
+            f"sys.path.insert(0, {str(REPO / 'src')!r})\n"
+            "from askit.harness import write_line\n"
+            "from askit.runner import Worker\n"
+            f"worker = Worker({str(source)!r})\n"
+            "write_line(worker._fds['in'], '{\"entry\": \"spin\", \"args\": {}}')\n"
+            "print(worker.pid, worker._zygote._proc.pid, flush=True)\n"
+            "os._exit(0)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", owner], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        worker, zygote = map(int, proc.stdout.split())
+        try:
+            assert gone(worker), "the worker outlived its owner"
+            assert gone(zygote, zombie_ok=True), "the zygote outlived its owner"
+        finally:
+            for pid in (worker, zygote):
+                if not gone(pid, timeout=0, zombie_ok=True):
+                    os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.parametrize("answering", [False, True], ids=["idle", "answering"])
+    def test_a_worker_whose_owner_dies_after_closing_the_zygote_removes_its_scratch(self, tmp_path, answering):
+        # No zygote is left to do it: the worker's input ends, or its answer
+        # finds `out` closed, and either means that its owner has gone.
+        source = write_source(tmp_path, "import time\ndef f():\n    time.sleep(0.3)\n    return 1\n")
+        owner = (
+            "import os, sys\n"
+            f"sys.path.insert(0, {str(REPO / 'src')!r})\n"
+            "from askit import runner\n"
+            "from askit.harness import write_line\n"
+            "from askit.runner import Worker\n"
+            f"worker = Worker({str(source)!r})\n"
+            "assert worker.call('f', {}) == 1\n"
+            "runner.close()\n"
+            + ("write_line(worker._fds['in'], '{\"entry\": \"f\", \"args\": {}}')\n" if answering else "")
+            + "print(worker.pid, os.path.dirname(worker._stderr_path), flush=True)\n"
+            "os._exit(0)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", owner], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        worker, scratch = proc.stdout.split()
+        assert gone(int(worker), zombie_ok=True)
+        assert os.path.basename(scratch).startswith("askit-worker-") and not os.path.exists(scratch)
 
     def test_an_inflight_run_and_a_worker_outlive_their_zygote(self, tmp_path):
         # Once forked, neither needs the zygote nor holds its protocol pipe open.
@@ -404,12 +455,14 @@ class TestForkedWorker:
         worker.close()
         assert starts == [["--fork-server"]]
 
-    def test_serve_mode_is_gone(self, tmp_path):
+    @pytest.mark.parametrize("mode", [["SOURCE"], ["SOURCE", "--serve"], []], ids=["source", "serve", "no-argument"])
+    def test_every_mode_but_the_fork_server_is_gone(self, tmp_path, mode):
+        source = str(write_source(tmp_path, ADD_SOURCE))
         proc = subprocess.run(
-            [sys.executable, "-I", "-S", "-B", str(HARNESS_PATH), str(write_source(tmp_path, ADD_SOURCE)), "--serve"],
-            input=b"", capture_output=True, timeout=30,
+            [sys.executable, "-I", "-S", "-B", str(HARNESS_PATH), *(source if arg == "SOURCE" else arg for arg in mode)],
+            input=b'{"entry": "add", "args": {"x": 2, "y": 3}}', capture_output=True, timeout=30,
         )
-        assert proc.returncode == 2 and b"usage" in proc.stderr
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"usage: harness.py --fork-server\n")
 
 
 COUNTER_SOURCE = "calls = []\ndef f():\n    calls.append(1)\n    return len(calls)\n"
@@ -634,17 +687,15 @@ class TestForkPool:
 
     PARENT_SOURCE = "import os\ndef f():\n    return os.getppid()\n"
 
-    def test_close_ends_an_idle_zygote_at_end_of_input(self, tmp_path, monkeypatch):
-        # SIGTERM that lands just before the zygote blocks on its next read
-        # is handled only after that read returns; end of input must do.
-        server = ForkServer()
-        assert server.run(write_source(tmp_path, ADD_SOURCE), "add", {"x": 1, "y": 2}) == 3
-        zygote = server._proc
-        monkeypatch.setattr(subprocess.Popen, "terminate", lambda self: None)
-        started = time.perf_counter()
-        server.close()
-        assert zygote.returncode == 0
-        assert time.perf_counter() - started < 1.5
+    def test_close_kills_and_reaps_the_zygote_at_once(self, tmp_path):
+        with Worker(write_source(tmp_path, ADD_SOURCE)) as worker:
+            assert worker.call("add", {"x": 1, "y": 2}) == 3
+            zygote = worker._zygote._proc
+            started = time.perf_counter()
+            worker._zygote.close()
+            assert zygote.returncode == -signal.SIGKILL
+            assert time.perf_counter() - started < 1.5
+            assert worker.call("add", {"x": 2, "y": 2}) == 4  # a forked child needs nothing from its zygote
 
     def test_shared_pool_ends_with_its_last_holder(self, tmp_path):
         source = write_source(tmp_path, ADD_SOURCE)
@@ -692,20 +743,6 @@ class TestForkPool:
         server.close()
 
 
-def _one_shot_error(source, entry):
-    """The error text of the one-shot mode, `harness.py SOURCE`."""
-    proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-B", str(HARNESS_PATH), str(source)],
-        input=json.dumps({"entry": entry, "args": {}}).encode(),
-        capture_output=True,
-        cwd=source.parent,
-        timeout=30,
-    )
-    document = json.loads(proc.stdout)
-    assert document["ok"] is False
-    return document["error"]
-
-
 class TestCompileOnce:
     def test_source_rewritten_in_place_with_same_size_and_mtime_is_recompiled(self, tmp_path):
         source = write_source(tmp_path, "def f():\n    return 1\n")
@@ -725,8 +762,12 @@ class TestCompileOnce:
     def test_load_errors_match_the_one_shot_mode_on_every_run(self, tmp_path, content):
         source = tmp_path / "gen.py"
         source.write_bytes(content)
-        expected = _one_shot_error(source, "f")
-        assert expected.startswith("generated source failed to load: ")
+        # What the removed one-shot mode, `harness.py SOURCE`, answered: the
+        # error of reading and compiling the file.
+        try:
+            compile(source.read_text(encoding="utf-8"), str(source), "exec")
+        except (SyntaxError, ValueError) as exc:
+            expected = "generated source failed to load: " + harness.error_line(exc)
         with ForkServer() as server:
             for _ in range(2):
                 with pytest.raises(ExecutionError) as raised:

@@ -1,0 +1,158 @@
+#!/usr/bin/env python3
+"""What a compile() cache hit costs, and what `import askit` costs in memory.
+
+A hit is DefinedFunction.compile -> api.compile -> codegen.cache_lookup, which
+reads the cached source and its JSON sidecar from disk, then wraps them in a
+CompiledFunction (no worker starts until its first call). Run from the
+repository root:
+
+    python3 scripts/hit_profile.py
+    python3 scripts/hit_profile.py --against ../askit-parent
+
+The first form prints, as one JSON object (copied into another checkout, the
+script profiles that checkout), the medians (perf_counter_ns, in µs) of
+--hits bare cache_lookup hits and --hits DefinedFunction.compile hits on a
+three-line source, with the process's fork server held as a compiled
+function holds it; and, from a fresh interpreter that only runs
+`import askit`, its ru_maxrss in MB and which of the modules of the HTTP
+stack (http.client, urllib.request, ssl, email) and OpenSSL's hashlib
+(_hashlib) that import loaded.
+
+With --against DIR (another checkout of this repository), it also runs the
+interleaved microbenchmark: --pairs pairs of fresh processes, one per tree
+and in alternating order, each taking the same numbers; then the median over
+pairs and how many pairs this tree won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SOURCE = "def double(*, xs):\n    return [x * 2 for x in xs]\n"
+HEAVY_MODULES = ("http.client", "urllib.request", "ssl", "email", "_hashlib")
+IMPORT_PROBE = (
+    "import resource, sys, json\n"
+    "import askit\n"
+    "print(json.dumps({'import_maxrss_mb': round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),\n"
+    f"                  'heavy_modules_loaded': [name for name in {HEAVY_MODULES!r} if name in sys.modules]}}))\n"
+)
+
+
+def _median_us(samples: list[int]) -> float:
+    return round(statistics.median(samples) / 1000, 2)
+
+
+def _time(call, hits: int) -> float:
+    for _ in range(hits // 5):  # warm-up
+        call()
+    samples = []
+    for _ in range(hits):
+        started = time.perf_counter_ns()
+        call()
+        samples.append(time.perf_counter_ns() - started)
+    return _median_us(samples)
+
+
+def hits(count: int) -> dict[str, float]:
+    """Medians of bare cache_lookup hits and DefinedFunction.compile hits, in µs."""
+    import askit
+    from askit import codegen, runner
+
+    defined = askit.define(
+        askit.list_of(askit.INT),
+        "Double each of {{xs}}",
+        param_schemas={"xs": askit.list_of(askit.INT)},
+        name="double",
+        client=askit.ScriptedClient([]),
+    )
+    with tempfile.TemporaryDirectory() as cache_dir:
+        config = askit.CodegenConfig(cache_dir=Path(cache_dir))
+        askit.cache_store(defined.spec, SOURCE, config, retries_used=1)
+        assert codegen.cache_lookup(defined.spec, config).source == SOURCE
+        zygote = runner.fork_server()  # held, as the compile path holds it; no zygote starts
+        try:
+            return {
+                "cache_lookup_us": _time(lambda: codegen.cache_lookup(defined.spec, config), count),
+                "compile_hit_us": _time(lambda: defined.compile(config), count),
+            }
+        finally:
+            del zygote
+
+
+def import_cost(src: Path) -> dict:
+    """ru_maxrss and the heavy modules of a fresh `import askit` from `src`."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, check=True, timeout=120
+    ).stdout
+    return json.loads(out)
+
+
+def one_side(count: int) -> dict:
+    """Every number, for the tree whose src is on PYTHONPATH."""
+    src = Path(os.environ["PYTHONPATH"].split(os.pathsep)[0])
+    return {**import_cost(src), **hits(count)}
+
+
+def interleaved(against: Path, pairs: int, count: int) -> dict:
+    """Medians from fresh processes, alternating the trees."""
+    trees = {"against": against.resolve(), "this": REPO}
+    runs = {side: [] for side in trees}
+    for pair in range(pairs):
+        order = ("against", "this") if pair % 2 == 0 else ("this", "against")
+        for side in order:
+            env = {**os.environ, "PYTHONPATH": str(trees[side] / "src")}
+            out = subprocess.run(
+                [sys.executable, __file__, "--one-side", "--hits", str(count)],
+                env=env, capture_output=True, text=True, check=True, timeout=600,
+            ).stdout
+            runs[side].append(json.loads(out))
+    summary = {"pairs": pairs, "hits_per_run": count, "trees": {side: str(path) for side, path in trees.items()}}
+    for metric in ("cache_lookup_us", "compile_hit_us", "import_maxrss_mb"):
+        against_runs = [run[metric] for run in runs["against"]]
+        this_runs = [run[metric] for run in runs["this"]]
+        summary[metric] = {
+            "against_median": round(statistics.median(against_runs), 2),
+            "this_median": round(statistics.median(this_runs), 2),
+            "this_wins": sum(mine < theirs for mine, theirs in zip(this_runs, against_runs)),
+            "against_runs": against_runs,
+            "this_runs": this_runs,
+        }
+    summary["heavy_modules_loaded"] = {side: runs[side][0]["heavy_modules_loaded"] for side in trees}
+    return summary
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--against", type=Path, help="another checkout to run the interleaved microbenchmark against")
+    parser.add_argument("--pairs", type=int, default=8)
+    parser.add_argument("--hits", type=int, default=20000)
+    parser.add_argument("--one-side", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.one_side:  # one side of a pair; askit comes from PYTHONPATH
+        print(json.dumps(one_side(args.hits)))
+        return 0
+    sys.path.insert(0, str(REPO / "src"))
+    report = {
+        "python": sys.version.split()[0],
+        "nproc": os.cpu_count(),
+        **import_cost(REPO / "src"),
+        **hits(args.hits),
+    }
+    if args.against is not None:
+        report["interleaved"] = interleaved(args.against, args.pairs, args.hits)
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

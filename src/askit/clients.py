@@ -16,13 +16,10 @@ per-key cursor. A client holds no temperature: each call names its own.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -89,6 +86,9 @@ Transport = Callable[
 
 
 def _urllib_transport(url, data, headers, timeout, max_bytes):
+    import http.client  # the HTTP stack (ssl, email) loads at the first live request
+    import urllib.error
+    import urllib.request
     request = urllib.request.Request(url, data=data, headers=dict(headers), method="POST")
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:

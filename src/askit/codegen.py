@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import ast
 import fcntl
-import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -40,6 +40,7 @@ from .errors import (
     TemplateError,
     ToolchainUnavailable,
 )
+from .harness import loads
 from .prompts import LANGUAGES, Example, Violation, ViolationKind, build_codegen, extract_block
 from .runner import DEFAULT_INVOKE_TIMEOUT, fork_server, run_once, scratch_dir
 from .template import PromptTemplate, _check_binding, substitute_comment
@@ -104,6 +105,7 @@ class CodegenConfig:
     codable_allowlist: frozenset[str] | None = None
     require_param_schemas: bool = True
     invoke_timeout: float = DEFAULT_INVOKE_TIMEOUT
+    _paths: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # cache_names -> joined paths
 
     def __post_init__(self):
         if self.max_retries < 0:
@@ -158,8 +160,8 @@ def cache_slug(template: PromptTemplate) -> str:
 
 
 def cache_paths(spec: TaskSpec, config: CodegenConfig) -> tuple[Path, Path]:
-    code_name, meta_name = spec.cache_names
-    return config.cache_dir / code_name, config.cache_dir / meta_name
+    names = spec.cache_names
+    return config._paths.get(names) or config._paths.setdefault(names, tuple(config.cache_dir / n for n in names))
 
 
 def cache_store(spec: TaskSpec, source: str, config: CodegenConfig, retries_used: int = 0) -> Path:
@@ -183,18 +185,16 @@ def cache_store(spec: TaskSpec, source: str, config: CodegenConfig, retries_used
 def cache_lookup(spec: TaskSpec, config: CodegenConfig) -> GeneratedFunction | None:
     """Return the cached function for this spec, marked from_cache, or None on a miss.
 
-    Both files are read from disk at every lookup, each with one open, so a
-    hand edit shows at the next hit. A source that is not UTF-8 is a miss.
+    Both files are read from disk (os.read) at every lookup, so a hand edit shows at the next
+    hit. The source decodes as in text mode; a source that is not UTF-8 is a miss.
     """
     code_path, meta_path = cache_paths(spec, config)
     try:
-        with open(code_path, encoding="utf-8") as handle:
-            source = handle.read()
+        source = _read_bytes(code_path).decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except (FileNotFoundError, UnicodeDecodeError):
         return None
     try:
-        with open(meta_path, encoding="utf-8") as handle:
-            metadata = json.load(handle)
+        metadata = loads(_read_bytes(meta_path).decode("utf-8"))
     except (OSError, ValueError):
         metadata = None
     # A missing or damaged sidecar, or a count that is not a JSON integer >= 0, reads as no retries.
@@ -208,6 +208,14 @@ def cache_lookup(spec: TaskSpec, config: CodegenConfig) -> GeneratedFunction | N
         retries_used=retries_used,
         from_cache=True,
     )
+
+
+def _read_bytes(path: Path) -> bytes:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return b"".join(iter(lambda: os.read(fd, 65536), b""))
+    finally:
+        os.close(fd)
 
 
 def syntax_check(source: str, language: str) -> Violation | None:

@@ -269,7 +269,7 @@ def handle_request(namespace, load_error, request):
 def encode_response(response):
     try:
         return dumps(response)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         import json  # this text stays ASCII-escaped
         return json.dumps({"ok": False, "error": f"result is not JSON-serializable: {exc}"})
 

@@ -1,7 +1,11 @@
+import _socket
+import http.server
 import json
+import os
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -12,6 +16,8 @@ from askit.clients import (
     RecordingClient,
     ReplayClient,
     ScriptedClient,
+    _TransientTransportFailure,
+    _urllib_transport,
     fixture_key,
 )
 from askit.engine import EngineConfig, Message, ask_until_valid
@@ -195,8 +201,6 @@ class TestLiveClient:
         assert len(calls) == 2
 
     def test_transient_failure_retries_once_then_surfaces(self):
-        from askit.clients import _TransientTransportFailure
-
         calls = []
 
         def transport(url, data, headers, timeout, max_bytes):
@@ -225,6 +229,76 @@ class TestLiveClient:
         client = LiveClient(self.config(), transport=lambda *a: (200, {}, b"{}"))
         with pytest.raises(ValueError):
             client.complete([], temperature=1.0)
+
+
+REAL_CREATE_CONNECTION = socket.create_connection  # taken before the suite's network guard
+
+
+class _Handler(http.server.BaseHTTPRequestHandler):
+    """Answers a POST to /ok with 200 and to /fail with 500, echoing the body."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        status = 200 if self.path == "/ok" else 500
+        self.send_response(status)
+        self.send_header("X-Echo-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(b"echo:" + body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """Connections to 127.0.0.1 allowed again, and a server there; yields its base URL."""
+
+    def connect(sock, address):
+        assert address[0] == "127.0.0.1", address
+        return _socket.socket.connect(sock, address)
+
+    monkeypatch.setattr(socket.socket, "connect", connect)
+    monkeypatch.setattr(socket, "create_connection", REAL_CREATE_CONNECTION)
+    monkeypatch.setenv("no_proxy", "*")
+    server = http.server.HTTPServer(("127.0.0.1", 0), _Handler)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        thread.join()
+        server.server_close()
+
+
+class TestUrllibTransport:
+    def test_a_200_returns_status_headers_and_body(self, loopback):
+        status, headers, body = _urllib_transport(f"{loopback}/ok", b"hello", {"Content-Type": "text/plain"}, 10.0, 1024)
+        assert (status, headers["X-Echo-Length"], body) == (200, "5", b"echo:hello")
+
+    def test_a_500_returns_its_status_and_body(self, loopback):
+        status, headers, body = _urllib_transport(f"{loopback}/fail", b"oops", {}, 10.0, 1024)
+        assert (status, headers["X-Echo-Length"], body) == (500, "4", b"echo:oops")
+
+    def test_the_body_is_read_to_one_byte_over_the_cap(self, loopback):
+        assert _urllib_transport(f"{loopback}/ok", b"x" * 100, {}, 10.0, 9)[2] == b"echo:xxxxx"
+
+    def test_a_refused_port_is_a_transient_failure(self, loopback):
+        with socket.socket() as bound:  # bound and not listening: a connection is refused
+            bound.bind(("127.0.0.1", 0))
+            with pytest.raises(_TransientTransportFailure, match="refused"):
+                _urllib_transport(f"http://127.0.0.1:{bound.getsockname()[1]}/ok", b"", {}, 10.0, 1024)
+
+
+def test_import_askit_loads_no_http_stack_and_no_openssl():
+    """The HTTP stack and OpenSSL's hashlib cost about 3 MB of RSS each; only a live request loads the first."""
+    code = (
+        "import sys, askit\n"
+        "print([name for name in ('http.client', 'urllib.request', 'ssl', 'email', '_hashlib') if name in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestClientConfig:

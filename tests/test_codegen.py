@@ -1,5 +1,6 @@
 import atexit
 import gc
+import hashlib
 import json
 import os
 import random
@@ -30,7 +31,7 @@ from askit.codegen import (
     syntax_check,
     _vet_candidate,
 )
-from askit.encoding import canonical_json
+from askit.encoding import canonical_json, stable_digest
 from askit.errors import (
     AskitError,
     ExecutionError,
@@ -183,6 +184,11 @@ class TestCacheNaming:
         spec_b = add_spec(template=parse("add {{x}} and {{y}}"))
         assert spec_digest(spec_a) == spec_digest(spec_b)
 
+    @pytest.mark.parametrize("value", [["add", "add {{x}}", None], {"ü": [1.5, "✓"]}, "", [["x", "number"]] * 50])
+    def test_stable_digest_is_hashlibs_sha256_of_the_canonical_json(self, value):
+        expected = hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
+        assert stable_digest(value) == expected[:8] and stable_digest(value, length=64) == expected
+
     def test_digest_changes_with_name(self):
         assert spec_digest(add_spec()) != spec_digest(add_spec(name="add_b"))
 
@@ -320,10 +326,136 @@ class TestCacheStoreLookup:
         assert code_path.read_text(encoding="utf-8") == ADD_PY + "\n"
         assert cache_lookup(add_spec(), config).retries_used == 0
 
+    def test_paths_are_joined_once_per_config_and_follow_its_cache_dir(self, tmp_path):
+        spec = add_spec()
+        config = CodegenConfig(cache_dir=tmp_path / "a")
+        assert cache_paths(spec, config) is cache_paths(spec, config)
+        assert [path.parent for path in cache_paths(spec, config)] == [tmp_path / "a"] * 2
+        moved = replace(config, cache_dir=tmp_path / "b")
+        assert [path.parent for path in cache_paths(spec, moved)] == [tmp_path / "b"] * 2
+        assert config == CodegenConfig(cache_dir=tmp_path / "a") and hash(config) == hash(CodegenConfig(cache_dir=tmp_path / "a"))
+
     def test_no_temp_files_left_behind(self, tmp_path):
         config = CodegenConfig(cache_dir=tmp_path)
         cache_store(add_spec(), ADD_PY + "\n", config)
         assert not list(tmp_path.glob("*.tmp"))
+
+
+def _text_mode_lookup(spec, config):
+    """cache_lookup as it read both files before its raw reads: a text-mode
+    open for each, and json.load for the sidecar."""
+    code_path, meta_path = cache_paths(spec, config)
+    try:
+        with open(code_path, encoding="utf-8") as handle:
+            source = handle.read()
+    except (FileNotFoundError, UnicodeDecodeError):
+        return None
+    try:
+        with open(meta_path, encoding="utf-8") as handle:
+            metadata = json.load(handle)
+    except (OSError, ValueError):
+        metadata = None
+    recorded = metadata.get("retries_used") if isinstance(metadata, dict) else None
+    return source, recorded if type(recorded) is int and recorded >= 0 else 0
+
+
+def _lookup_outcome(lookup, spec, config):
+    """What a lookup returns as (source, retries_used) or None, or the class it raises."""
+    try:
+        found = lookup(spec, config)
+    except Exception as exc:  # noqa: BLE001
+        return type(exc)
+    if found is None or isinstance(found, tuple):
+        return found
+    return found.source, found.retries_used
+
+
+_SOURCE_PIECES = [b"def add(*, x, y):", b"    return x + y", b"\n", b"\r\n", b"\r", b"\xef\xbb\xbf", b"\x00",
+                  b"\xc3\xa9", b"\xe2\x9c\x93", b"\xf0\x9f\x98\x80", b"# ", b"\t", b"x" * 300]
+_BAD_UTF8 = [b"\xff", b"\xc3", b"\xe2\x9c", b"\xed\xa0\x80", b"\xc0\xaf", b"\x80"]
+_JSON_SPACE = [b"", b" ", b"\n", b"\r\n", b"\r", b"\t"]
+
+
+def _random_source(rng):
+    pieces = [rng.choice(_SOURCE_PIECES) for _ in range(rng.randint(0, 40))]
+    if rng.random() < 0.25:
+        pieces.insert(rng.randint(0, len(pieces)), rng.choice(_BAD_UTF8))
+    return b"".join(pieces)
+
+
+def _random_sidecar(rng):
+    space = lambda: rng.choice(_JSON_SPACE)  # noqa: E731
+    value = rng.choice([b"0", b"3", b"-1", b"2.0", b"1e2", b"true", b'"2"', b"[1]", b"null", b"99999999999999999999"])
+    text = b"{" + space() + b'"entry"' + space() + b":" + space() + b'"add\xc3\xa9"' + space() + b"," + space()
+    text += b'"retries_used"' + space() + b":" + space() + value + space() + b"}" + space()
+    roll = rng.random()
+    if roll < 0.1:
+        text = b"\xef\xbb\xbf" + text
+    elif roll < 0.2:
+        text = text[: rng.randint(0, len(text))]
+    elif roll < 0.3:
+        position = rng.randint(0, len(text))
+        text = text[:position] + rng.choice([*_BAD_UTF8, b"\x00", b"\r", b'"\r"']) + text[position:]
+    elif roll < 0.35:
+        text = rng.choice([b"[1, 2]", b"", b"\r\n", b"{}\r\n{}"])
+    return text
+
+
+class TestRawLookupMatchesTextMode:
+    """cache_lookup reads both files with os.read and parses the sidecar with
+    harness.loads; what it returns must be what text-mode opens and json.load give."""
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_seeded_files(self, tmp_path, seed):
+        rng = random.Random(seed)
+        config = CodegenConfig(cache_dir=tmp_path)
+        spec = add_spec()
+        code_path, meta_path = cache_paths(spec, config)
+        if rng.random() < 0.95:
+            code_path.write_bytes(_random_source(rng))
+        if rng.random() < 0.9:
+            meta_path.write_bytes(_random_sidecar(rng))
+        assert _lookup_outcome(cache_lookup, spec, config) == _lookup_outcome(_text_mode_lookup, spec, config)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"x = 1\r\n" * 20000,
+            b"#" * 65535 + b"\r\n" + b"y = 2\r",  # a CRLF across the first 64 KiB read
+            b"#" * 65535 + b"\xc3\xa9\n" + b"\r" * 70000,  # a 2-byte character across it
+            b"#" * 65535 + b"\xc3" + b"\n" * 10,  # a truncated character across it
+            b"\xef\xbb\xbf" + b"\x00\r" * 40000,
+        ],
+        ids=["crlf_lines", "crlf_across_reads", "char_across_reads", "bad_char_across_reads", "bom_nul_cr"],
+    )
+    def test_sources_over_64_kib(self, tmp_path, raw):
+        config = CodegenConfig(cache_dir=tmp_path)
+        spec = add_spec()
+        cache_store(spec, "", config, retries_used=4)
+        cache_paths(spec, config)[0].write_bytes(raw)
+        expected = _lookup_outcome(_text_mode_lookup, spec, config)
+        assert _lookup_outcome(cache_lookup, spec, config) == expected
+        assert expected is None or expected[1] == 4
+
+    def test_a_directory_in_place_of_the_source_raises_as_before(self, tmp_path):
+        config = CodegenConfig(cache_dir=tmp_path)
+        spec = add_spec()
+        cache_store(spec, ADD_PY + "\n", config)
+        code_path = cache_paths(spec, config)[0]
+        code_path.unlink()
+        code_path.mkdir()
+        assert _lookup_outcome(_text_mode_lookup, spec, config) is IsADirectoryError
+        assert _lookup_outcome(cache_lookup, spec, config) is IsADirectoryError
+
+    def test_a_directory_in_place_of_the_sidecar_reads_as_no_retries(self, tmp_path):
+        config = CodegenConfig(cache_dir=tmp_path)
+        spec = add_spec()
+        cache_store(spec, ADD_PY + "\n", config, retries_used=2)
+        meta_path = cache_paths(spec, config)[1]
+        meta_path.unlink()
+        meta_path.mkdir()
+        assert _lookup_outcome(cache_lookup, spec, config) == _lookup_outcome(_text_mode_lookup, spec, config)
+        assert cache_lookup(spec, config).retries_used == 0
 
 
 class TestSyntaxCheck:

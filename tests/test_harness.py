@@ -24,6 +24,14 @@ from askit.runner import ForkServer
 from conftest import REPO, count_starts, gone, parent_of
 
 ADD_SOURCE = "def add(*, x, y):\n    return x + y\n"
+# A result nested deeper than the recursion limit: the encoder raises RecursionError.
+DEEP_SOURCE = (
+    "def deep():\n"
+    "    value = []\n"
+    "    for _ in range(100_000):\n"
+    "        value = [value]\n"
+    "    return value\n"
+)
 
 
 def write_source(tmp_path, source, name="gen.py"):
@@ -103,6 +111,10 @@ class TestRunOnce:
         source = write_source(tmp_path, "def f():\n    return {1, 2}\n")
         with pytest.raises(ExecutionError, match="JSON-serializable"):
             run_once(source, "f", {})
+
+    def test_a_result_nested_past_the_recursion_limit_is_not_serializable(self, tmp_path):
+        with pytest.raises(ExecutionError, match="^result is not JSON-serializable: maximum recursion depth"):
+            run_once(write_source(tmp_path, DEEP_SOURCE), "deep", {})
 
     def test_timeout(self, tmp_path):
         source = write_source(tmp_path, "import time\ndef f():\n    time.sleep(30)\n")
@@ -271,6 +283,12 @@ class TestWorker:
         with Worker(write_source(tmp_path, ADD_SOURCE)) as worker:
             with pytest.raises(TypeError, match=f"^{expected[1]}$"):
                 worker.call("add", {"x": object(), "y": 1})
+            assert worker.call("add", {"x": 1, "y": 2}) == 3
+
+    def test_a_result_nested_past_the_recursion_limit_is_an_error_and_the_worker_answers_on(self, tmp_path):
+        with Worker(write_source(tmp_path, DEEP_SOURCE + ADD_SOURCE)) as worker:
+            with pytest.raises(ExecutionError, match="^result is not JSON-serializable: maximum recursion depth"):
+                worker.call("deep", {})
             assert worker.call("add", {"x": 1, "y": 2}) == 3
 
     def test_close_reaps_process(self, tmp_path):
@@ -1055,6 +1073,14 @@ class TestJSONMatchesJson:
         assert harness.encode_response(response) == (
             '{"ok": false, "error": "result is not JSON-serializable: Object of type set is not JSON serializable"}'
         )
+
+    def test_encode_response_of_a_result_nested_past_the_recursion_limit(self):
+        namespace = {}
+        exec(DEEP_SOURCE, namespace)
+        document = json.loads(harness.encode_response({"ok": True, "result": namespace["deep"]()}))
+        assert document["ok"] is False
+        assert document["error"].startswith("result is not JSON-serializable: maximum recursion depth exceeded")
+        assert harness.encode_response({"ok": True, "result": [[1]]}) == '{"ok": true, "result": [[1]]}'
 
 
 class _StrFails(Exception):

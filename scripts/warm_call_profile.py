@@ -3,7 +3,7 @@
 
 A warm call is CompiledFunction.__call__ -> Worker.call: the caller encodes
 the request, checks that the worker is still there, writes one line to the
-worker's FIFO `in`, waits for `out` to become readable, reads the answer line
+worker's pipe `in`, waits for `out` to become readable, reads the answer line
 and decodes it; the worker reads and decodes the request, calls the
 function, encodes the response and writes it. Run from the repository root:
 

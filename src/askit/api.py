@@ -13,6 +13,7 @@ from typing import Any, Iterable, Mapping, NamedTuple
 
 from .clients import LiveClient
 from .codegen import (
+    DEFAULT_CONFIG,
     CodegenConfig,
     GeneratedFunction,
     TaskSpec,
@@ -155,7 +156,7 @@ def compile(
     configured and excludes this name, GenerationFailed when every candidate
     was rejected.
     """
-    config = config or CodegenConfig()
+    config = config or DEFAULT_CONFIG
     spec = defined.spec
     if not config.allows(spec.name):
         raise NotCodable(f"{spec.name!r} is not in the codable allowlist")

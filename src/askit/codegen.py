@@ -130,6 +130,9 @@ class CodegenConfig:
         return False
 
 
+DEFAULT_CONFIG = CodegenConfig()  # for every call that passes none: built once, its paths joined once
+
+
 @dataclass(frozen=True)
 class GeneratedFunction:
     source: str
@@ -303,7 +306,7 @@ def generate(client, spec: TaskSpec, config: CodegenConfig | None = None) -> Gen
     raises. Concurrent calls for the same cache key are serialized by a file
     lock; whoever enters second finds the cache populated.
     """
-    config = config or CodegenConfig()
+    config = config or DEFAULT_CONFIG
     with _cache_lock(spec, config):
         cached = cache_lookup(spec, config)
         if cached is not None:
@@ -352,11 +355,9 @@ def _run_test_examples(source: str, spec: TaskSpec, config: CodegenConfig) -> Vi
         return None
     if not LANGUAGES[spec.target_language].runnable:
         raise ToolchainUnavailable(f"cannot run test examples: no execution harness for {spec.target_language}")
-    extension = LANGUAGES[spec.target_language].extension
-    with scratch_dir("askit-vet-") as scratch:
-        path = Path(scratch) / f"candidate.{extension}"
-        path.write_text(source, encoding="utf-8")
-        outcomes = run_once(path, spec.name, [example.input for example in spec.tests], timeout=config.invoke_timeout)
+    sets = [example.input for example in spec.tests]
+    candidate = f"candidate.{LANGUAGES[spec.target_language].extension}"  # written into the run's own directory
+    outcomes = run_once(candidate, spec.name, sets, timeout=config.invoke_timeout, text=source)
     for example, actual in zip(spec.tests, outcomes):
         if isinstance(actual, AskitError):
             failure = f" raised: {actual}"

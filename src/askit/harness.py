@@ -1,20 +1,22 @@
 """Child-process harness: a zygote that forks the children that run generated code.
 
-Run as a script, its only mode; the parent starts it from bytecode and
-imports it only for MAX_RESPONSE_BYTES, read_line, write_line, dumps and loads:
+Run as a script, its only mode; the parent starts it from bytecode and imports
+it only for MAX_RESPONSE_BYTES, its line readers and writers, dumps and loads:
 
     python -I -S -B harness.py --fork-server        one forked child per line
 
-The zygote never runs generated code. It answers each request line with the
-pid of a child it forks (fork_request), or an error:
+The zygote never runs generated code. Its stdin and stdout are one end of
+a socket pair. It answers each request line with the pid of a child it
+forks, sent along with a pidfd of that child (fork_request), or an error:
 
     {"source": <path>, "scratch": <dir>, "entry": ..., "args": [{...}, ...]}   a run
     {"source": <path>, "scratch": <dir>}                                      a warm worker
 
-The caller made the FIFO `out` (for a worker also `in`) in the scratch
-directory and holds its other end. The child works and logs (stderr.log)
-there; its fds 1 and 2 go to the log, so stray prints cannot corrupt its
-answers, one JSON document per line each way:
+A request line carries, as SCM_RIGHTS data, the write end of the pipe `out`
+the child answers on and, for a worker, the read end of the pipe `in` it
+reads; the caller holds their other ends. The child works and logs
+(stderr.log) in the scratch directory; its fds 1 and 2 go to the log, so
+stray prints cannot corrupt its answers, one JSON document per line each way:
 
     request   {"entry": <name>, "args": {...}}
     response  {"ok": true, "result": ...}
@@ -23,8 +25,8 @@ answers, one JSON document per line each way:
 A run's child answers the sets on `out` in order, each in a fresh namespace,
 up to its first error document, and leaves (answer_each); a worker loads the
 source once and answers each line on `in` until end of file (serve). The
-caller enforces timeouts and the size cap and kills through a pidfd. The
-zygote keeps a write end of each child's `out`: before it reaps an exited
+caller enforces timeouts and the size cap and kills through the pidfd. The
+zygote keeps its copy of each child's `out`: before it reaps an exited
 child (on SIGCHLD) it writes {"ok": false, "error": "harness exited with
 status N"} there. Its owner ends it with SIGKILL; a child needs nothing from
 it. End of input means that the owner has gone without ending it: the
@@ -41,7 +43,7 @@ determined adversary; a wall-clock timeout is enforced from outside.
 This file is self-contained (stdlib only): started without `site`, neither
 the harness nor generated code sees site-packages or runs .pth hooks. At
 start it imports only built-in and C modules (os, sys, select, time,
-_signal, _json): json, re, enum and traceback would add about 25 ms, over
+_signal, _json, _socket): json, re, enum and traceback would add about 25 ms, over
 half of a harness start. loads, dumps and error_line stand in for them;
 rare paths (malformed JSON, an unserializable result, a SyntaxError, notes)
 import the real module.
@@ -54,6 +56,7 @@ import time
 
 import _json
 import _signal
+import _socket
 import _thread
 
 # Longest response line, newline excluded, that either side of a pipe accepts.
@@ -95,7 +98,8 @@ PATH_EVENTS = {
 }
 
 
-def install_sandbox(scratch_root):
+def sandbox_hook(scratch_root):
+    """The audit hook that confines generated code to `scratch_root`."""
     allowed_prefix = os.path.realpath(scratch_root) + os.sep
     devnull = os.path.realpath(os.devnull)
 
@@ -122,7 +126,7 @@ def install_sandbox(scratch_root):
                 if not allowed(candidate):
                     raise PermissionError(f"sandbox: {event} outside scratch directory: {candidate!r}")
 
-    sys.addaudithook(hook)
+    return hook
 
 
 class _JSONDecoderContext:  # what _json.make_scanner reads from a json.JSONDecoder()
@@ -309,6 +313,29 @@ def read_line(fd, timeout, limit, data=None):
     return line, None
 
 
+def send_line(channel, text, fds=()):
+    """write_line on the stream socket `channel`, with the descriptors `fds`."""
+    data = (text + "\n").encode("utf-8")
+    rights = [(_socket.SOL_SOCKET, _socket.SCM_RIGHTS, b"".join(fd.to_bytes(4, sys.byteorder) for fd in fds))]
+    if (sent := channel.sendmsg([data], rights, _socket.MSG_NOSIGNAL)) < len(data):  # EPIPE, never SIGPIPE
+        channel.sendall(data[sent:], _socket.MSG_NOSIGNAL)  # not sendall(b""), which fails once the peer has gone
+
+
+def receive_line(channel):
+    """The next line on the stream socket `channel` without its newline (None at end
+    of file), and the descriptors sent with it; a peer sends no line before the answer."""
+    data, fds = bytearray(), []
+    while not data.endswith(b"\n"):
+        # Room for 4 descriptors, more than a line may carry, so that extra ones show.
+        chunk, ancillary, _, _ = channel.recvmsg(65536, _socket.CMSG_SPACE(16), _socket.MSG_CMSG_CLOEXEC)
+        for _, _, payload in ancillary:  # SCM_RIGHTS: nothing else is enabled
+            fds += memoryview(payload).cast("i")
+        if not chunk:
+            return None, fds
+        data += chunk
+    return bytes(data[:-1]), fds
+
+
 def requests(protocol_in, protocol_out):
     """Each JSON request line on `protocol_in` until end of file; a line that
     is not JSON is answered on `protocol_out` with an error document."""
@@ -325,7 +352,10 @@ def requests(protocol_in, protocol_out):
 def fork_child(scratch, inherited, body):
     """Fork a child that closes the zygote's descriptors in `inherited`,
     changes into `scratch` (also its TMPDIR and HOME), logs to stderr.log
-    there, installs the sandbox, runs body() and leaves with os._exit; its pid."""
+    there, installs the sandbox, runs body() and leaves with os._exit; its
+    pid. Hook and environment are made before the fork: a page a child writes costs a fault."""
+    hook = sandbox_hook(scratch)
+    os.environ["TMPDIR"] = os.environ["HOME"] = scratch
     pid = os.fork()
     if pid == 0:
         status = 1
@@ -335,11 +365,10 @@ def fork_child(scratch, inherited, body):
             for fd in inherited:
                 os.close(fd)
             os.chdir(scratch)
-            os.environ["TMPDIR"] = os.environ["HOME"] = scratch
             log = os.open("stderr.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o600)
             for fd in (1, 2):
                 os.dup2(log, fd)
-            install_sandbox(scratch)
+            sys.addaudithook(hook)
             body()
             status = 0
         except BaseException:  # noqa: BLE001
@@ -353,43 +382,41 @@ def fork_child(scratch, inherited, body):
     return pid
 
 
-def fork_request(request, protocol, children, compiled):
-    """Fork the child that a fork request asks for; its pid. A run's child
-    (the request has "args") answers them (answer_each), a warm worker reads
-    requests from the FIFO `in` (serve); each answers on the FIFO `out`, both
-    in the request's scratch directory. `compiled` is the compile_once cache;
-    `children` keeps the zygote's own write end of `out` and the scratch (reap)."""
-    scratch, source, run = request["scratch"], request["source"], "args" in request
-    code = compile_once(source, compiled)
-    # `out` is opened twice: the child makes its end blocking, the zygote's must not be.
-    ends = []
+def fork_request(line, fds, channel, children, compiled):
+    """Fork the child that the fork request `line` asks for; its pid and a
+    pidfd. A run's child (the request has "args") answers them (answer_each),
+    a warm worker reads requests from the pipe end fds[1] (serve); each
+    answers on the pipe end fds[0], which `children` keeps for reap, with the
+    scratch; the other descriptors in `fds` are closed. `compiled` is the
+    compile_once cache. SIGCHLD is blocked: no reap until `children` holds the pid."""
     try:
-        for name, flags in [("out", os.O_WRONLY), ("out", os.O_WRONLY), *([] if run else [("in", os.O_RDONLY)])]:
-            ends.append(os.open(os.path.join(scratch, name), flags | os.O_NONBLOCK))
-        kept, out, *fifo_in = ends
-        body = (lambda: answer_each(source, request, code, out)) if run else (lambda: serve(*fifo_in, out, source, code, scratch))
-        _signal.pthread_sigmask(_signal.SIG_BLOCK, {_signal.SIGCHLD})  # no reap until `children` holds the pid
+        request = loads(line.decode("utf-8"))
+        scratch, source, run = request["scratch"], request["source"], "args" in request
+        if len(fds) != (1 if run else 2):
+            raise ValueError(f"{len(fds)} descriptors for a {'run' if run else 'worker'}")
+        code = compile_once(source, compiled)
+        out, *pipe_in = fds
+        body = (lambda: answer_each(source, request, code, out)) if run else (lambda: serve(*pipe_in, out, source, code, scratch))
+        pid = fork_child(scratch, (channel.fileno(), *(kept for kept, _ in children.values())), body)
+        children[pid] = fds.pop(0), scratch
         try:
-            pid = fork_child(scratch, (*protocol, *(end for end, _ in children.values()), kept), body)
-            children[pid] = ends.pop(0), scratch
-        finally:
-            _signal.pthread_sigmask(_signal.SIG_UNBLOCK, {_signal.SIGCHLD})
-        return pid
+            return pid, os.pidfd_open(pid)
+        except OSError:
+            os.kill(pid, _signal.SIGKILL)  # not reaped, so not reused: SIGCHLD is blocked
+            raise
     finally:
-        for fd in ends:
+        for fd in fds:
             os.close(fd)
 
 
-def serve(fifo_in, fifo_out, source, code, scratch):
+def serve(pipe_in, out, source, code, scratch):
     """A worker's life: load once, answer until end of input. That, or a
     closed `out`, means that its caller, who would kill it, has gone: then
     it removes its scratch directory."""
-    for fd in (fifo_in, fifo_out):
-        os.set_blocking(fd, True)
     namespace, load_error = load(source, code)
     try:
-        for request in requests(fifo_in, fifo_out):
-            write_line(fifo_out, encode_response(handle_request(namespace, load_error, request)))
+        for request in requests(pipe_in, out):
+            write_line(out, encode_response(handle_request(namespace, load_error, request)))
     except BrokenPipeError:
         pass
     import shutil  # only on this path
@@ -400,7 +427,6 @@ def answer_each(source_path, request, code, fd):
     """A run's child: answer each argument set of `request` in order with one
     line on `fd`, each in a fresh namespace, up to the first error. A success
     also carries "logged", the stderr log's size after its set's output."""
-    os.set_blocking(fd, True)
     for args in request["args"]:
         response = handle_request(*load(source_path, code), {**request, "args": args})
         sys.stdout.flush()
@@ -413,9 +439,10 @@ def answer_each(source_path, request, code, fd):
 
 def reap(children):
     """Reap the children in `children` that have exited. It maps a pid to the
-    zygote's write end of that child's `out` and its scratch directory:
-    before the pid can be reused, the child's exit status goes to `out` as
-    an error document, which its caller reads in place of an answer."""
+    zygote's copy of that child's `out` and its scratch directory: the child's
+    exit status goes to `out` as an error document, which its caller reads in
+    place of an answer; a full pipe drops it (the copy shares the child's
+    file description, so it is made non-blocking only now)."""
     for pid in list(children):
         try:
             exited = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG)
@@ -425,6 +452,7 @@ def reap(children):
             continue
         status = exited.si_status if exited.si_code == os.CLD_EXITED else -exited.si_status
         try:
+            os.set_blocking(claimed[0], False)
             write_line(claimed[0], encode_response({"ok": False, "error": f"harness exited with status {status}"}))
         except OSError:  # the caller has gone, or reads no more
             pass
@@ -437,9 +465,8 @@ def main(argv):
         print("usage: harness.py --fork-server", file=sys.stderr)
         return 2
 
-    # Claim the protocol descriptors: no child may read or write them.
-    protocol_out = os.dup(1)
-    protocol_in = os.dup(0)
+    # Claim the protocol socket: no child may read or write it.
+    channel = _socket.socket(fileno=os.dup(0))
     os.dup2(2, 1)
     devnull_fd = os.open(os.devnull, os.O_RDONLY)
     os.dup2(devnull_fd, 0)
@@ -447,14 +474,24 @@ def main(argv):
 
     compiled, children = {}, {}
     _signal.signal(_signal.SIGCHLD, lambda signum, frame: reap(children))
-    for request in requests(protocol_in, protocol_out):
+    while (received := receive_line(channel))[0] is not None:
+        # A child that exits meanwhile, often the last one, is reaped once the answer is out.
+        _signal.pthread_sigmask(_signal.SIG_BLOCK, {_signal.SIGCHLD})
+        pidfd = []
         try:
-            response = {"ok": True, "result": fork_request(request, (protocol_in, protocol_out), children, compiled)}
-        except (AttributeError, TypeError, KeyError) as exc:
+            pid, *pidfd = fork_request(*received, channel, children, compiled)
+            response = {"ok": True, "result": pid}
+        except (AttributeError, TypeError, KeyError, ValueError) as exc:
             response = {"ok": False, "error": f"fork request is malformed: {exc!r}"}
         except OSError as exc:
             response = {"ok": False, "error": f"fork request failed: {exc}"}
-        write_line(protocol_out, encode_response(response))
+        try:
+            send_line(channel, encode_response(response), pidfd)
+        except OSError:  # the owner has gone: end of input comes next
+            pass
+        for fd in pidfd:
+            os.close(fd)
+        _signal.pthread_sigmask(_signal.SIG_UNBLOCK, {_signal.SIGCHLD})
     # The owner has gone without ending the zygote: no child has a caller now.
     _signal.signal(_signal.SIGCHLD, _signal.SIG_DFL)
     import shutil  # only on this path

@@ -12,6 +12,7 @@ raising, so retry loops can turn them into feedback.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -271,17 +272,18 @@ def _skeleton(spec: "TaskSpec", language: str) -> str:
     return "\n".join([signature, *body])
 
 
+@functools.lru_cache(maxsize=16)
+def _fence_pattern(fence_tag: str) -> re.Pattern:
+    return re.compile(r"^```" + re.escape(fence_tag) + r"[ \t]*\r?\n(.*?)^```[ \t]*(?:\r?\n|\Z)", re.MULTILINE | re.DOTALL)
+
+
 def extract_block(text: str, fence_tag: str) -> str:
     """Contents of the first fenced block whose opening tag equals fence_tag.
 
     The opening fence must start a line; one trailing newline is normalized
     away. Raises BlockNotFound when no such block exists.
     """
-    pattern = re.compile(
-        r"^```" + re.escape(fence_tag) + r"[ \t]*\r?\n(.*?)^```[ \t]*(?:\r?\n|\Z)",
-        re.MULTILINE | re.DOTALL,
-    )
-    match = pattern.search(text)
+    match = _fence_pattern(fence_tag).search(text)
     if match is None:
         raise BlockNotFound(f"no ```{fence_tag} block in the response")
     content = match.group(1)

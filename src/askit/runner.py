@@ -1,11 +1,12 @@
 """Parent-side drivers for the execution harness.
 
 ForkServer keeps one zygote harness alive that never runs generated code.
-Its lock covers one fork request, which the zygote answers with the pid of
-a child. The caller then talks to that child alone over FIFOs in the child's
-scratch directory, enforces each answer's timeout and size cap
-(MAX_RESPONSE_BYTES), and kills it through a pidfd, which never names a
-reused pid; the zygote reaps it and answers for it with its exit status.
+Its lock covers one fork request, sent over a socket pair with the child's
+pipe ends, which the zygote answers with the pid and a pidfd of a child.
+The caller then talks to that child alone over the pipes, enforces each
+answer's timeout and size cap (MAX_RESPONSE_BYTES), and kills it through
+the pidfd, which never names a reused pid; the zygote reaps it and answers
+for it with its exit status. Each child works in its own scratch directory.
 Each run() forks one fresh child (askit-run-*) that answers a list of
 argument sets in order, each in a fresh module namespace (process-wide state
 carries over). A Worker (askit-worker-*) loads the generated module once, so
@@ -35,6 +36,7 @@ closing it there closes that copy's descriptors.
 
 from __future__ import annotations
 
+import _socket
 import functools
 import marshal
 import os
@@ -52,7 +54,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .errors import AskitError, ExecutionError, ExecutionTimeout, ProtocolError
-from .harness import MAX_RESPONSE_BYTES, dumps, loads, read_line, write_line
+from .harness import MAX_RESPONSE_BYTES, dumps, loads, read_line, receive_line, send_line, write_line
 
 HARNESS_PATH = Path(__file__).with_name("harness.py")
 
@@ -102,10 +104,10 @@ def _tail(stderr_path: str | Path, since: int = 0) -> str:
 
 
 def run_once(source_path: str | Path, entry: str, args: Mapping[str, Any] | Sequence[Mapping[str, Any]],
-             timeout: float = DEFAULT_INVOKE_TIMEOUT) -> Any:
+             timeout: float = DEFAULT_INVOKE_TIMEOUT, text: str | None = None) -> Any:
     """Execute entry(**args) from a source file in a fresh process forked
     by the process's shared zygote; see ForkServer.run."""
-    return fork_server().run(source_path, entry, args, timeout)
+    return fork_server().run(source_path, entry, args, timeout, text)
 
 
 @contextmanager
@@ -137,33 +139,35 @@ class _Closing:
 
 class _Child(_Closing):
     """A child that a zygote forked, seen from its caller: a pidfd, the read
-    end of the FIFO `out` it answers on, for a warm worker the write end of
-    the FIFO `in` it reads, and its stderr.log, all in a new scratch
-    directory named after `prefix`; see harness.fork_request."""
+    end of the pipe `out` it answers on, for a warm worker the write end of
+    the pipe `in` it reads, and its stderr.log in a new scratch directory
+    named after `prefix`, where `text`, when given, is written as the source
+    `source_path` names; see harness.fork_request."""
 
-    def __init__(self, zygote: ForkServer, source_path: str, prefix: str, **run):
+    def __init__(self, zygote: ForkServer, source_path: str, prefix: str, text: str | None = None, **run):
         self._owner, self._unread, self._fds, self._exits = os.getpid(), bytearray(), {}, select.poll()
         scratch = tempfile.mkdtemp(prefix=prefix)
         self._stderr_path = Path(scratch) / "stderr.log"
-        fifo, fds = functools.partial(os.path.join, scratch), self._fds
+        fds, handed = self._fds, []  # handed: the child's ends, which the zygote gets
         try:
-            os.mkfifo(fifo("out"), 0o600)
-            fds["out"] = os.open(fifo("out"), os.O_RDONLY | os.O_NONBLOCK)
-            self._exits.register(fds["out"], select.POLLIN)
+            source_path = os.path.abspath(os.path.join(scratch, source_path) if text is not None else source_path)
+            if text is not None:
+                Path(source_path).write_text(text, encoding="utf-8")
+            fds["out"], out = os.pipe()
+            handed.append(out)
+            os.set_blocking(fds["out"], False)  # for read_line; the child's end blocks
             if not run:
-                os.mkfifo(fifo("in"), 0o600)
-                # Connect before the worker exists, so that it never reads end of
-                # file before its first request; a reader only lets the open pass.
-                fds["reader"] = os.open(fifo("in"), os.O_RDONLY | os.O_NONBLOCK)
-                fds["in"] = os.open(fifo("in"), os.O_WRONLY)
-                os.close(fds.pop("reader"))
-            self.pid = zygote.spawn(source_path, scratch, **run)
-            with suppress(ProcessLookupError):  # reaped already: its exit status is on `out`
-                fds["pidfd"] = os.pidfd_open(self.pid)
-                self._exits.register(fds["pidfd"], select.POLLIN)
+                reader, fds["in"] = os.pipe()
+                handed.append(reader)
+            self.pid, fds["pidfd"] = zygote.spawn(source_path, scratch, handed, **run)
+            for fd in (fds["out"], fds["pidfd"]):
+                self._exits.register(fd, select.POLLIN)
         except BaseException:
             _end_child(fds, self._unread, self._exits, scratch, self._owner)
             raise
+        finally:
+            for fd in handed:
+                os.close(fd)
         self._finalizer = weakref.finalize(self, _end_child, fds, self._unread, self._exits, scratch, self._owner)
 
     @property
@@ -180,8 +184,9 @@ class _Child(_Closing):
         if why is None:
             return _decode_response(line.decode("utf-8", errors="replace"), self._stderr_path, since)
         # Nothing in time: no exit status yet either. Too much: the child is still
-        # writing a line longer than a pipe holds. End of file: the zygote died.
-        if why != "closed" and "pidfd" in self._fds:
+        # writing a line longer than a pipe holds. End of file: the zygote died, or
+        # the child died with its answer filling the pipe, which left no room for its status.
+        if why != "closed":
             _kill(self._fds["pidfd"], wait=2.0)
         if why == "timeout":
             raise ExecutionTimeout(f"{entry} exceeded {timeout}s")
@@ -241,19 +246,20 @@ class ForkServer(_Closing):
         self._lock = threading.Lock()
 
     def run(self, source_path: str | Path, entry: str, args: Mapping[str, Any] | Sequence[Mapping[str, Any]],
-            timeout: float | None = DEFAULT_INVOKE_TIMEOUT) -> Any:
+            timeout: float | None = DEFAULT_INVOKE_TIMEOUT, text: str | None = None) -> Any:
         """entry(**args) from `source_path`, in a child forked for this run:
         for one mapping, its result or its failure raised; for a list, one
         outcome per call (each timed apart) up to the first failure, whose
-        outcome is the exception it would raise."""
+        outcome is the exception it would raise. Given `text`, the source is
+        written to the file `source_path` names in the run's own directory."""
         if isinstance(args, Mapping):
-            outcomes = self.run(source_path, entry, [args], timeout)
+            outcomes = self.run(source_path, entry, [args], timeout, text)
             if isinstance(outcomes[0], AskitError):
                 raise outcomes.pop()  # held by no local of this frame, which its traceback holds
             return outcomes[0]
         outcomes, logged, sets = [], 0, [dict(arg_set) for arg_set in args]
         try:
-            with _Child(self, os.path.abspath(source_path), "askit-run-", entry=entry, args=sets) as child:
+            with _Child(self, source_path, "askit-run-", text, entry=entry, args=sets) as child:
                 while len(outcomes) < len(sets):
                     document = child._receive(entry, timeout, logged)
                     outcomes.append(document.get("result"))
@@ -264,16 +270,18 @@ class ForkServer(_Closing):
             outcomes.append(type(exc)(*exc.args))
         return outcomes
 
-    def spawn(self, source_path: str, scratch: str, **run) -> int:
-        """The pid of a child forked for `source_path` that works in `scratch`:
-        given `run` (an `entry` and a list of `args`), a run's child, else a
-        warm worker; see harness.fork_request."""
+    def spawn(self, source_path: str, scratch: str, fds: Sequence[int], **run) -> tuple[int, int]:
+        """The pid and a pidfd of a child forked for `source_path` that works
+        in `scratch` and answers on the pipe end fds[0]: given `run` (an
+        `entry` and a list of `args`), a run's child, else a warm worker,
+        which reads the pipe end fds[1]; see harness.fork_request."""
         request = dumps({"source": source_path, "scratch": scratch, **run})
         with self._lock:
             if not self.alive:
                 self.close()
                 self._start()
-            return _decode_response(self._exchange(request, FORK_SERVER_GRACE)).get("result")
+            line, pidfd = self._exchange(request, fds, FORK_SERVER_GRACE)
+        return _decode_response(line).get("result"), *pidfd  # the zygote sends a pidfd with a pid only
 
     @property
     def alive(self) -> bool:
@@ -285,8 +293,9 @@ class ForkServer(_Closing):
             self._finalizer()
 
     def _start(self) -> None:
-        scratch = tempfile.mkdtemp(prefix="askit-worker-")
+        scratch, ends = tempfile.mkdtemp(prefix="askit-worker-"), ()
         try:
+            channel, zygote_end = ends = _socket.socketpair()
             self._stderr_path = Path(scratch) / "stderr.log"
             harness = Path(scratch) / "harness.pyc"  # not compiled at each start
             harness.write_bytes(_harness_pyc())
@@ -295,33 +304,37 @@ class ForkServer(_Closing):
                 # `site`, no .pth hooks (over half the start-up); -B: no bytecode writes.
                 self._proc = subprocess.Popen(
                     [sys.executable, "-I", "-S", "-B", str(harness), "--fork-server"],
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
+                    stdin=zygote_end.fileno(),
+                    stdout=zygote_end.fileno(),
                     stderr=stderr,
                     cwd=scratch,
                     env=_child_env(scratch),
-                    bufsize=0,
                 )
-            os.set_blocking(self._proc.stdout.fileno(), False)  # for read_line
         except BaseException:
+            for end in ends:
+                end.close()
             _remove_scratch(scratch, os.getpid())
             raise
-        self._owner = os.getpid()
-        self._finalizer = weakref.finalize(self, _shutdown, self._proc, scratch, self._owner)
+        zygote_end.close()
+        self._owner, self._channel = os.getpid(), channel
+        self._finalizer = weakref.finalize(self, _shutdown, self._proc, channel, scratch, self._owner)
 
-    def _exchange(self, request: str, timeout: float) -> str:
-        """One fork request out, its one-line answer back; hold self._lock.
-        A zygote that does not answer in time is killed."""
+    def _exchange(self, request: str, fds: Sequence[int], timeout: float) -> tuple[str, list[int]]:
+        """One fork request out with the pipe ends `fds`, its one-line answer
+        back with the descriptors sent along; hold self._lock. A zygote that
+        does not answer in time is killed."""
+        self._channel.settimeout(timeout)
         try:
-            write_line(self._proc.stdin.fileno(), request)
-            line, why = read_line(self._proc.stdout.fileno(), timeout, MAX_RESPONSE_BYTES)
+            send_line(self._channel, request, fds)
+            line, received = receive_line(self._channel)
+            why = "closed" if line is None else None
         except OSError as exc:
-            why = str(exc)
+            why, received = str(exc), []
         if why is not None:
             self._proc.kill()
             self._proc.wait()
             raise ExecutionError(f"fork server failed ({why}): {_tail(self._stderr_path)}")
-        return line.decode("utf-8", errors="replace")
+        return line.decode("utf-8", errors="replace"), received
 
 
 _server_lock = threading.Lock()
@@ -363,10 +376,10 @@ def _kill(pidfd: int, wait: float = 0.0) -> None:
 
 
 def _has_left(fds: dict[str, int], unread: bytearray, exits: select.poll) -> bool:
-    """Whether a forked child has exited; `exits` polls `out` and its pidfd. The
-    zygote writes its exit status on `out` before it reaps it, and a child writes
-    nothing there past the answers its caller asked for, so while nothing more
-    is there the child is not reaped and its pidfd, if it was opened, names it."""
+    """Whether a forked child has exited, or none was forked; `exits` polls
+    `out` and the pidfd. The zygote writes the exit status on `out` before it
+    reaps, and a child writes nothing there past the answers its caller asked
+    for, so while nothing more is there the child is not reaped."""
     return "pidfd" not in fds or bool(unread) or bool(exits.poll(0))
 
 
@@ -383,15 +396,13 @@ def _end_child(fds: dict[str, int], unread: bytearray, exits: select.poll, scrat
         _remove_scratch(scratch, owner)
 
 
-def _shutdown(proc, scratch, owner):
-    """Kill and reap the zygote, close its pipes and remove its scratch
-    directory; in a forked copy, close the pipes alone."""
+def _shutdown(proc, channel, scratch, owner):
+    """Kill and reap the zygote, close its socket and remove its scratch
+    directory; in a forked copy, close the socket alone."""
     try:
         if os.getpid() == owner:
             proc.kill()
             proc.wait()
     finally:
-        for stream in (proc.stdin, proc.stdout):
-            with suppress(OSError):
-                stream.close()
+        channel.close()
         _remove_scratch(scratch, owner)

@@ -14,7 +14,7 @@ import askit.runner as runner
 from askit import api
 from askit.api import AskResult, ask, define
 from askit.clients import ScriptedClient
-from askit.codegen import CodegenConfig, cache_store, output_equal
+from askit.codegen import CodegenConfig, cache_store, generate, output_equal
 from askit.errors import (
     AskitError,
     ExecutionError,
@@ -211,6 +211,19 @@ class TestCompile:
         assert second.generated.source == first.generated.source
         first.close()
         second.close()
+
+    def test_default_config_hits_build_no_config(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the default cache directory is ./askit
+        client = ScriptedClient([code_response(FACTORIAL_CODE)])
+        defined = self.factorial(client)
+        defined.compile().close()  # a miss
+        built = []
+        monkeypatch.setattr(CodegenConfig, "__post_init__", built.append)
+        for _ in range(3):
+            with defined.compile() as compiled:
+                assert compiled.generated.from_cache
+            assert generate(client, defined.spec).from_cache
+        assert built == [] and client.call_count == 1
 
     def test_allowlist_excluding_name(self, tmp_path):
         config = CodegenConfig(cache_dir=tmp_path, codable_allowlist={"somethingElse"})

@@ -727,10 +727,10 @@ class TestForkSafeScratch:
     def test_fork_server_run(self, tmp_path, monkeypatch):
         survived, real = [], runner.ForkServer._exchange
 
-        def exchange(self, request, timeout):
+        def exchange(self, request, fds, timeout):
             _fork_that_exits_normally()
             survived.append(os.path.isdir(json.loads(request)["scratch"]))
-            return real(self, request, timeout)
+            return real(self, request, fds, timeout)
 
         monkeypatch.setattr(runner.ForkServer, "_exchange", exchange)
         with runner.ForkServer() as server:
@@ -738,14 +738,14 @@ class TestForkSafeScratch:
         assert survived == [True]
 
     def test_vetting_run(self, tmp_path, monkeypatch):
-        survived, real = [], codegen_mod.run_once
+        survived, real = [], runner.ForkServer._exchange
 
-        def run_once(path, *args, **kwargs):
+        def exchange(self, request, fds, timeout):
             _fork_that_exits_normally()
-            survived.append(os.path.isdir(os.path.dirname(path)))
-            return real(path, *args, **kwargs)
+            survived.append(os.path.isfile(json.loads(request)["source"]))  # the candidate, in the run's directory
+            return real(self, request, fds, timeout)
 
-        monkeypatch.setattr(codegen_mod, "run_once", run_once)
+        monkeypatch.setattr(runner.ForkServer, "_exchange", exchange)
         assert codegen_mod._run_test_examples(ADD_PY + "\n", add_spec(), CodegenConfig(cache_dir=tmp_path)) is None
         assert survived == [True]
 

@@ -1,13 +1,16 @@
 """Execution harness: wire protocol, isolation, the worker loop and the fork server."""
 
+import fcntl
 import gc
 import json
 import os
 import select
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
+import termios
 import threading
 import time
 import traceback
@@ -19,9 +22,9 @@ import pytest
 
 from askit import harness, runner
 from askit.errors import ExecutionError, ExecutionTimeout, ProtocolError
-from askit.runner import DEFAULT_INVOKE_TIMEOUT, HARNESS_PATH, Worker, _decode_response, run_once
+from askit.runner import DEFAULT_INVOKE_TIMEOUT, HARNESS_PATH, Worker, WorkerLeft, _decode_response, run_once
 from askit.runner import ForkServer
-from conftest import REPO, count_starts, gone, parent_of
+from conftest import REPO, count_starts, gone, live_children, parent_of
 
 ADD_SOURCE = "def add(*, x, y):\n    return x + y\n"
 # A result nested deeper than the recursion limit: the encoder raises RecursionError.
@@ -41,8 +44,8 @@ def write_source(tmp_path, source, name="gen.py"):
 
 
 def _answer_bytes(source, request):
-    """The bytes a Worker for `source` writes on its FIFO `out` in answer to
-    the request line `request` written on its FIFO `in`."""
+    """The bytes a Worker for `source` writes on its pipe `out` in answer to
+    the request line `request` written on its pipe `in`."""
     with Worker(source) as worker:
         os.write(worker._fds["in"], request + b"\n")
         answer = b""
@@ -442,20 +445,11 @@ class TestForkedWorker:
                 assert worker.call("add", {"x": 1, "y": 2}) == 3
             assert time.perf_counter() - started < 0.5
 
-    def test_spawn_into_a_directory_without_fifos_fails_and_the_zygote_serves_on(self, tmp_path):
-        source = write_source(tmp_path, ADD_SOURCE)
-        with ForkServer() as server:
-            with pytest.raises(ExecutionError, match="fork request failed"):
-                server.spawn(str(source), str(tmp_path))
-            zygote = server._proc.pid
-            assert server.run(source, "add", {"x": 2, "y": 3}) == 5
-            assert server._proc.pid == zygote
-
     def test_a_spawn_on_an_idle_pool_boots_one_zygote(self, tmp_path, monkeypatch):
         starts = count_starts(monkeypatch)
         server = ForkServer()
         try:
-            server.spawn(str(write_source(tmp_path, ADD_SOURCE)), str(tmp_path))  # no FIFOs: refused
+            server.spawn(str(write_source(tmp_path, ADD_SOURCE)), str(tmp_path), [])  # no pipe ends: refused
         except ExecutionError:
             pass
         finally:
@@ -920,6 +914,121 @@ class TestStdlibOnly:
         harness.preload(str(tmp_path / "missing.py"))
         (tmp_path / "latin1.py").write_bytes(b"import re  # \xe9\n")
         harness.preload(str(tmp_path / "latin1.py"))
+
+
+def _open_fds(pid="self"):
+    """The descriptor numbers a process holds open."""
+    return sorted(os.listdir(f"/proc/{pid}/fd"))
+
+
+def _without_children(zygote):
+    """Wait until the zygote has reaped every child, and with it closed its copy of their pipes."""
+    children, deadline = Path(f"/proc/{zygote}/task/{zygote}/children"), time.monotonic() + 10
+    while children.read_text().split():
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+
+
+def _unread_bytes(fd):
+    return struct.unpack("i", fcntl.ioctl(fd, termios.FIONREAD, bytes(4)))[0]
+
+
+RAN_SOURCE = "import sys\ndef f(*, n=0):\n    print('ran', file=sys.stderr, flush=True)\n    return 'x' * n\n"
+
+
+class TestChannelFaults:
+    """Faults on the zygote's socket and on a child's pipes. Each row waits on
+    pipes and pidfds, not on time, and checks that the call ran at most once,
+    that the error names its cause, and that no process, descriptor or
+    scratch directory is left."""
+
+    @pytest.mark.parametrize(
+        "run, handed",
+        [(True, 0), (True, 2), (False, 0), (False, 1), (False, 3), (True, 9)],
+        ids=["run-none", "run-extra", "worker-none", "worker-missing", "worker-extra", "past-the-room"],
+    )
+    def test_wrong_descriptors_are_refused(self, tmp_path, monkeypatch, run, handed):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        source = str(write_source(tmp_path, RAN_SOURCE))
+        mine, children = _open_fds(), live_children()
+        with ForkServer() as server:
+            assert server.run(source, "f", {}) == ""
+            zygote = server._proc.pid
+            pipes = [os.pipe() for _ in range(handed)]
+            try:
+                kind = "run" if run else "worker"
+                with pytest.raises(ExecutionError, match=rf"^fork request is malformed: ValueError\('\d descriptors for a {kind}'\)$"):
+                    server.spawn(source, str(tmp_path), [end for _, end in pipes], **({"entry": "f", "args": [{}]} if run else {}))
+                _without_children(zygote)  # and so closed its copy of the first run's pipe
+                assert len(_open_fds(zygote)) == 4  # its standard descriptors and its socket: none of those sent
+            finally:
+                for _, end in pipes:
+                    os.close(end)
+            for reader, _ in pipes:  # no copy of a write end is left anywhere, the kernel's drops included
+                os.set_blocking(reader, False)
+                assert os.read(reader, 1) == b""
+                os.close(reader)
+            assert server.run(source, "f", {"n": 2}) == "xx" and server._proc.pid == zygote
+        logged = [path.read_text() for path in tmp_path.glob("askit-*/stderr.log")]
+        assert (logged, sorted(path.name for path in tmp_path.iterdir())) == ([], ["gen.py"])
+        assert (_open_fds(), live_children()) == (mine, children)
+
+    def test_a_worker_killed_mid_answer_longer_than_a_pipe(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        source = write_source(tmp_path, RAN_SOURCE)
+        server = runner.fork_server()
+        assert server.run(source, "f", {}) == ""  # the zygote is up before the count
+        mine = _open_fds()
+        with Worker(source) as worker:
+            out, pidfd = worker._fds["out"], worker._fds["pidfd"]
+            capacity = fcntl.fcntl(out, fcntl.F_GETPIPE_SZ)
+            harness.write_line(worker._fds["in"], json.dumps({"entry": "f", "args": {"n": 4 * capacity}}))
+            deadline = time.monotonic() + 10
+            while _unread_bytes(out) < capacity:  # until the worker blocks on a full pipe
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            signal.pidfd_send_signal(pidfd, signal.SIGKILL)
+            assert gone(worker.pid)  # reaped: the full pipe left no room for its exit status
+            with pytest.raises(WorkerLeft, match="^harness closed its output\nran$"):
+                worker.call("f", {"n": 1})  # nothing sent: it has left
+            assert worker._stderr_path.read_text() == "ran\n"  # the call ran once
+            pid, scratch = worker.pid, worker._stderr_path.parent
+        assert gone(pid) and not scratch.exists()
+        assert _open_fds() == mine
+        assert sorted(path.name for path in tmp_path.iterdir() if path.name.startswith("askit-run-")) == []
+
+    def test_the_zygote_killed_between_a_fork_request_and_its_answer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        source = write_source(tmp_path, RAN_SOURCE)
+        logged, remove, send = [], runner._remove_scratch, runner.send_line
+
+        def remove_and_log(path, owner):  # what each run's child logged
+            if os.path.basename(path).startswith("askit-run-"):
+                log = Path(path, "stderr.log")
+                logged.append(log.read_text() if log.exists() else None)
+            remove(path, owner)
+
+        def send_and_kill(channel, text, fds=()):
+            os.kill(zygote.pid, signal.SIGSTOP)  # it reads nothing more
+            send(channel, text, fds)
+            os.kill(zygote.pid, signal.SIGKILL)
+
+        monkeypatch.setattr(runner, "_remove_scratch", remove_and_log)
+        mine, children = _open_fds(), live_children()
+        with ForkServer() as server:
+            assert server.run(source, "f", {}) == ""
+            zygote = server._proc
+            monkeypatch.setattr(runner, "send_line", send_and_kill)
+            # Killed with the request unread, the zygote resets the connection.
+            with pytest.raises(ExecutionError, match=r"^fork server failed \(\[Errno 104\] Connection reset by peer\): $"):
+                server.run(source, "f", {"n": 1})
+            assert zygote.returncode == -signal.SIGKILL
+            monkeypatch.setattr(runner, "send_line", send)
+            assert server.run(source, "f", {"n": 2}) == "xx"  # by a new zygote
+            assert server._proc is not zygote
+        assert logged == ["ran\n", None, "ran\n"]  # the killed request forked nothing
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["gen.py"]
+        assert (_open_fds(), live_children()) == (mine, children)
 
 
 class TestResponseCap:

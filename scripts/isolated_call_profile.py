@@ -2,14 +2,15 @@
 """Where an isolated compiled call spends its time, step by step, and what it costs.
 
 An isolated call is CompiledFunction.call_isolated -> run_once ->
-ForkServer.run: the caller sets up a scratch directory and the pipes of a
-new child, sends one fork request to the zygote (ForkServer.spawn), waits
-for the child's answer and reads it (_Child._receive), and then kills the
-child if it is still there, closes its descriptors and removes its
-directory (_end_child). Run from the repository root:
+ForkServer.run: the caller sets up the pipe and the in-memory log of a new
+child, sends one fork request to the zygote (ForkServer.spawn), which forks
+the child in a run directory of its own, waits for the child's answer and
+reads it (_Child._receive), and then kills the child if it is still there
+and closes its descriptors (_end_child). Run from the repository root:
 
     python3 scripts/isolated_call_profile.py
     python3 scripts/isolated_call_profile.py --against ../askit-parent
+    python3 scripts/isolated_call_profile.py --vetting --against ../askit-parent
 
 The first form prints, as one JSON object (copied into another checkout,
 the script profiles that checkout), the medians (perf_counter_ns, in µs)
@@ -22,6 +23,12 @@ With --against DIR (another checkout of this repository), it also runs the
 interleaved microbenchmark: --pairs pairs of fresh processes, one per tree
 and in alternating order, each timing --calls isolated calls and printing
 their median; then the median over pairs and how many pairs this tree won.
+
+With --vetting, each timed operation is a vetting run instead, as
+codegen's _run_test_examples makes it: ForkServer.run of four argument sets
+with the candidate's text inline, a new text each run, so the zygote
+compiles each one (the compile workload's misses, without their noise).
+It prints the median of whole runs, and with --against the interleaved pairs.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 SOURCE = "def double(*, xs):\n    return [x * 2 for x in xs]\n"
 ARGS = {"xs": [1, 2, 3]}
+VETTING_SETS = [{"xs": [1, 2, 3]}, {"xs": []}, {"xs": [-4]}, {"xs": list(range(10))}]
 
 
 def _median_us(samples: list[int]) -> float:
@@ -72,6 +80,22 @@ def whole_calls(calls: int) -> dict[str, float]:
             compiled.call_isolated(ARGS)
             samples.append(time.perf_counter_ns() - started)
     return {"call_isolated_us": _median_us(samples)}
+
+
+def vetting_runs(calls: int) -> dict[str, float]:
+    """The median of whole vetting runs, in µs: each a new candidate text."""
+    from askit import runner
+
+    samples = []
+    with runner.ForkServer() as server:
+        for i in range(calls + calls // 5):  # the first fifth warms up
+            text = f"{SOURCE}# candidate {i}\n"
+            started = time.perf_counter_ns()
+            outcomes = server.run("candidate.py", "double", VETTING_SETS, text=text)
+            if i >= calls // 5:
+                samples.append(time.perf_counter_ns() - started)
+            assert outcomes == [[2, 4, 6], [], [-8], list(range(0, 20, 2))], outcomes
+    return {"vetting_run_us": _median_us(samples)}
 
 
 def caller_steps(calls: int) -> dict[str, float]:
@@ -112,24 +136,25 @@ def caller_steps(calls: int) -> dict[str, float]:
     return {f"{name}_us": _median_us(samples) for name, samples in steps.items()}
 
 
-def interleaved(against: Path, pairs: int, calls: int) -> dict:
-    """Whole-call medians from fresh processes, alternating the trees."""
+def interleaved(against: Path, pairs: int, calls: int, vetting: bool) -> dict:
+    """Whole-call (or whole vetting run) medians from fresh processes, alternating the trees."""
     trees = {"against": against.resolve(), "this": REPO}
     runs = {side: [] for side in trees}
+    metric = "vetting_run_us" if vetting else "call_isolated_us"
     for pair in range(pairs):
         order = ("against", "this") if pair % 2 == 0 else ("this", "against")
         for side in order:
             env = {**os.environ, "PYTHONPATH": str(trees[side] / "src")}
             out = subprocess.run(
-                [sys.executable, __file__, "--whole-calls-only", "--calls", str(calls)],
+                [sys.executable, __file__, "--whole-calls-only", "--calls", str(calls), *(["--vetting"] if vetting else [])],
                 env=env, capture_output=True, text=True, check=True, timeout=600,
             ).stdout
-            runs[side].append(json.loads(out)["call_isolated_us"])
+            runs[side].append(json.loads(out)[metric])
     return {
         "pairs": pairs,
         "calls_per_run": calls,
         "trees": {side: str(path) for side, path in trees.items()},
-        "call_isolated_us": {
+        metric: {
             "against_median": round(statistics.median(runs["against"]), 2),
             "this_median": round(statistics.median(runs["this"]), 2),
             "this_wins": sum(mine < theirs for mine, theirs in zip(runs["this"], runs["against"])),
@@ -144,20 +169,20 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--against", type=Path, help="another checkout to run the interleaved microbenchmark against")
     parser.add_argument("--pairs", type=int, default=6)
     parser.add_argument("--calls", type=int, default=2000)
+    parser.add_argument("--vetting", action="store_true", help="time vetting runs with inline candidates instead")
     parser.add_argument("--whole-calls-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    whole = vetting_runs if args.vetting else whole_calls
     if args.whole_calls_only:  # one side of a pair; askit comes from PYTHONPATH
-        print(json.dumps(whole_calls(args.calls)))
+        print(json.dumps(whole(args.calls)))
         return 0
     sys.path.insert(0, str(REPO / "src"))
-    report = {
-        "python": sys.version.split()[0],
-        "nproc": os.cpu_count(),
-        "caller": caller_steps(args.calls),
-        "whole": whole_calls(args.calls),
-    }
+    report = {"python": sys.version.split()[0], "nproc": os.cpu_count()}
+    if not args.vetting:
+        report["caller"] = caller_steps(args.calls)
+    report["whole"] = whole(args.calls)
     if args.against is not None:
-        report["interleaved"] = interleaved(args.against, args.pairs, args.calls)
+        report["interleaved"] = interleaved(args.against, args.pairs, args.calls, args.vetting)
     print(json.dumps(report, indent=1))
     return 0
 

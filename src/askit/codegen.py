@@ -356,7 +356,7 @@ def _run_test_examples(source: str, spec: TaskSpec, config: CodegenConfig) -> Vi
     if not LANGUAGES[spec.target_language].runnable:
         raise ToolchainUnavailable(f"cannot run test examples: no execution harness for {spec.target_language}")
     sets = [example.input for example in spec.tests]
-    candidate = f"candidate.{LANGUAGES[spec.target_language].extension}"  # written into the run's own directory
+    candidate = f"candidate.{LANGUAGES[spec.target_language].extension}"  # its name in the run's directory; not written
     outcomes = run_once(candidate, spec.name, sets, timeout=config.invoke_timeout, text=source)
     for example, actual in zip(spec.tests, outcomes):
         if isinstance(actual, AskitError):

@@ -9,14 +9,20 @@ The zygote never runs generated code. Its stdin and stdout are one end of
 a socket pair. It answers each request line with the pid of a child it
 forks, sent along with a pidfd of that child (fork_request), or an error:
 
-    {"source": <path>, "scratch": <dir>, "entry": ..., "args": [{...}, ...]}   a run
-    {"source": <path>, "scratch": <dir>}                                      a warm worker
+    {"source": <path>, "entry": ..., "args": [{...}, ...], "text": <str or null>}   a run
+    {"source": <path>, "scratch": <dir>}                                           a warm worker
 
 A request line carries, as SCM_RIGHTS data, the write end of the pipe `out`
-the child answers on and, for a worker, the read end of the pipe `in` it
-reads; the caller holds their other ends. The child works and logs
-(stderr.log) in the scratch directory; its fds 1 and 2 go to the log, so
-stray prints cannot corrupt its answers, one JSON document per line each way:
+the child answers on, for a worker the read end of the pipe `in` it reads,
+and the child's log, an anonymous file in memory (its fds 1 and 2, so stray
+prints cannot corrupt its answers): 2 descriptors for a run, 3 for a worker.
+The caller holds the other ends and reads the log with pread. A run's
+"text", if not null, is its source, named as the file "source" in the run's
+directory but not written. A worker works in its caller's "scratch"; a run
+in a directory (mode 0700) that the zygote makes in its own working
+directory and, once it has reaped the child, keeps for the next run if it is
+as made and no other is kept, else removes (recycle). One JSON document per
+line each way:
 
     request   {"entry": <name>, "args": {...}}
     response  {"ok": true, "result": ...}
@@ -28,10 +34,11 @@ source once and answers each line on `in` until end of file (serve). The
 caller enforces timeouts and the size cap and kills through the pidfd. The
 zygote keeps its copy of each child's `out`: before it reaps an exited
 child (on SIGCHLD) it writes {"ok": false, "error": "harness exited with
-status N"} there. Its owner ends it with SIGKILL; a child needs nothing from
-it. End of input means that the owner has gone without ending it: the
-zygote kills every child, reaps them, and removes their scratch directories
-and its own (its working directory).
+status N"} there, after a newline, which ends the line of a child killed in
+mid-answer. Its owner ends it with SIGKILL; a child needs nothing from it.
+End of input means that the owner has gone without ending it: the zygote
+kills every child, reaps them, and removes their scratch directories and its
+own.
 
 Before executing the generated source an audit-hook sandbox is installed in
 the process that runs it: file writes, renames and deletes outside the
@@ -43,10 +50,11 @@ determined adversary; a wall-clock timeout is enforced from outside.
 This file is self-contained (stdlib only): started without `site`, neither
 the harness nor generated code sees site-packages or runs .pth hooks. At
 start it imports only built-in and C modules (os, sys, select, time,
-_signal, _json, _socket): json, re, enum and traceback would add about 25 ms, over
-half of a harness start. loads, dumps and error_line stand in for them;
-rare paths (malformed JSON, an unserializable result, a SyntaxError, notes)
-import the real module.
+itertools, _signal, _json, _socket, _thread): json, re, enum and traceback
+would add about 25 ms, over half of a harness start. loads, dumps,
+error_line and remove_tree stand in for them and for shutil; rare paths
+(malformed JSON, an unserializable result, a SyntaxError, notes) import the
+real module.
 """
 
 import os
@@ -58,6 +66,7 @@ import _json
 import _signal
 import _socket
 import _thread
+import itertools
 
 # Longest response line, newline excluded, that either side of a pipe accepts.
 MAX_RESPONSE_BYTES = 16 << 20
@@ -219,18 +228,19 @@ def preload(source_path, text=None):
                 return
 
 
-# Paths the zygote's compile cache keeps before it starts over: vetting
-# writes each candidate to a path of its own, so the set never stops growing.
+# Paths the zygote's compile cache keeps before it starts over: one per source
+# file run (a process may compile many functions) and per run directory of an inline candidate.
 COMPILED_PATHS = 64
 
 
-def compile_once(source_path, cache):
-    """The source's code object, compiled (after preload) only when the text
-    at its path differs from the one `cache` holds for that path, so an
-    edited file is never stale; None when unreadable or invalid: the child
-    then reports why. `cache` maps a path to its (text, code object)."""
+def compile_once(source_path, cache, text=None):
+    """The code object of the source at `source_path`, or of `text` under that
+    name, compiled (after preload) only when the text differs from the one
+    `cache` holds for that path, so an edited file is never stale; the
+    exception when unreadable or invalid, which the child reports. `cache`
+    maps a path to its (text, code object)."""
     try:
-        text = read_source(source_path)
+        text = read_source(source_path) if text is None else text
         cached = cache.get(source_path)
         if cached is None or cached[0] != text:
             preload(source_path, text)
@@ -238,15 +248,17 @@ def compile_once(source_path, cache):
                 cache.clear()
             cached = cache[source_path] = text, compile(text, source_path, "exec")
         return cached[1]
-    except Exception:  # noqa: BLE001 - the child reports why
-        return None
+    except Exception as exc:  # noqa: BLE001 - the child reports it
+        return exc
 
 
-def load(source_path, code=None):
-    """The module's namespace and None, or an empty one and the load error."""
+def load(source_path, code):
+    """The module's namespace and None, or an empty one and the load error (`code` is compile_once's)."""
     namespace = {"__name__": "askit_generated", "__file__": source_path}
     try:
-        exec(compile(read_source(source_path), source_path, "exec") if code is None else code, namespace)
+        if isinstance(code, BaseException):
+            raise code
+        exec(code, namespace)
         return namespace, None
     except BaseException as exc:  # noqa: BLE001
         return {}, f"generated source failed to load: {error_line(exc)}"
@@ -349,10 +361,10 @@ def requests(protocol_in, protocol_out):
             yield request
 
 
-def fork_child(scratch, inherited, body):
-    """Fork a child that closes the zygote's descriptors in `inherited`,
-    changes into `scratch` (also its TMPDIR and HOME), logs to stderr.log
-    there, installs the sandbox, runs body() and leaves with os._exit; its
+def fork_child(scratch, log, inherited, body):
+    """Fork a child that logs to `log` (its fds 1 and 2), closes the zygote's
+    descriptors in `inherited`, changes into `scratch` (also its TMPDIR and
+    HOME), installs the sandbox, runs body() and leaves with os._exit; its
     pid. Hook and environment are made before the fork: a page a child writes costs a fault."""
     hook = sandbox_hook(scratch)
     os.environ["TMPDIR"] = os.environ["HOME"] = scratch
@@ -362,12 +374,11 @@ def fork_child(scratch, inherited, body):
         try:
             _signal.signal(_signal.SIGCHLD, _signal.SIG_DFL)
             _signal.pthread_sigmask(_signal.SIG_UNBLOCK, {_signal.SIGCHLD})
+            for fd in (1, 2):
+                os.dup2(log, fd)
             for fd in inherited:
                 os.close(fd)
             os.chdir(scratch)
-            log = os.open("stderr.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o600)
-            for fd in (1, 2):
-                os.dup2(log, fd)
             sys.addaudithook(hook)
             body()
             status = 0
@@ -375,30 +386,40 @@ def fork_child(scratch, inherited, body):
             sys.__excepthook__(*sys.exc_info())
         finally:
             try:
-                sys.stdout.flush()  # stray prints reach the stderr log
+                sys.stdout.flush()  # stray prints reach the log
                 sys.stderr.flush()
             finally:
                 os._exit(status)
     return pid
 
 
-def fork_request(line, fds, channel, children, compiled):
+_run_numbers = itertools.count()  # names the run directories the zygote makes
+
+
+def fork_request(line, fds, channel, children, compiled, idle):
     """Fork the child that the fork request `line` asks for; its pid and a
-    pidfd. A run's child (the request has "args") answers them (answer_each),
-    a warm worker reads requests from the pipe end fds[1] (serve); each
-    answers on the pipe end fds[0], which `children` keeps for reap, with the
-    scratch; the other descriptors in `fds` are closed. `compiled` is the
-    compile_once cache. SIGCHLD is blocked: no reap until `children` holds the pid."""
+    pidfd. A run's child (the request has "args") answers them (answer_each)
+    in a directory from `idle`, which reap fills, or a new one; a warm worker
+    reads requests from the pipe end fds[1] (serve). Each answers on the
+    pipe end fds[0], which `children` keeps for reap with the directory, and
+    logs to fds[-1]; the other descriptors in `fds` are closed. `compiled` is
+    the compile_once cache. SIGCHLD is blocked: no reap until `children` holds the pid."""
     try:
         request = loads(line.decode("utf-8"))
-        scratch, source, run = request["scratch"], request["source"], "args" in request
-        if len(fds) != (1 if run else 2):
+        source, text, run = request["source"], request.get("text"), "args" in request
+        if len(fds) != (2 if run else 3):
             raise ValueError(f"{len(fds)} descriptors for a {'run' if run else 'worker'}")
-        code = compile_once(source, compiled)
-        out, *pipe_in = fds
+        if run and not idle:
+            idle.append(os.path.join(os.getcwd(), f"askit-run-{next(_run_numbers)}"))
+            os.mkdir(idle[-1], 0o700)
+        scratch = idle.pop() if run else request["scratch"]
+        if text is not None:
+            source = os.path.join(scratch, source)
+        code = compile_once(source, compiled, text)
+        out, *pipe_in, log = fds
         body = (lambda: answer_each(source, request, code, out)) if run else (lambda: serve(*pipe_in, out, source, code, scratch))
-        pid = fork_child(scratch, (channel.fileno(), *(kept for kept, _ in children.values())), body)
-        children[pid] = fds.pop(0), scratch
+        pid = fork_child(scratch, log, (channel.fileno(), log, *(kept for kept, _, _ in children.values())), body)
+        children[pid] = fds.pop(0), scratch, run
         try:
             return pid, os.pidfd_open(pid)
         except OSError:
@@ -419,14 +440,13 @@ def serve(pipe_in, out, source, code, scratch):
             write_line(out, encode_response(handle_request(namespace, load_error, request)))
     except BrokenPipeError:
         pass
-    import shutil  # only on this path
-    shutil.rmtree(scratch, ignore_errors=True)
+    remove_tree(scratch)
 
 
 def answer_each(source_path, request, code, fd):
     """A run's child: answer each argument set of `request` in order with one
     line on `fd`, each in a fresh namespace, up to the first error. A success
-    also carries "logged", the stderr log's size after its set's output."""
+    also carries "logged", the log's size after its set's output."""
     for args in request["args"]:
         response = handle_request(*load(source_path, code), {**request, "args": args})
         sys.stdout.flush()
@@ -437,12 +457,13 @@ def answer_each(source_path, request, code, fd):
             return
 
 
-def reap(children):
+def reap(children, idle):
     """Reap the children in `children` that have exited. It maps a pid to the
-    zygote's copy of that child's `out` and its scratch directory: the child's
-    exit status goes to `out` as an error document, which its caller reads in
-    place of an answer; a full pipe drops it (the copy shares the child's
-    file description, so it is made non-blocking only now)."""
+    zygote's copy of that child's `out`, its scratch directory and whether it
+    ran a run (whose directory goes to recycle): the child's exit status goes
+    to `out` as an error document, which its caller reads in place of an
+    answer; a full pipe drops it (the copy shares the child's file
+    description, so it is made non-blocking only now)."""
     for pid in list(children):
         try:
             exited = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG)
@@ -451,13 +472,43 @@ def reap(children):
         if exited is None or (claimed := children.pop(pid, None)) is None:
             continue
         status = exited.si_status if exited.si_code == os.CLD_EXITED else -exited.si_status
+        out, scratch, run = claimed
         try:
-            os.set_blocking(claimed[0], False)
-            write_line(claimed[0], encode_response({"ok": False, "error": f"harness exited with status {status}"}))
+            os.set_blocking(out, False)  # after a newline: a child killed in mid-answer left its line open
+            write_line(out, "\n" + encode_response({"ok": False, "error": f"harness exited with status {status}"}))
         except OSError:  # the caller has gone, or reads no more
             pass
-        os.close(claimed[0])
+        os.close(out)
         os.waitpid(pid, 0)
+        if run:
+            recycle(scratch, idle)
+
+
+def recycle(scratch, idle):
+    """Keep a reaped run's directory in `idle` if it is as made (empty, mode 0700) and none is; else remove it."""
+    try:
+        if not idle and os.lstat(scratch).st_mode == 0o40700 and not os.listdir(scratch):
+            idle.append(scratch)
+            return
+    except OSError:  # gone, or its mode denies the listing
+        pass
+    remove_tree(scratch)
+
+
+def remove_tree(directory):
+    """shutil.rmtree(directory, ignore_errors=True), each directory made
+    writable first, without shutil, which would bring re to every later child."""
+    try:
+        os.chmod(directory, 0o700)
+        with os.scandir(directory) as entries:
+            for entry in entries:
+                if entry.is_dir(follow_symlinks=False):
+                    remove_tree(entry.path)
+                else:
+                    os.unlink(entry.path)
+        os.rmdir(directory)
+    except (OSError, RecursionError):  # RecursionError: a tree deeper than the stack is left
+        pass
 
 
 def main(argv):
@@ -472,14 +523,14 @@ def main(argv):
     os.dup2(devnull_fd, 0)
     os.close(devnull_fd)
 
-    compiled, children = {}, {}
-    _signal.signal(_signal.SIGCHLD, lambda signum, frame: reap(children))
+    compiled, children, idle = {}, {}, []
+    _signal.signal(_signal.SIGCHLD, lambda signum, frame: reap(children, idle))
     while (received := receive_line(channel))[0] is not None:
         # A child that exits meanwhile, often the last one, is reaped once the answer is out.
         _signal.pthread_sigmask(_signal.SIG_BLOCK, {_signal.SIGCHLD})
         pidfd = []
         try:
-            pid, *pidfd = fork_request(*received, channel, children, compiled)
+            pid, *pidfd = fork_request(*received, channel, children, compiled, idle)
             response = {"ok": True, "result": pid}
         except (AttributeError, TypeError, KeyError, ValueError) as exc:
             response = {"ok": False, "error": f"fork request is malformed: {exc!r}"}
@@ -494,12 +545,11 @@ def main(argv):
         _signal.pthread_sigmask(_signal.SIG_UNBLOCK, {_signal.SIGCHLD})
     # The owner has gone without ending the zygote: no child has a caller now.
     _signal.signal(_signal.SIGCHLD, _signal.SIG_DFL)
-    import shutil  # only on this path
-    for pid, (_, scratch) in children.items():
+    for pid, (_, scratch, _) in children.items():
         os.kill(pid, _signal.SIGKILL)
         os.waitpid(pid, 0)
-        shutil.rmtree(scratch, ignore_errors=True)
-    shutil.rmtree(os.getcwd(), ignore_errors=True)
+        remove_tree(scratch)
+    remove_tree(os.getcwd())
     return 0
 
 

@@ -2,16 +2,20 @@
 
 ForkServer keeps one zygote harness alive that never runs generated code.
 Its lock covers one fork request, sent over a socket pair with the child's
-pipe ends, which the zygote answers with the pid and a pidfd of a child.
-The caller then talks to that child alone over the pipes, enforces each
-answer's timeout and size cap (MAX_RESPONSE_BYTES), and kills it through
-the pidfd, which never names a reused pid; the zygote reaps it and answers
-for it with its exit status. Each child works in its own scratch directory.
-Each run() forks one fresh child (askit-run-*) that answers a list of
-argument sets in order, each in a fresh module namespace (process-wide state
-carries over). A Worker (askit-worker-*) loads the generated module once, so
-module state persists across calls. The zygote starts at the first fork
-request and is replaced when found dead before one.
+pipe ends and its log, which the zygote answers with the pid and a pidfd of
+a child. The caller then talks to that child alone over the pipes, enforces
+each answer's timeout and size cap (MAX_RESPONSE_BYTES), and kills it
+through the pidfd, which never names a reused pid; the zygote reaps it and
+answers for it with its exit status. Every child logs to an anonymous file
+in memory that its caller makes (_Child) and reads with pread (_tail).
+Each run() forks one fresh child that answers a list of argument sets in
+order, each in a fresh module namespace (process-wide state carries over),
+in a directory (askit-run-*) that the zygote makes in its own and keeps for
+the next run when the child left it as made. A candidate's text goes inline
+in the fork request. A Worker loads the generated module once, so module
+state persists across calls, in a directory (askit-worker-*) its caller
+makes, since a worker outlives a zygote that close() kills. The zygote
+starts at the first fork request and is replaced when found dead before one.
 
 A process shares one ForkServer, which fork_server() returns and this module
 holds by a weak reference only. run_once (codegen's vetting, call_isolated)
@@ -27,11 +31,12 @@ The zygote is the only interpreter askit starts: `python -I -S -B
 <scratch>/harness.pyc`, from bytecode compiled once per process, in its
 own askit-worker-* scratch directory, without `site` (generated code sees
 the standard library only) and with a minimal environment. A fork request is
-one line each way under a deadline; the zygote logs to a stderr.log. Only
-the process that made a scratch directory removes it (scratch_dir), or once
-it has gone the harness, and only the one that started the zygote or asked
-for a child signals it: in a forked copy either reads as not alive, and
-closing it there closes that copy's descriptors.
+one line each way under a deadline; the zygote logs to an anonymous file in
+memory too. Only the process that made a scratch directory removes it
+(scratch_dir; the zygote's, with the run directories in it, once no run in
+flight holds it: _Home), or once it has gone the harness, and only the one
+that started the zygote or asked for a child signals it: in a forked copy
+either reads as not alive, and closing it there closes that copy's descriptors.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ def _child_env(scratch: str) -> dict[str, str]:
     return {"PATH": os.environ.get("PATH", ""), "TMPDIR": scratch, "HOME": scratch, "LANG": os.environ.get("LANG", "C.UTF-8")}
 
 
-def _decode_response(raw: str, stderr_path: Path | None = None, since: int = 0) -> dict:
+def _decode_response(raw: str, log: int | None = None, since: int = 0) -> dict:
     try:
         document = loads(raw)
     except ValueError as exc:
@@ -84,23 +89,21 @@ def _decode_response(raw: str, stderr_path: Path | None = None, since: int = 0) 
     if not isinstance(document, dict) or "ok" not in document:
         raise ProtocolError(f"harness output is not a response document: {raw[:200]!r}")
     if not document["ok"]:
-        raise _failure(document.get("error", "unknown error"), stderr_path, since)
+        raise _failure(document.get("error", "unknown error"), log, since)
     return document
 
 
-def _failure(error: str, stderr_path: Path | None, since: int = 0) -> ExecutionError:
-    tail = _tail(stderr_path, since) if stderr_path else ""
+def _failure(error: str, log: int | None, since: int = 0) -> ExecutionError:
+    tail = _tail(log, since) if log is not None else ""
     return ExecutionError(f"{error}\n{tail}" if tail else error)
 
 
-def _tail(stderr_path: str | Path, since: int = 0) -> str:
-    """The last 500 bytes of a stderr log written after offset `since`."""
-    try:
-        with open(stderr_path, "rb") as log:
-            log.seek(max(since, log.seek(0, os.SEEK_END) - 500))
-            return log.read().decode("utf-8", errors="replace").strip()
-    except OSError:
-        return ""
+def _tail(log: int, since: int = 0) -> str:
+    """The last 500 bytes of the log `log` (a descriptor) written after offset
+    `since`, read with pread: the log's writers share its file offset."""
+    size = os.fstat(log).st_size
+    start = max(since, size - 500)
+    return os.pread(log, size - start, start).decode("utf-8", errors="replace").strip()
 
 
 def run_once(source_path: str | Path, entry: str, args: Mapping[str, Any] | Sequence[Mapping[str, Any]],
@@ -122,8 +125,18 @@ def scratch_dir(prefix: str):
         _remove_scratch(path, owner)
 
 
-def _remove_scratch(path: str, owner: int) -> None:
-    if os.getpid() == owner:
+class _Home:
+    """A zygote's scratch directory, with the run directories in it: removed, by
+    the process that made it only, once neither the ForkServer that started the
+    zygote nor a run forked by it holds this object."""
+
+    def __init__(self):
+        self.path = tempfile.mkdtemp(prefix="askit-worker-")
+        self.remove = weakref.finalize(self, _remove_scratch, self.path, os.getpid())
+
+
+def _remove_scratch(path: str | None, owner: int) -> None:
+    if path is not None and os.getpid() == owner:
         shutil.rmtree(path, ignore_errors=True)
 
 
@@ -139,36 +152,35 @@ class _Closing:
 
 class _Child(_Closing):
     """A child that a zygote forked, seen from its caller: a pidfd, the read
-    end of the pipe `out` it answers on, for a warm worker the write end of
-    the pipe `in` it reads, and its stderr.log in a new scratch directory
-    named after `prefix`, where `text`, when given, is written as the source
-    `source_path` names; see harness.fork_request."""
+    end of the pipe `out` it answers on, its log (an anonymous file in
+    memory, the child's fds 1 and 2) and, for a warm worker, the write end
+    of the pipe `in` it reads and a new askit-worker-* scratch directory.
+    `run` holds a run's fields (entry, args, text); see harness.fork_request."""
 
-    def __init__(self, zygote: ForkServer, source_path: str, prefix: str, text: str | None = None, **run):
+    def __init__(self, zygote: ForkServer, source_path: str, **run):
         self._owner, self._unread, self._fds, self._exits = os.getpid(), bytearray(), {}, select.poll()
-        scratch = tempfile.mkdtemp(prefix=prefix)
-        self._stderr_path = Path(scratch) / "stderr.log"
-        fds, handed = self._fds, []  # handed: the child's ends, which the zygote gets
+        self._scratch = None if run else tempfile.mkdtemp(prefix="askit-worker-")
+        fds, handed = self._fds, []  # handed: the child's pipe ends, which the zygote gets
         try:
-            source_path = os.path.abspath(os.path.join(scratch, source_path) if text is not None else source_path)
-            if text is not None:
-                Path(source_path).write_text(text, encoding="utf-8")
             fds["out"], out = os.pipe()
             handed.append(out)
             os.set_blocking(fds["out"], False)  # for read_line; the child's end blocks
+            fds["log"] = os.memfd_create("askit-log")
             if not run:
                 reader, fds["in"] = os.pipe()
                 handed.append(reader)
-            self.pid, fds["pidfd"] = zygote.spawn(source_path, scratch, handed, **run)
+                run["scratch"] = self._scratch
+            self.pid, fds["pidfd"], home = zygote.spawn(source_path, [*handed, fds["log"]], **run)
+            self._home = home if self._scratch is None else None  # a run works in it
             for fd in (fds["out"], fds["pidfd"]):
                 self._exits.register(fd, select.POLLIN)
         except BaseException:
-            _end_child(fds, self._unread, self._exits, scratch, self._owner)
+            _end_child(fds, self._unread, self._exits, self._scratch, self._owner)
             raise
         finally:
             for fd in handed:
                 os.close(fd)
-        self._finalizer = weakref.finalize(self, _end_child, fds, self._unread, self._exits, scratch, self._owner)
+        self._finalizer = weakref.finalize(self, _end_child, fds, self._unread, self._exits, self._scratch, self._owner)
 
     @property
     def alive(self) -> bool:
@@ -180,9 +192,18 @@ class _Child(_Closing):
         the child logged after offset `since`. A child that does not answer
         within `timeout` s, or answers past MAX_RESPONSE_BYTES, is killed
         first, so that it logs nothing more."""
-        line, why = read_line(self._fds["out"], timeout, MAX_RESPONSE_BYTES, self._unread)
+        out, log = self._fds["out"], self._fds["log"]
+        line, why = b"", None
+        while not line and why is None:  # an exit status starts on a line of its own
+            line, why = read_line(out, timeout, MAX_RESPONSE_BYTES, self._unread)
         if why is None:
-            return _decode_response(line.decode("utf-8", errors="replace"), self._stderr_path, since)
+            try:
+                return _decode_response(line.decode("utf-8", errors="replace"), log, since)
+            except ProtocolError:  # a child killed in mid-answer: its exit status may follow
+                status, _ = read_line(out, 0, MAX_RESPONSE_BYTES, self._unread)
+                if status:
+                    _decode_response(status.decode("utf-8", errors="replace"), log, since)
+                raise
         # Nothing in time: no exit status yet either. Too much: the child is still
         # writing a line longer than a pipe holds. End of file: the zygote died, or
         # the child died with its answer filling the pipe, which left no room for its status.
@@ -191,7 +212,7 @@ class _Child(_Closing):
         if why == "timeout":
             raise ExecutionTimeout(f"{entry} exceeded {timeout}s")
         error = f"response exceeds {MAX_RESPONSE_BYTES} bytes" if why == "oversize" else "harness closed its output"
-        raise _failure(error, self._stderr_path, since)
+        raise _failure(error, log, since)
 
     def close(self) -> None:
         self._finalizer()
@@ -212,7 +233,7 @@ class Worker(_Child):
         self.source_path = os.path.abspath(source_path)  # the worker runs elsewhere
         self.call_timeout = call_timeout
         self._lock, self._zygote = threading.Lock(), fork_server()
-        super().__init__(self._zygote, self.source_path, "askit-worker-")
+        super().__init__(self._zygote, self.source_path)
 
     def call(self, entry: str, args: Mapping[str, Any]) -> Any:
         """entry(**args) in the worker; WorkerLeft when it was gone before the send."""
@@ -251,7 +272,8 @@ class ForkServer(_Closing):
         for one mapping, its result or its failure raised; for a list, one
         outcome per call (each timed apart) up to the first failure, whose
         outcome is the exception it would raise. Given `text`, the source is
-        written to the file `source_path` names in the run's own directory."""
+        that text, sent with the fork request and named as the file that
+        `source_path` names in the run's own directory, which is not written."""
         if isinstance(args, Mapping):
             outcomes = self.run(source_path, entry, [args], timeout, text)
             if isinstance(outcomes[0], AskitError):
@@ -259,7 +281,8 @@ class ForkServer(_Closing):
             return outcomes[0]
         outcomes, logged, sets = [], 0, [dict(arg_set) for arg_set in args]
         try:
-            with _Child(self, source_path, "askit-run-", text, entry=entry, args=sets) as child:
+            source_path = str(source_path) if text is not None else os.path.abspath(source_path)  # the run works elsewhere
+            with _Child(self, source_path, entry=entry, args=sets, text=text) as child:
                 while len(outcomes) < len(sets):
                     document = child._receive(entry, timeout, logged)
                     outcomes.append(document.get("result"))
@@ -270,18 +293,20 @@ class ForkServer(_Closing):
             outcomes.append(type(exc)(*exc.args))
         return outcomes
 
-    def spawn(self, source_path: str, scratch: str, fds: Sequence[int], **run) -> tuple[int, int]:
-        """The pid and a pidfd of a child forked for `source_path` that works
-        in `scratch` and answers on the pipe end fds[0]: given `run` (an
-        `entry` and a list of `args`), a run's child, else a warm worker,
-        which reads the pipe end fds[1]; see harness.fork_request."""
-        request = dumps({"source": source_path, "scratch": scratch, **run})
+    def spawn(self, source_path: str, fds: Sequence[int], **fields) -> tuple[int, int, _Home]:
+        """The pid and a pidfd of a child forked for `source_path` that answers
+        on the pipe end fds[0] and logs to fds[-1], and the zygote's _Home: given
+        an `entry`, a list of `args` and a `text` (None: the file's), a run's
+        child in a directory of the zygote's, else a warm worker in the
+        directory `scratch`, which reads the pipe end fds[1]; see harness.fork_request."""
+        request = dumps({"source": source_path, **fields})
         with self._lock:
             if not self.alive:
                 self.close()
                 self._start()
+            home = self._home  # taken before a close() can drop it
             line, pidfd = self._exchange(request, fds, FORK_SERVER_GRACE)
-        return _decode_response(line).get("result"), *pidfd  # the zygote sends a pidfd with a pid only
+        return _decode_response(line).get("result"), *pidfd, home  # the zygote sends a pidfd with a pid only
 
     @property
     def alive(self) -> bool:
@@ -291,33 +316,34 @@ class ForkServer(_Closing):
     def close(self) -> None:
         if self._finalizer is not None:
             self._finalizer()
+            self._home = None  # its directory goes when no run holds it
 
     def _start(self) -> None:
-        scratch, ends = tempfile.mkdtemp(prefix="askit-worker-"), ()
+        home, ends = _Home(), ()
+        scratch = home.path
         try:
             channel, zygote_end = ends = _socket.socketpair()
-            self._stderr_path = Path(scratch) / "stderr.log"
+            ends += (log := os.fdopen(os.memfd_create("askit-log"), "rb", buffering=0),)  # the zygote's stderr
             harness = Path(scratch) / "harness.pyc"  # not compiled at each start
             harness.write_bytes(_harness_pyc())
-            with open(self._stderr_path, "wb") as stderr:
-                # -I: script directory off sys.path, PYTHON* env vars ignored; -S: no
-                # `site`, no .pth hooks (over half the start-up); -B: no bytecode writes.
-                self._proc = subprocess.Popen(
-                    [sys.executable, "-I", "-S", "-B", str(harness), "--fork-server"],
-                    stdin=zygote_end.fileno(),
-                    stdout=zygote_end.fileno(),
-                    stderr=stderr,
-                    cwd=scratch,
-                    env=_child_env(scratch),
-                )
+            # -I: script directory off sys.path, PYTHON* env vars ignored; -S: no
+            # `site`, no .pth hooks (over half the start-up); -B: no bytecode writes.
+            self._proc = subprocess.Popen(
+                [sys.executable, "-I", "-S", "-B", str(harness), "--fork-server"],
+                stdin=zygote_end.fileno(),
+                stdout=zygote_end.fileno(),
+                stderr=log.fileno(),
+                cwd=scratch,
+                env=_child_env(scratch),
+            )
         except BaseException:
             for end in ends:
                 end.close()
-            _remove_scratch(scratch, os.getpid())
+            home.remove()
             raise
         zygote_end.close()
-        self._owner, self._channel = os.getpid(), channel
-        self._finalizer = weakref.finalize(self, _shutdown, self._proc, channel, scratch, self._owner)
+        self._owner, self._channel, self._log, self._home = os.getpid(), channel, log.fileno(), home
+        self._finalizer = weakref.finalize(self, _shutdown, self._proc, (channel, log), self._owner)
 
     def _exchange(self, request: str, fds: Sequence[int], timeout: float) -> tuple[str, list[int]]:
         """One fork request out with the pipe ends `fds`, its one-line answer
@@ -333,7 +359,7 @@ class ForkServer(_Closing):
         if why is not None:
             self._proc.kill()
             self._proc.wait()
-            raise ExecutionError(f"fork server failed ({why}): {_tail(self._stderr_path)}")
+            raise ExecutionError(f"fork server failed ({why}): {_tail(self._log)}")
         return line.decode("utf-8", errors="replace"), received
 
 
@@ -383,9 +409,10 @@ def _has_left(fds: dict[str, int], unread: bytearray, exits: select.poll) -> boo
     return "pidfd" not in fds or bool(unread) or bool(exits.poll(0))
 
 
-def _end_child(fds: dict[str, int], unread: bytearray, exits: select.poll, scratch: str, owner: int) -> None:
+def _end_child(fds: dict[str, int], unread: bytearray, exits: select.poll, scratch: str | None, owner: int) -> None:
     """Kill a forked child unless it has left, close its descriptors and
-    remove its scratch directory; in a forked copy, close the descriptors alone."""
+    remove a worker's scratch directory (a run's is the zygote's); in a
+    forked copy, close the descriptors alone."""
     try:
         if os.getpid() == owner and not _has_left(fds, unread, exits):
             _kill(fds["pidfd"])
@@ -396,13 +423,13 @@ def _end_child(fds: dict[str, int], unread: bytearray, exits: select.poll, scrat
         _remove_scratch(scratch, owner)
 
 
-def _shutdown(proc, channel, scratch, owner):
-    """Kill and reap the zygote, close its socket and remove its scratch
-    directory; in a forked copy, close the socket alone."""
+def _shutdown(proc, ends, owner):
+    """Kill and reap the zygote and close its socket and its log; in a forked
+    copy, close them alone. Its directory is its _Home's to remove."""
     try:
         if os.getpid() == owner:
             proc.kill()
             proc.wait()
     finally:
-        channel.close()
-        _remove_scratch(scratch, owner)
+        for end in ends:
+            end.close()

@@ -722,32 +722,34 @@ def _fork_that_exits_normally():
 
 class TestForkSafeScratch:
     """A copy forked (by another thread, say) while a scratch directory is in
-    use must not remove it when it exits: only the process that made it does."""
+    use must not remove it when it exits: only the process that made it does.
+    A run's directory is made by the zygote, inside the zygote's own."""
 
     def test_fork_server_run(self, tmp_path, monkeypatch):
         survived, real = [], runner.ForkServer._exchange
 
         def exchange(self, request, fds, timeout):
             _fork_that_exits_normally()
-            survived.append(os.path.isdir(json.loads(request)["scratch"]))
+            survived.append(("scratch" in json.loads(request), os.path.isdir(os.path.dirname(self._proc.args[4]))))
             return real(self, request, fds, timeout)
 
         monkeypatch.setattr(runner.ForkServer, "_exchange", exchange)
         with runner.ForkServer() as server:
             assert server.run(write_add(tmp_path), "add", {"x": 1, "y": 2}) == 3
-        assert survived == [True]
+        assert survived == [(False, True)]
 
     def test_vetting_run(self, tmp_path, monkeypatch):
         survived, real = [], runner.ForkServer._exchange
 
         def exchange(self, request, fds, timeout):
             _fork_that_exits_normally()
-            survived.append(os.path.isfile(json.loads(request)["source"]))  # the candidate, in the run's directory
+            sent = json.loads(request)  # the candidate goes inline: no file is written
+            survived.append((sent["source"], sent["text"], os.path.isdir(os.path.dirname(self._proc.args[4]))))
             return real(self, request, fds, timeout)
 
         monkeypatch.setattr(runner.ForkServer, "_exchange", exchange)
         assert codegen_mod._run_test_examples(ADD_PY + "\n", add_spec(), CodegenConfig(cache_dir=tmp_path)) is None
-        assert survived == [True]
+        assert survived == [("candidate.py", ADD_PY + "\n", True)]
 
     def test_tsc_check(self, tmp_path, monkeypatch):
         def tsc(argv, **kwargs):

@@ -3,6 +3,7 @@
 import fcntl
 import gc
 import json
+import math
 import os
 import select
 import signal
@@ -356,7 +357,7 @@ class TestForkedWorker:
             f"worker = Worker({str(source)!r})\n"
             "assert worker.call('add', {'x': 1, 'y': 2}) == 3\n"
             "print(worker.pid, worker._zygote._proc.pid, flush=True)\n"
-            "print(os.path.dirname(worker._stderr_path), os.path.dirname(worker._zygote._stderr_path), flush=True)\n"
+            "print(worker._scratch, os.path.dirname(worker._zygote._proc.args[4]), flush=True)\n"
             "os._exit(0)\n"
         )
         proc = subprocess.run([sys.executable, "-c", owner], capture_output=True, text=True, timeout=60)
@@ -413,7 +414,7 @@ class TestForkedWorker:
             "assert worker.call('f', {}) == 1\n"
             "runner.close()\n"
             + ("write_line(worker._fds['in'], '{\"entry\": \"f\", \"args\": {}}')\n" if answering else "")
-            + "print(worker.pid, os.path.dirname(worker._stderr_path), flush=True)\n"
+            + "print(worker.pid, worker._scratch, flush=True)\n"
             "os._exit(0)\n"
         )
         proc = subprocess.run([sys.executable, "-c", owner], capture_output=True, text=True, timeout=60)
@@ -449,7 +450,7 @@ class TestForkedWorker:
         starts = count_starts(monkeypatch)
         server = ForkServer()
         try:
-            server.spawn(str(write_source(tmp_path, ADD_SOURCE)), str(tmp_path), [])  # no pipe ends: refused
+            server.spawn(str(write_source(tmp_path, ADD_SOURCE)), [], scratch=str(tmp_path))  # no pipe ends: refused
         except ExecutionError:
             pass
         finally:
@@ -518,12 +519,11 @@ class TestForkServer:
     def test_a_failure_ends_the_outcomes_and_the_child(self, tmp_path, monkeypatch):
         source = write_source(tmp_path, "import sys\ndef f(*, x):\n    print(f'ran {x}', file=sys.stderr)\n"
                                         "    if x == 2:\n        raise ValueError('two')\n    return x\n")
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        monkeypatch.setattr(runner, "_remove_scratch", lambda path, owner: None)  # keep each run's stderr.log
+        logged = _logs_of_each_child(monkeypatch)
         with ForkServer() as server:
             outcomes = server.run(source, "f", [{"x": 1}, {"x": 2}, {"x": 3}])
             assert server.run(source, "f", {"x": 4}) == 4
-        logged = sorted(path.read_text().split() for path in tmp_path.glob("askit-run-*/stderr.log"))
+        logged = sorted(log.split() for log in logged)
         assert outcomes[0] == 1 and len(outcomes) == 2
         assert isinstance(outcomes[1], ExecutionError) and str(outcomes[1]) == "ValueError: two\nran 2"
         assert logged == [["ran", "1", "ran", "2"], ["ran", "4"]]  # the third set never ran
@@ -594,8 +594,10 @@ class TestForkServer:
         )
         with ForkServer() as server:
             cwd, tmpdir, home = server.run(source, "f", {})
+            zygote_scratch = os.path.dirname(server._proc.args[4])
         assert cwd == tmpdir == home
-        assert os.path.dirname(cwd) == os.path.realpath(tmp_path)
+        assert os.path.dirname(cwd) == os.path.realpath(zygote_scratch)  # made by the zygote, in its own directory
+        assert os.path.dirname(zygote_scratch) == str(tmp_path)
         assert os.path.basename(cwd).startswith("askit-run-")
         assert not os.path.exists(cwd)
 
@@ -794,9 +796,10 @@ class TestCompileOnce:
         second = harness.compile_once(source, cache)
         assert second is not first and second.co_filename == source
         assert cache == {source: (ADD_SOURCE.replace("x + y", "y + x"), second)}
-        assert harness.compile_once(str(tmp_path / "missing.py"), cache) is None
-        assert harness.compile_once(str(write_source(tmp_path, "def (", name="bad.py")), cache) is None
-        assert harness.compile_once(str(write_source(tmp_path, "x = 1\x00\n", name="nul.py")), cache) is None
+        # What cannot be read or compiled comes back as the exception, for the child to report.
+        assert isinstance(harness.compile_once(str(tmp_path / "missing.py"), cache), FileNotFoundError)
+        assert isinstance(harness.compile_once(str(write_source(tmp_path, "def (", name="bad.py")), cache), SyntaxError)
+        assert isinstance(harness.compile_once(str(write_source(tmp_path, "x = 1\x00\n", name="nul.py")), cache), (SyntaxError, ValueError))
 
     def test_compile_once_keeps_a_code_object_per_path_up_to_a_bound(self, tmp_path):
         cache = {}
@@ -854,9 +857,9 @@ class TestCompileOnce:
             launched = started._proc.args[4]
             assert started._proc.args[1:4] == ["-I", "-S", "-B"]
             assert launched.endswith(".pyc")
-            assert os.path.dirname(launched) == os.path.dirname(started._stderr_path)
-            for scratch in (os.path.dirname(launched), os.path.dirname(process._stderr_path)):
-                assert os.path.basename(scratch).startswith("askit-worker-")
+            assert os.path.basename(os.path.dirname(launched)).startswith("askit-worker-")
+            if process is not started:  # a worker, in a directory of its own
+                assert os.path.basename(process._scratch).startswith("askit-worker-")
 
 
 def _run_by_worker(source, entry, args):
@@ -933,6 +936,23 @@ def _unread_bytes(fd):
     return struct.unpack("i", fcntl.ioctl(fd, termios.FIONREAD, bytes(4)))[0]
 
 
+def _logs_of_each_child(monkeypatch):
+    """What each child of a _Child logged, in a list that fills as each is ended."""
+    logged, end = [], runner._end_child
+
+    def end_and_read(fds, *rest):
+        logged.append(os.pread(fds["log"], 1 << 16, 0).decode())
+        end(fds, *rest)
+
+    monkeypatch.setattr(runner, "_end_child", end_and_read)
+    return logged
+
+
+def _state(pid):
+    """A process's state letter: R, S, T (stopped), Z and so on."""
+    return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+
+
 RAN_SOURCE = "import sys\ndef f(*, n=0):\n    print('ran', file=sys.stderr, flush=True)\n    return 'x' * n\n"
 
 
@@ -944,7 +964,7 @@ class TestChannelFaults:
 
     @pytest.mark.parametrize(
         "run, handed",
-        [(True, 0), (True, 2), (False, 0), (False, 1), (False, 3), (True, 9)],
+        [(True, 0), (True, 3), (False, 0), (False, 2), (False, 4), (True, 9)],
         ids=["run-none", "run-extra", "worker-none", "worker-missing", "worker-extra", "past-the-room"],
     )
     def test_wrong_descriptors_are_refused(self, tmp_path, monkeypatch, run, handed):
@@ -958,7 +978,7 @@ class TestChannelFaults:
             try:
                 kind = "run" if run else "worker"
                 with pytest.raises(ExecutionError, match=rf"^fork request is malformed: ValueError\('\d descriptors for a {kind}'\)$"):
-                    server.spawn(source, str(tmp_path), [end for _, end in pipes], **({"entry": "f", "args": [{}]} if run else {}))
+                    server.spawn(source, [end for _, end in pipes], **({"entry": "f", "args": [{}]} if run else {"scratch": str(tmp_path)}))
                 _without_children(zygote)  # and so closed its copy of the first run's pipe
                 assert len(_open_fds(zygote)) == 4  # its standard descriptors and its socket: none of those sent
             finally:
@@ -969,8 +989,7 @@ class TestChannelFaults:
                 assert os.read(reader, 1) == b""
                 os.close(reader)
             assert server.run(source, "f", {"n": 2}) == "xx" and server._proc.pid == zygote
-        logged = [path.read_text() for path in tmp_path.glob("askit-*/stderr.log")]
-        assert (logged, sorted(path.name for path in tmp_path.iterdir())) == ([], ["gen.py"])
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["gen.py"]
         assert (_open_fds(), live_children()) == (mine, children)
 
     def test_a_worker_killed_mid_answer_longer_than_a_pipe(self, tmp_path, monkeypatch):
@@ -991,29 +1010,42 @@ class TestChannelFaults:
             assert gone(worker.pid)  # reaped: the full pipe left no room for its exit status
             with pytest.raises(WorkerLeft, match="^harness closed its output\nran$"):
                 worker.call("f", {"n": 1})  # nothing sent: it has left
-            assert worker._stderr_path.read_text() == "ran\n"  # the call ran once
-            pid, scratch = worker.pid, worker._stderr_path.parent
-        assert gone(pid) and not scratch.exists()
+            assert os.pread(worker._fds["log"], 100, 0) == b"ran\n"  # the call ran once
+            pid, scratch = worker.pid, worker._scratch
+        assert gone(pid) and not os.path.exists(scratch)
         assert _open_fds() == mine
         assert sorted(path.name for path in tmp_path.iterdir() if path.name.startswith("askit-run-")) == []
+
+    def test_a_worker_killed_while_its_caller_drains_a_long_answer(self, tmp_path):
+        source = write_source(tmp_path, RAN_SOURCE)
+        with Worker(source) as worker:
+            out, pidfd = worker._fds["out"], worker._fds["pidfd"]
+            capacity = fcntl.fcntl(out, fcntl.F_GETPIPE_SZ)
+            harness.write_line(worker._fds["in"], json.dumps({"entry": "f", "args": {"n": 200_000}}))
+            deadline = time.monotonic() + 10
+            while _unread_bytes(out) < capacity:  # until the worker blocks on a full pipe
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            signal.pidfd_send_signal(pidfd, signal.SIGSTOP)  # it writes no more of its answer
+            while _state(worker.pid) != "T":
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            worker._unread += os.read(out, capacity // 2)  # what the caller has read: room for the exit status
+            signal.pidfd_send_signal(pidfd, signal.SIGKILL)
+            assert gone(worker.pid)  # reaped, after its exit status went into that room
+            with pytest.raises(ExecutionError, match="^harness exited with status -9\nran$"):
+                worker._receive("f", 10)
 
     def test_the_zygote_killed_between_a_fork_request_and_its_answer(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         source = write_source(tmp_path, RAN_SOURCE)
-        logged, remove, send = [], runner._remove_scratch, runner.send_line
-
-        def remove_and_log(path, owner):  # what each run's child logged
-            if os.path.basename(path).startswith("askit-run-"):
-                log = Path(path, "stderr.log")
-                logged.append(log.read_text() if log.exists() else None)
-            remove(path, owner)
+        logged, send = _logs_of_each_child(monkeypatch), runner.send_line
 
         def send_and_kill(channel, text, fds=()):
             os.kill(zygote.pid, signal.SIGSTOP)  # it reads nothing more
             send(channel, text, fds)
             os.kill(zygote.pid, signal.SIGKILL)
 
-        monkeypatch.setattr(runner, "_remove_scratch", remove_and_log)
         mine, children = _open_fds(), live_children()
         with ForkServer() as server:
             assert server.run(source, "f", {}) == ""
@@ -1026,9 +1058,84 @@ class TestChannelFaults:
             monkeypatch.setattr(runner, "send_line", send)
             assert server.run(source, "f", {"n": 2}) == "xx"  # by a new zygote
             assert server._proc is not zygote
-        assert logged == ["ran\n", None, "ran\n"]  # the killed request forked nothing
+        assert logged == ["ran\n", "", "ran\n"]  # the killed request forked nothing
         assert sorted(path.name for path in tmp_path.iterdir()) == ["gen.py"]
         assert (_open_fds(), live_children()) == (mine, children)
+
+
+class TestRunDirectories:
+    """Each run works in an empty, private directory that the zygote keeps
+    for the next run only when the child left it as made."""
+
+    PROBE_SOURCE = (
+        "import os\n"
+        "def f():\n"
+        "    return [os.getcwd(), os.environ['TMPDIR'], os.environ['HOME'], os.listdir('.'), os.access('.', os.W_OK)]\n"
+    )
+
+    @pytest.mark.parametrize(
+        "body",
+        ["open('left.txt', 'w').write('x')", "os.mkdir('sub')", "os.chmod('.', 0o500)"],
+        ids=["file", "subdirectory", "read-only"],
+    )
+    def test_the_run_after_one_that_changed_its_directory_gets_a_clean_one(self, tmp_path, body):
+        dirty = write_source(tmp_path, f"import os\ndef f():\n    {body}\n    return os.getcwd()\n", name="dirty.py")
+        probe = write_source(tmp_path, self.PROBE_SOURCE, name="probe.py")
+        with ForkServer() as server:
+            clean = server.run(probe, "f", {})
+            home = os.path.dirname(server._proc.args[4])  # the zygote's scratch directory
+            _without_children(server._proc.pid)
+            used = server.run(dirty, "f", {})
+            _without_children(server._proc.pid)
+            cwd, tmpdir, home_env, listed, writable = server.run(probe, "f", {})
+            _without_children(server._proc.pid)
+            assert server.run(probe, "f", {})[0] == cwd  # a directory left as made is kept
+        assert used == clean[0]  # the directory of the clean run before
+        assert (listed, writable) == ([], True) and cwd == tmpdir == home_env != used
+        assert not os.path.exists(used) and not os.path.exists(home)  # close() leaves no run directory
+
+    def test_a_run_keeps_its_directory_when_its_zygote_is_closed_under_it(self, tmp_path):
+        slow = write_source(tmp_path, "import os, time\ndef f():\n    time.sleep(0.6)\n"
+                                      "    open('out.txt', 'w').write('x')\n    return [os.getcwd(), os.listdir('.')]\n", name="slow.py")
+        with ForkServer() as server:
+            assert server.run(write_source(tmp_path, ADD_SOURCE), "add", {"x": 1, "y": 2}) == 3
+            home = os.path.dirname(server._proc.args[4])
+            closer = threading.Timer(0.2, server.close)
+            closer.start()
+            cwd, listed = server.run(slow, "f", {})
+            closer.join()
+        assert listed == ["out.txt"] and os.path.dirname(cwd) == home
+        assert not os.path.exists(home)  # removed once the run let go of it
+
+    def test_isolated_calls_and_vetting_runs_create_nothing_in_the_temp_dir(self, tmp_path, monkeypatch):
+        from askit.api import define
+        from askit.clients import ScriptedClient
+        from askit.codegen import CodegenConfig
+        from askit.types import INT
+
+        code = "def calculateFactorial(*, n):\n    result = 1\n    for i in range(2, n + 1):\n        result *= i\n    return result\n"
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        runner.close()  # the shared zygote starts again, under `temp`
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        config = CodegenConfig(cache_dir=tmp_path / "cache")
+        tasks = [
+            define(INT, f"Calculate the factorial of {{{{n}}}} ({i})", param_schemas={"n": INT}, name="calculateFactorial",
+                   tests=[{"input": {"n": 5}, "output": 120}], client=ScriptedClient([f"```python\n{code}```"]))
+            for i in range(6)
+        ]
+        with tasks[0].compile(config) as compiled:  # a vetting run, which starts the zygote
+            assert [compiled.call_isolated(n=3) for _ in range(5)] == [6] * 5
+            zygote = runner.fork_server()._proc
+            time.sleep(0.05)  # past the clock tick of the last change in `temp`
+            before = os.stat(temp).st_mtime_ns, sorted(os.listdir(temp))
+            assert [compiled.call_isolated(n=n) for n in range(50)] == [math.factorial(n) for n in range(50)]
+            for task in tasks[1:]:
+                task.compile(config).close()
+            assert (os.stat(temp).st_mtime_ns, sorted(os.listdir(temp))) == before
+            _without_children(zygote.pid)
+            left = set(os.listdir(os.path.dirname(zygote.args[4]))) - {"harness.pyc"}
+            assert len(left) <= 1 and all(name.startswith("askit-run-") for name in left), left
 
 
 class TestResponseCap:

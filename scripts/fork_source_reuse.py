@@ -3,15 +3,15 @@
 same fork server, for one perfbench workload.
 
 A fork server's zygote compiles a source once and reuses the code object
-while the next run on it names the same path and text; this share is how
+while the next run on it carries the same name and text; this share is how
 often that reuse happens. Run from the repository root:
 
     python scripts/fork_source_reuse.py --workload compile --seed 1 --seconds 20
 
 It runs the workload untraced through perfbench/run.py's `run`, with
-ForkServer.run wrapped to note each run's path and source bytes, and prints
-one JSON object. The wrapper reads every source once more, so this run's
-timings are not those of a benchmark run; only the counts are reported.
+ForkServer.run wrapped to note each run's name and source text, and prints
+one JSON object. Only the counts are reported; the wrapper's own cost makes
+this run's timings differ from a benchmark run's.
 """
 
 from __future__ import annotations
@@ -42,13 +42,13 @@ def main(argv: list[str]) -> int:
     from askit.runner import ForkServer
 
     original = ForkServer.run
-    last = weakref.WeakKeyDictionary()  # server -> (zygote pid, path, source bytes) of its last run
+    last = weakref.WeakKeyDictionary()  # server -> (zygote pid, name, text) of its last run
     counts = {"runs": 0, "same_source": 0}
 
-    def run(self, source_path, *rest, **kwargs):
-        key = (os.path.abspath(source_path), Path(source_path).read_bytes())
+    def run(self, name, text, *rest, **kwargs):
+        key = (os.fspath(name), text)
         try:
-            return original(self, source_path, *rest, **kwargs)
+            return original(self, name, text, *rest, **kwargs)
         finally:
             entry = (getattr(self._proc, "pid", None), *key)  # a new zygote has compiled nothing
             counts["runs"] += 1

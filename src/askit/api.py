@@ -233,5 +233,5 @@ class CompiledFunction(_Closing):
         with self._lock:
             if self._worker is None or self._worker is gone:
                 require_harness(self._generated)
-                self._worker = Worker(self._generated.cache_path, call_timeout=self._config.invoke_timeout)
+                self._worker = Worker(self._generated.cache_path, self._generated.source, call_timeout=self._config.invoke_timeout)
             return self._worker

@@ -262,7 +262,7 @@ def require_harness(fn: GeneratedFunction) -> None:
 def invoke(fn: GeneratedFunction, args: Mapping[str, Any], timeout: float = DEFAULT_INVOKE_TIMEOUT) -> Any:
     """Run a cached function in a fresh forked process and return its value."""
     require_harness(fn)
-    return run_once(fn.cache_path, fn.entry, args, timeout=timeout)
+    return run_once(fn.cache_path, fn.source, fn.entry, args, timeout=timeout)
 
 
 def output_equal(expected: Any, actual: Any) -> bool:
@@ -357,7 +357,7 @@ def _run_test_examples(source: str, spec: TaskSpec, config: CodegenConfig) -> Vi
         raise ToolchainUnavailable(f"cannot run test examples: no execution harness for {spec.target_language}")
     sets = [example.input for example in spec.tests]
     candidate = f"candidate.{LANGUAGES[spec.target_language].extension}"  # its name in the run's directory; not written
-    outcomes = run_once(candidate, spec.name, sets, timeout=config.invoke_timeout, text=source)
+    outcomes = run_once(candidate, source, spec.name, sets, timeout=config.invoke_timeout)
     for example, actual in zip(spec.tests, outcomes):
         if isinstance(actual, AskitError):
             failure = f" raised: {actual}"

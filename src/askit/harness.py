@@ -5,24 +5,25 @@ it only for MAX_RESPONSE_BYTES, its line readers and writers, dumps and loads:
 
     python -I -S -B harness.py --fork-server        one forked child per line
 
-The zygote never runs generated code. Its stdin and stdout are one end of
-a socket pair. It answers each request line with the pid of a child it
-forks, sent along with a pidfd of that child (fork_request), or an error:
+The zygote never runs generated code and reads no caller's file. Its stdin
+and stdout are one end of a socket pair. It answers each request line with
+the pid of a child it forks, sent along with a pidfd of that child
+(fork_request), or an error:
 
-    {"source": <path>, "entry": ..., "args": [{...}, ...], "text": <str or null>}   a run
-    {"source": <path>, "scratch": <dir>}                                           a warm worker
+    {"source": <name>, "text": <str>, "entry": ..., "args": [{...}, ...]}   a run
+    {"source": <name>, "text": <str>, "scratch": <dir>}                     a warm worker
 
 A request line carries, as SCM_RIGHTS data, the write end of the pipe `out`
 the child answers on, for a worker the read end of the pipe `in` it reads,
 and the child's log, an anonymous file in memory (its fds 1 and 2, so stray
 prints cannot corrupt its answers): 2 descriptors for a run, 3 for a worker.
-The caller holds the other ends and reads the log with pread. A run's
-"text", if not null, is its source, named as the file "source" in the run's
-directory but not written. A worker works in its caller's "scratch"; a run
-in a directory (mode 0700) that the zygote makes in its own working
-directory and, once it has reaped the child, keeps for the next run if it is
-as made and no other is kept, else removes (recycle). One JSON document per
-line each way:
+The caller holds the other ends and reads the log with pread. "text" is the
+source, compiled under the name "source" joined to the child's directory
+(an absolute name stays as it is); no file of that name is read or written.
+A worker works in its caller's "scratch"; a run in a directory (mode 0700)
+that the zygote makes in its own working directory and, once it has reaped
+the child, keeps for the next run if it is as made and fewer than two are
+kept, else removes (recycle). One JSON document per line each way:
 
     request   {"entry": <name>, "args": {...}}
     response  {"ok": true, "result": ...}
@@ -204,22 +205,12 @@ def error_line(exc):
     return (f"{name}: {text}" if text else name).strip()
 
 
-def read_source(source_path):
-    with open(source_path, encoding="utf-8") as handle:
-        return handle.read()
-
-
-def preload(source_path, text=None):
+def preload(text):
     """Import json and traceback, and with them re, enum, collections,
-    functools, tokenize and linecache, when a line of the source starting
-    with `import` or `from` names a standard-library module not loaded yet.
-    Much of the pure-Python standard library builds on these; each child
-    would otherwise load them again, about 10 ms for re alone. `text` is
-    the source's text when the caller has read it already."""
-    try:
-        text = read_source(source_path) if text is None else text
-    except (OSError, ValueError):
-        return  # the child reports a source it cannot read
+    functools, tokenize and linecache, when a line of the source `text`
+    starting with `import` or `from` names a standard-library module not
+    loaded yet. Much of the pure-Python standard library builds on these;
+    each child would otherwise load them again, about 10 ms for re alone."""
     for words in (line.replace(",", " ").split() for line in text.splitlines()):
         if words[:1] in (["import"], ["from"]):
             named = {word.partition(".")[0] for word in words[1:]} & sys.stdlib_module_names
@@ -228,25 +219,24 @@ def preload(source_path, text=None):
                 return
 
 
-# Paths the zygote's compile cache keeps before it starts over: one per source
-# file run (a process may compile many functions) and per run directory of an inline candidate.
+# Names the zygote's compile cache keeps before it starts over: one per
+# function run by absolute path (a process may compile many functions) and
+# per run directory of a relative one, such as a vetted candidate's.
 COMPILED_PATHS = 64
 
 
-def compile_once(source_path, cache, text=None):
-    """The code object of the source at `source_path`, or of `text` under that
-    name, compiled (after preload) only when the text differs from the one
-    `cache` holds for that path, so an edited file is never stale; the
-    exception when unreadable or invalid, which the child reports. `cache`
-    maps a path to its (text, code object)."""
+def compile_once(name, text, cache):
+    """The code object of the source `text` compiled under the file name
+    `name` (after preload), compiled only when the text differs from the one
+    `cache` holds for that name; the exception when it does not compile,
+    which the child reports. `cache` maps a name to its (text, code object)."""
     try:
-        text = read_source(source_path) if text is None else text
-        cached = cache.get(source_path)
+        cached = cache.get(name)
         if cached is None or cached[0] != text:
-            preload(source_path, text)
+            preload(text)
             if len(cache) >= COMPILED_PATHS:
                 cache.clear()
-            cached = cache[source_path] = text, compile(text, source_path, "exec")
+            cached = cache[name] = text, compile(text, name, "exec")
         return cached[1]
     except Exception as exc:  # noqa: BLE001 - the child reports it
         return exc
@@ -406,16 +396,15 @@ def fork_request(line, fds, channel, children, compiled, idle):
     the compile_once cache. SIGCHLD is blocked: no reap until `children` holds the pid."""
     try:
         request = loads(line.decode("utf-8"))
-        source, text, run = request["source"], request.get("text"), "args" in request
+        source, text, run = request["source"], request["text"], "args" in request
         if len(fds) != (2 if run else 3):
             raise ValueError(f"{len(fds)} descriptors for a {'run' if run else 'worker'}")
         if run and not idle:
             idle.append(os.path.join(os.getcwd(), f"askit-run-{next(_run_numbers)}"))
             os.mkdir(idle[-1], 0o700)
         scratch = idle.pop() if run else request["scratch"]
-        if text is not None:
-            source = os.path.join(scratch, source)
-        code = compile_once(source, compiled, text)
+        source = os.path.join(scratch, source)  # an absolute name stays as it is
+        code = compile_once(source, text, compiled)
         out, *pipe_in, log = fds
         body = (lambda: answer_each(source, request, code, out)) if run else (lambda: serve(*pipe_in, out, source, code, scratch))
         pid = fork_child(scratch, log, (channel.fileno(), log, *(kept for kept, _, _ in children.values())), body)
@@ -485,9 +474,11 @@ def reap(children, idle):
 
 
 def recycle(scratch, idle):
-    """Keep a reaped run's directory in `idle` if it is as made (empty, mode 0700) and none is; else remove it."""
+    """Keep a reaped run's directory in `idle` if it is as made (empty, mode
+    0700) and fewer than two are: the next request may come before the last
+    child is reaped. Else remove it."""
     try:
-        if not idle and os.lstat(scratch).st_mode == 0o40700 and not os.listdir(scratch):
+        if len(idle) < 2 and os.lstat(scratch).st_mode == 0o40700 and not os.listdir(scratch):
             idle.append(scratch)
             return
     except OSError:  # gone, or its mode denies the listing

@@ -11,11 +11,13 @@ in memory that its caller makes (_Child) and reads with pread (_tail).
 Each run() forks one fresh child that answers a list of argument sets in
 order, each in a fresh module namespace (process-wide state carries over),
 in a directory (askit-run-*) that the zygote makes in its own and keeps for
-the next run when the child left it as made. A candidate's text goes inline
-in the fork request. A Worker loads the generated module once, so module
-state persists across calls, in a directory (askit-worker-*) its caller
-makes, since a worker outlives a zygote that close() kills. The zygote
-starts at the first fork request and is replaced when found dead before one.
+the next run when the child left it as made. A Worker loads the generated
+module once, so module state persists across calls, in a directory
+(askit-worker-*) its caller makes, since a worker outlives a zygote that
+close() kills. Every fork request carries the source's text inline, so a
+child runs the text its caller holds and the zygote reads no caller file.
+The zygote starts at the first fork request and is replaced when found dead
+before one.
 
 A process shares one ForkServer, which fork_server() returns and this module
 holds by a weak reference only. run_once (codegen's vetting, call_isolated)
@@ -106,11 +108,11 @@ def _tail(log: int, since: int = 0) -> str:
     return os.pread(log, size - start, start).decode("utf-8", errors="replace").strip()
 
 
-def run_once(source_path: str | Path, entry: str, args: Mapping[str, Any] | Sequence[Mapping[str, Any]],
-             timeout: float = DEFAULT_INVOKE_TIMEOUT, text: str | None = None) -> Any:
-    """Execute entry(**args) from a source file in a fresh process forked
+def run_once(name: str | Path, text: str, entry: str, args: Mapping[str, Any] | Sequence[Mapping[str, Any]],
+             timeout: float = DEFAULT_INVOKE_TIMEOUT) -> Any:
+    """Execute entry(**args) from the source `text` in a fresh process forked
     by the process's shared zygote; see ForkServer.run."""
-    return fork_server().run(source_path, entry, args, timeout, text)
+    return fork_server().run(name, text, entry, args, timeout)
 
 
 @contextmanager
@@ -155,9 +157,9 @@ class _Child(_Closing):
     end of the pipe `out` it answers on, its log (an anonymous file in
     memory, the child's fds 1 and 2) and, for a warm worker, the write end
     of the pipe `in` it reads and a new askit-worker-* scratch directory.
-    `run` holds a run's fields (entry, args, text); see harness.fork_request."""
+    `run` holds a run's fields (entry, args); see harness.fork_request."""
 
-    def __init__(self, zygote: ForkServer, source_path: str, **run):
+    def __init__(self, zygote: ForkServer, name: str | Path, text: str, **run):
         self._owner, self._unread, self._fds, self._exits = os.getpid(), bytearray(), {}, select.poll()
         self._scratch = None if run else tempfile.mkdtemp(prefix="askit-worker-")
         fds, handed = self._fds, []  # handed: the child's pipe ends, which the zygote gets
@@ -170,7 +172,7 @@ class _Child(_Closing):
                 reader, fds["in"] = os.pipe()
                 handed.append(reader)
                 run["scratch"] = self._scratch
-            self.pid, fds["pidfd"], home = zygote.spawn(source_path, [*handed, fds["log"]], **run)
+            self.pid, fds["pidfd"], home = zygote.spawn(name, text, [*handed, fds["log"]], **run)
             self._home = home if self._scratch is None else None  # a run works in it
             for fd in (fds["out"], fds["pidfd"]):
                 self._exits.register(fd, select.POLLIN)
@@ -229,11 +231,10 @@ class Worker(_Child):
     with its liveness check (which reads `out`, so outside the lock it would
     take another call's unread answer for an exit) and with close()."""
 
-    def __init__(self, source_path: str | Path, call_timeout: float = DEFAULT_INVOKE_TIMEOUT):
-        self.source_path = os.path.abspath(source_path)  # the worker runs elsewhere
+    def __init__(self, name: str | Path, text: str, call_timeout: float = DEFAULT_INVOKE_TIMEOUT):
         self.call_timeout = call_timeout
         self._lock, self._zygote = threading.Lock(), fork_server()
-        super().__init__(self._zygote, self.source_path)
+        super().__init__(self._zygote, name, text)
 
     def call(self, entry: str, args: Mapping[str, Any]) -> Any:
         """entry(**args) in the worker; WorkerLeft when it was gone before the send."""
@@ -266,23 +267,22 @@ class ForkServer(_Closing):
     def __init__(self):
         self._lock = threading.Lock()
 
-    def run(self, source_path: str | Path, entry: str, args: Mapping[str, Any] | Sequence[Mapping[str, Any]],
-            timeout: float | None = DEFAULT_INVOKE_TIMEOUT, text: str | None = None) -> Any:
-        """entry(**args) from `source_path`, in a child forked for this run:
+    def run(self, name: str | Path, text: str, entry: str, args: Mapping[str, Any] | Sequence[Mapping[str, Any]],
+            timeout: float | None = DEFAULT_INVOKE_TIMEOUT) -> Any:
+        """entry(**args) from the source `text`, in a child forked for this run:
         for one mapping, its result or its failure raised; for a list, one
         outcome per call (each timed apart) up to the first failure, whose
-        outcome is the exception it would raise. Given `text`, the source is
-        that text, sent with the fork request and named as the file that
-        `source_path` names in the run's own directory, which is not written."""
+        outcome is the exception it would raise. The text goes with the fork
+        request and is compiled under `name`, which a relative name places in
+        the run's own directory; no file of that name is read or written."""
         if isinstance(args, Mapping):
-            outcomes = self.run(source_path, entry, [args], timeout, text)
+            outcomes = self.run(name, text, entry, [args], timeout)
             if isinstance(outcomes[0], AskitError):
                 raise outcomes.pop()  # held by no local of this frame, which its traceback holds
             return outcomes[0]
         outcomes, logged, sets = [], 0, [dict(arg_set) for arg_set in args]
         try:
-            source_path = str(source_path) if text is not None else os.path.abspath(source_path)  # the run works elsewhere
-            with _Child(self, source_path, entry=entry, args=sets, text=text) as child:
+            with _Child(self, name, text, entry=entry, args=sets) as child:
                 while len(outcomes) < len(sets):
                     document = child._receive(entry, timeout, logged)
                     outcomes.append(document.get("result"))
@@ -293,13 +293,13 @@ class ForkServer(_Closing):
             outcomes.append(type(exc)(*exc.args))
         return outcomes
 
-    def spawn(self, source_path: str, fds: Sequence[int], **fields) -> tuple[int, int, _Home]:
-        """The pid and a pidfd of a child forked for `source_path` that answers
-        on the pipe end fds[0] and logs to fds[-1], and the zygote's _Home: given
-        an `entry`, a list of `args` and a `text` (None: the file's), a run's
+    def spawn(self, name: str | Path, text: str, fds: Sequence[int], **fields) -> tuple[int, int, _Home]:
+        """The pid and a pidfd of a child forked for the source `text`, named
+        `name`, that answers on the pipe end fds[0] and logs to fds[-1], and
+        the zygote's _Home: given an `entry` and a list of `args`, a run's
         child in a directory of the zygote's, else a warm worker in the
         directory `scratch`, which reads the pipe end fds[1]; see harness.fork_request."""
-        request = dumps({"source": source_path, **fields})
+        request = dumps({"source": os.fspath(name), "text": text, **fields})
         with self._lock:
             if not self.alive:
                 self.close()

@@ -65,6 +65,11 @@ def gone(pid, timeout: float = 5.0, zombie_ok: bool = False) -> bool:
         time.sleep(0.01)
 
 
+def source_of(path) -> tuple[str, str]:
+    """The name and the text that a run or a Worker takes for the source file at `path`."""
+    return str(path), Path(path).read_text(encoding="utf-8")
+
+
 def count_starts(monkeypatch):
     """The arguments after the script of each harness interpreter started from
     now on, in a list that fills as runner.ForkServer._start is called."""

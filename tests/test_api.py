@@ -304,6 +304,20 @@ class TestCompile:
             assert compiled(n=5) == 120
             assert compiled._worker is not worker
 
+    def test_calls_run_the_compiled_text_not_the_cache_file_as_it_is_now(self, tmp_path):
+        client = ScriptedClient([code_response(FACTORIAL_CODE)])
+        with self.factorial(client).compile(CodegenConfig(cache_dir=tmp_path)) as compiled:
+            compiled.generated.cache_path.write_text("def calculateFactorial(*, n):\n    return -1\n", encoding="utf-8")
+            assert compiled.call_isolated(n=5) == 120
+            assert compiled(n=5) == 120
+            worker = compiled._worker
+            os.kill(worker.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 5.0
+            while worker.alive and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert compiled(n=4) == 24  # from a replacement worker
+            assert compiled._worker is not worker
+
     def test_open_function_answers_after_askit_close_and_its_close_ends_the_worker(self, tmp_path):
         client = ScriptedClient([code_response(FACTORIAL_CODE)])
         compiled = self.factorial(client).compile(CodegenConfig(cache_dir=tmp_path))

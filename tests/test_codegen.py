@@ -43,7 +43,7 @@ from askit.prompts import Example, Violation, ViolationKind
 from askit.runner import run_once, scratch_dir
 from askit.template import parse
 from askit.types import INT, STR, list_of
-from conftest import count_starts, gone, live_children, parent_of
+from conftest import count_starts, gone, live_children, parent_of, source_of
 from schemagen import random_spec
 
 
@@ -735,7 +735,7 @@ class TestForkSafeScratch:
 
         monkeypatch.setattr(runner.ForkServer, "_exchange", exchange)
         with runner.ForkServer() as server:
-            assert server.run(write_add(tmp_path), "add", {"x": 1, "y": 2}) == 3
+            assert server.run(*source_of(write_add(tmp_path)), "add", {"x": 1, "y": 2}) == 3
         assert survived == [(False, True)]
 
     def test_vetting_run(self, tmp_path, monkeypatch):
@@ -845,7 +845,7 @@ def _per_example_loop(source, spec, config):
             handle.write(source)
         for example in spec.tests:
             shown = canonical_json(dict(example.input))
-            (actual,) = run_once(path, spec.name, [example.input], timeout=config.invoke_timeout)
+            (actual,) = run_once(path, source, spec.name, [example.input], timeout=config.invoke_timeout)
             if isinstance(actual, AskitError):
                 return Violation(ViolationKind.TEST_FAILURE, f"input {shown} raised: {actual}")
             if not output_equal(example.output, actual):
@@ -919,7 +919,7 @@ class TestOneChildPerCandidate:
         monkeypatch.setattr(codegen_mod, "run_once", lambda *args, **kwargs: runs.append(args) or real(*args, **kwargs))
         config = CodegenConfig(cache_dir=tmp_path)
         assert codegen_mod._run_test_examples(_square_candidate({}), square_spec(), config) is None
-        assert [args[2] for args in runs] == [[{"n": 1}, {"n": 2}, {"n": 3}]]
+        assert [args[3] for args in runs] == [[{"n": 1}, {"n": 2}, {"n": 3}]]
 
     def test_only_the_failing_example_input_is_rendered(self, tmp_path, monkeypatch):
         rendered, real = [], codegen_mod.canonical_json

@@ -25,7 +25,7 @@ from askit import harness, runner
 from askit.errors import ExecutionError, ExecutionTimeout, ProtocolError
 from askit.runner import DEFAULT_INVOKE_TIMEOUT, HARNESS_PATH, Worker, WorkerLeft, _decode_response, run_once
 from askit.runner import ForkServer
-from conftest import REPO, count_starts, gone, live_children, parent_of
+from conftest import REPO, count_starts, gone, live_children, parent_of, source_of
 
 ADD_SOURCE = "def add(*, x, y):\n    return x + y\n"
 # A result nested deeper than the recursion limit: the encoder raises RecursionError.
@@ -47,7 +47,7 @@ def write_source(tmp_path, source, name="gen.py"):
 def _answer_bytes(source, request):
     """The bytes a Worker for `source` writes on its pipe `out` in answer to
     the request line `request` written on its pipe `in`."""
-    with Worker(source) as worker:
+    with Worker(*source_of(source)) as worker:
         os.write(worker._fds["in"], request + b"\n")
         answer = b""
         while not answer.endswith(b"\n"):
@@ -80,12 +80,12 @@ class TestWireProtocol:
             "    sys.stdout.write('more noise\\n')\n"
             "    return x\n",
         )
-        assert run_once(source, "f", {"x": 7}) == 7
+        assert run_once(*source_of(source), "f", {"x": 7}) == 7
 
 
 class TestRunOnce:
     def test_add(self, tmp_path):
-        assert run_once(write_source(tmp_path, ADD_SOURCE), "add", {"x": 2, "y": 3}) == 5
+        assert run_once(*source_of(write_source(tmp_path, ADD_SOURCE)), "add", {"x": 2, "y": 3}) == 5
 
     def test_factorial(self, tmp_path):
         source = (
@@ -95,37 +95,49 @@ class TestRunOnce:
             "        result *= i\n"
             "    return result\n"
         )
-        assert run_once(write_source(tmp_path, source), "calculateFactorial", {"n": 5}) == 120
+        assert run_once(*source_of(write_source(tmp_path, source)), "calculateFactorial", {"n": 5}) == 120
 
     def test_raising_function(self, tmp_path):
         source = write_source(tmp_path, "def f():\n    raise RuntimeError('bad')\n")
         with pytest.raises(ExecutionError, match="bad"):
-            run_once(source, "f", {})
+            run_once(*source_of(source), "f", {})
 
     def test_missing_entry(self, tmp_path):
         with pytest.raises(ExecutionError, match="no function"):
-            run_once(write_source(tmp_path, ADD_SOURCE), "nope", {})
+            run_once(*source_of(write_source(tmp_path, ADD_SOURCE)), "nope", {})
 
     def test_module_load_failure(self, tmp_path):
         source = write_source(tmp_path, "raise ImportError('cannot even load')\n")
         with pytest.raises(ExecutionError, match="failed to load"):
-            run_once(source, "f", {})
+            run_once(*source_of(source), "f", {})
 
     def test_unserializable_result(self, tmp_path):
         source = write_source(tmp_path, "def f():\n    return {1, 2}\n")
         with pytest.raises(ExecutionError, match="JSON-serializable"):
-            run_once(source, "f", {})
+            run_once(*source_of(source), "f", {})
 
     def test_a_result_nested_past_the_recursion_limit_is_not_serializable(self, tmp_path):
         with pytest.raises(ExecutionError, match="^result is not JSON-serializable: maximum recursion depth"):
-            run_once(write_source(tmp_path, DEEP_SOURCE), "deep", {})
+            run_once(*source_of(write_source(tmp_path, DEEP_SOURCE)), "deep", {})
 
     def test_timeout(self, tmp_path):
         source = write_source(tmp_path, "import time\ndef f():\n    time.sleep(30)\n")
         started = time.perf_counter()
         with pytest.raises(ExecutionTimeout):
-            run_once(source, "f", {}, timeout=0.8)
+            run_once(*source_of(source), "f", {}, timeout=0.8)
         assert time.perf_counter() - started < 10
+
+    @pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+    def test_a_run_and_a_worker_answer_for_a_name_that_names_no_file(self, tmp_path, monkeypatch, absolute):
+        monkeypatch.chdir(tmp_path)
+        name = str(tmp_path / "gone" / "gen.py") if absolute else "gen.py"
+        text = "import os\ndef f():\n    return [__file__, os.getcwd()]\n"
+        ran, cwd = run_once(name, text, "f", {})
+        assert ran == (name if absolute else os.path.join(cwd, name))  # relative: in the run's own directory
+        with Worker(name, text) as worker:
+            ran, cwd = worker.call("f", {})
+        assert ran == (name if absolute else os.path.join(cwd, name))
+        assert not os.path.exists(name)
 
     def test_decode_rejects_non_json(self):
         with pytest.raises(ProtocolError):
@@ -144,7 +156,7 @@ class TestSandbox:
             f"def f():\n    open({str(victim)!r}, 'w').write('gotcha')\n    return 1\n",
         )
         with pytest.raises(ExecutionError, match="sandbox"):
-            run_once(source, "f", {})
+            run_once(*source_of(source), "f", {})
         assert not victim.exists()
 
     def test_write_inside_scratch_is_allowed(self, tmp_path):
@@ -155,7 +167,7 @@ class TestSandbox:
             "        handle.write('fine')\n"
             "    return open('notes.txt').read()\n",
         )
-        assert run_once(source, "f", {}) == "fine"
+        assert run_once(*source_of(source), "f", {}) == "fine"
 
     def test_reads_outside_scratch_are_allowed(self, tmp_path):
         probe = tmp_path / "readable.txt"
@@ -163,7 +175,7 @@ class TestSandbox:
         source = write_source(
             tmp_path, f"def f():\n    return open({str(probe)!r}).read()\n"
         )
-        assert run_once(source, "f", {}) == "data"
+        assert run_once(*source_of(source), "f", {}) == "data"
 
     def test_socket_use_denied(self, tmp_path):
         source = write_source(
@@ -173,7 +185,7 @@ class TestSandbox:
             "    socket.create_connection(('127.0.0.1', 9), timeout=1)\n",
         )
         with pytest.raises(ExecutionError, match="sandbox"):
-            run_once(source, "f", {})
+            run_once(*source_of(source), "f", {})
 
     def test_subprocess_denied(self, tmp_path):
         source = write_source(
@@ -183,7 +195,7 @@ class TestSandbox:
             "    subprocess.run(['ls'])\n",
         )
         with pytest.raises(ExecutionError, match="sandbox"):
-            run_once(source, "f", {})
+            run_once(*source_of(source), "f", {})
 
     def test_delete_outside_scratch_denied(self, tmp_path):
         victim = tmp_path / "precious.txt"
@@ -193,7 +205,7 @@ class TestSandbox:
             f"import os\ndef f():\n    os.remove({str(victim)!r})\n",
         )
         with pytest.raises(ExecutionError, match="sandbox"):
-            run_once(source, "f", {})
+            run_once(*source_of(source), "f", {})
         assert victim.exists()
 
     # Signal 0 and /bin/true keep each probe harmless should the hook miss it.
@@ -212,13 +224,13 @@ class TestSandbox:
             f"import os, signal, threading\ndef f():\n    {call}\n    return 1\n",
         )
         with pytest.raises(ExecutionError, match="sandbox"):
-            run_once(source, "f", {})
+            run_once(*source_of(source), "f", {})
 
 
 class TestWorker:
     def test_serves_many_calls(self, tmp_path):
         source = write_source(tmp_path, ADD_SOURCE)
-        with Worker(source) as worker:
+        with Worker(*source_of(source)) as worker:
             assert [worker.call("add", {"x": i, "y": 1}) for i in range(5)] == [1, 2, 3, 4, 5]
 
     def test_module_state_persists_across_calls(self, tmp_path):
@@ -229,7 +241,7 @@ class TestWorker:
             "    calls.append(1)\n"
             "    return len(calls)\n",
         )
-        with Worker(source) as worker:
+        with Worker(*source_of(source)) as worker:
             assert worker.call("f", {}) == 1
             assert worker.call("f", {}) == 2
 
@@ -241,18 +253,18 @@ class TestWorker:
             "        raise ValueError('negative')\n"
             "    return n\n",
         )
-        with Worker(source) as worker:
+        with Worker(*source_of(source)) as worker:
             with pytest.raises(ExecutionError, match="negative"):
                 worker.call("f", {"n": -1})
             assert worker.call("f", {"n": 4}) == 4
 
     def test_call_timeout_defaults_to_the_invoke_timeout(self, tmp_path):
-        with Worker(write_source(tmp_path, ADD_SOURCE)) as worker:
+        with Worker(*source_of(write_source(tmp_path, ADD_SOURCE))) as worker:
             assert worker.call_timeout == DEFAULT_INVOKE_TIMEOUT
 
     def test_call_timeout_kills_worker(self, tmp_path):
         source = write_source(tmp_path, "import time\ndef f():\n    time.sleep(30)\n")
-        with Worker(source, call_timeout=0.5) as worker:
+        with Worker(*source_of(source), call_timeout=0.5) as worker:
             with pytest.raises(ExecutionTimeout):
                 worker.call("f", {})
             assert not worker.alive
@@ -260,9 +272,9 @@ class TestWorker:
     def test_relative_source_path(self, tmp_path, monkeypatch):
         write_source(tmp_path, ADD_SOURCE)
         monkeypatch.chdir(tmp_path)
-        with Worker("gen.py") as worker:
+        with Worker(*source_of("gen.py")) as worker:
             assert worker.call("add", {"x": 1, "y": 2}) == 3
-        assert run_once("gen.py", "add", {"x": 1, "y": 2}) == 3
+        assert run_once(*source_of("gen.py"), "add", {"x": 1, "y": 2}) == 3
 
     @pytest.mark.parametrize(
         "args",
@@ -276,7 +288,7 @@ class TestWorker:
     )
     def test_request_line_is_what_json_dumps_writes(self, tmp_path, monkeypatch, args):
         written, real_write_line = [], runner.write_line
-        with Worker(write_source(tmp_path, "def f(**kwargs):\n    return sorted(kwargs)\n")) as worker:
+        with Worker(*source_of(write_source(tmp_path, "def f(**kwargs):\n    return sorted(kwargs)\n"))) as worker:
             monkeypatch.setattr(runner, "write_line", lambda fd, text: written.append(text) or real_write_line(fd, text))
             assert worker.call("f", args) == sorted(args)
         assert [line + "\n" for line in written] == [json.dumps({"entry": "f", "args": args}, ensure_ascii=False) + "\n"]
@@ -284,19 +296,19 @@ class TestWorker:
     def test_an_unserializable_argument_raises_what_json_raises_and_the_worker_answers_on(self, tmp_path):
         expected = _outcome(lambda request: json.dumps(request, ensure_ascii=False), {"entry": "add", "args": {"x": object(), "y": 1}})
         assert expected[0] is TypeError
-        with Worker(write_source(tmp_path, ADD_SOURCE)) as worker:
+        with Worker(*source_of(write_source(tmp_path, ADD_SOURCE))) as worker:
             with pytest.raises(TypeError, match=f"^{expected[1]}$"):
                 worker.call("add", {"x": object(), "y": 1})
             assert worker.call("add", {"x": 1, "y": 2}) == 3
 
     def test_a_result_nested_past_the_recursion_limit_is_an_error_and_the_worker_answers_on(self, tmp_path):
-        with Worker(write_source(tmp_path, DEEP_SOURCE + ADD_SOURCE)) as worker:
+        with Worker(*source_of(write_source(tmp_path, DEEP_SOURCE + ADD_SOURCE))) as worker:
             with pytest.raises(ExecutionError, match="^result is not JSON-serializable: maximum recursion depth"):
                 worker.call("deep", {})
             assert worker.call("add", {"x": 1, "y": 2}) == 3
 
     def test_close_reaps_process(self, tmp_path):
-        worker = Worker(write_source(tmp_path, ADD_SOURCE))
+        worker = Worker(*source_of(write_source(tmp_path, ADD_SOURCE)))
         assert worker.call("add", {"x": 1, "y": 1}) == 2
         worker.close()
         assert not worker.alive
@@ -326,10 +338,10 @@ class TestForkedWorker:
         )
         server = runner.fork_server()
         try:
-            with Worker(dirty) as worker:
+            with Worker(*source_of(dirty)) as worker:
                 assert worker.call("f", {}) == 0
-            assert [run_once(dirty, "f", {}) for _ in range(2)] == [0, 0]
-            workers = [Worker(probe) for _ in range(2)]
+            assert [run_once(*source_of(dirty), "f", {}) for _ in range(2)] == [0, 0]
+            workers = [Worker(*source_of(probe)) for _ in range(2)]
             assert all(worker._zygote is server for worker in workers)
             for worker in workers:
                 # The zygote's preload (json, traceback) may be there; nothing else is.
@@ -339,7 +351,7 @@ class TestForkedWorker:
             server.close()
 
     def test_worker_is_a_zygote_child_reaped_after_close(self, tmp_path):
-        worker = Worker(write_source(tmp_path, ADD_SOURCE))
+        worker = Worker(*source_of(write_source(tmp_path, ADD_SOURCE)))
         assert worker.call("add", {"x": 1, "y": 1}) == 2
         assert parent_of(worker.pid) == worker._zygote._proc.pid
         worker.close()
@@ -354,7 +366,7 @@ class TestForkedWorker:
             "import os, sys\n"
             f"sys.path.insert(0, {str(REPO / 'src')!r})\n"
             "from askit.runner import Worker\n"
-            f"worker = Worker({str(source)!r})\n"
+            f"worker = Worker(*{source_of(source)!r})\n"
             "assert worker.call('add', {'x': 1, 'y': 2}) == 3\n"
             "print(worker.pid, worker._zygote._proc.pid, flush=True)\n"
             "print(worker._scratch, os.path.dirname(worker._zygote._proc.args[4]), flush=True)\n"
@@ -383,7 +395,7 @@ class TestForkedWorker:
             f"sys.path.insert(0, {str(REPO / 'src')!r})\n"
             "from askit.harness import write_line\n"
             "from askit.runner import Worker\n"
-            f"worker = Worker({str(source)!r})\n"
+            f"worker = Worker(*{source_of(source)!r})\n"
             "write_line(worker._fds['in'], '{\"entry\": \"spin\", \"args\": {}}')\n"
             "print(worker.pid, worker._zygote._proc.pid, flush=True)\n"
             "os._exit(0)\n"
@@ -410,7 +422,7 @@ class TestForkedWorker:
             "from askit import runner\n"
             "from askit.harness import write_line\n"
             "from askit.runner import Worker\n"
-            f"worker = Worker({str(source)!r})\n"
+            f"worker = Worker(*{source_of(source)!r})\n"
             "assert worker.call('f', {}) == 1\n"
             "runner.close()\n"
             + ("write_line(worker._fds['in'], '{\"entry\": \"f\", \"args\": {}}')\n" if answering else "")
@@ -427,22 +439,22 @@ class TestForkedWorker:
         # Once forked, neither needs the zygote nor holds its protocol pipe open.
         good = write_source(tmp_path, ADD_SOURCE)
         slow = write_source(tmp_path, SLOW_PID_SOURCE, name="slow.py")
-        with Worker(good) as worker:
+        with Worker(*source_of(good)) as worker:
             assert worker.call("add", {"x": 1, "y": 1}) == 2
             server = worker._zygote
             killer = threading.Timer(0.3, server._proc.kill)
             killer.start()
-            child = server.run(slow, "f", {}, timeout=5)
+            child = server.run(*source_of(slow), "f", {}, timeout=5)
             killer.join()
             assert worker.call("add", {"x": 2, "y": 2}) == 4
-            assert server.run(good, "add", {"x": 2, "y": 3}) == 5  # a new zygote
+            assert server.run(*source_of(good), "add", {"x": 2, "y": 3}) == 5  # a new zygote
         assert gone(child, zombie_ok=True)  # orphaned with its zygote gone: killed, reaped by init
 
     def test_a_worker_start_is_not_held_up_by_a_slow_run(self, tmp_path):
         slow = write_source(tmp_path, SLOW_SOURCE, name="slow.py")
-        with _running_in_a_thread(lambda: run_once(slow, "f", {}, timeout=30)):
+        with _running_in_a_thread(lambda: run_once(*source_of(slow), "f", {}, timeout=30)):
             started = time.perf_counter()
-            with Worker(write_source(tmp_path, ADD_SOURCE)) as worker:
+            with Worker(*source_of(write_source(tmp_path, ADD_SOURCE))) as worker:
                 assert worker.call("add", {"x": 1, "y": 2}) == 3
             assert time.perf_counter() - started < 0.5
 
@@ -450,7 +462,7 @@ class TestForkedWorker:
         starts = count_starts(monkeypatch)
         server = ForkServer()
         try:
-            server.spawn(str(write_source(tmp_path, ADD_SOURCE)), [], scratch=str(tmp_path))  # no pipe ends: refused
+            server.spawn(*source_of(write_source(tmp_path, ADD_SOURCE)), [], scratch=str(tmp_path))  # no pipe ends: refused
         except ExecutionError:
             pass
         finally:
@@ -463,7 +475,7 @@ class TestForkedWorker:
         starts = count_starts(monkeypatch)
         source = write_source(tmp_path, ADD_SOURCE)
         for i in range(20):
-            worker = Worker(source)  # it holds the server, which forks the next one too
+            worker = Worker(*source_of(source))  # it holds the server, which forks the next one too
             assert worker.call("add", {"x": i, "y": 1}) == i + 1
         worker.close()
         assert starts == [["--fork-server"]]
@@ -504,15 +516,15 @@ class TestForkServer:
     def test_each_run_sees_fresh_module_state(self, tmp_path):
         source = write_source(tmp_path, COUNTER_SOURCE)
         with ForkServer() as server:
-            assert server.run(source, "f", {}) == 1
-            assert server.run(source, "f", {}) == 1
+            assert server.run(*source_of(source), "f", {}) == 1
+            assert server.run(*source_of(source), "f", {}) == 1
 
     def test_a_list_of_argument_sets_is_answered_in_order_by_one_child(self, tmp_path):
         source = write_source(tmp_path, "import os\nCALLS = 0\ndef f(*, x):\n    global CALLS\n"
                                         "    CALLS += 1\n    return [x, CALLS, os.getpid()]\n")
         with ForkServer() as server:
-            outcomes = server.run(source, "f", [{"x": 1}, {"x": 2}, {"x": 3}])
-            assert server.run(source, "f", []) == []
+            outcomes = server.run(*source_of(source), "f", [{"x": 1}, {"x": 2}, {"x": 3}])
+            assert server.run(*source_of(source), "f", []) == []
         assert [outcome[:2] for outcome in outcomes] == [[1, 1], [2, 1], [3, 1]]  # a fresh namespace each
         assert len({outcome[2] for outcome in outcomes}) == 1  # one child
 
@@ -521,8 +533,8 @@ class TestForkServer:
                                         "    if x == 2:\n        raise ValueError('two')\n    return x\n")
         logged = _logs_of_each_child(monkeypatch)
         with ForkServer() as server:
-            outcomes = server.run(source, "f", [{"x": 1}, {"x": 2}, {"x": 3}])
-            assert server.run(source, "f", {"x": 4}) == 4
+            outcomes = server.run(*source_of(source), "f", [{"x": 1}, {"x": 2}, {"x": 3}])
+            assert server.run(*source_of(source), "f", {"x": 4}) == 4
         logged = sorted(log.split() for log in logged)
         assert outcomes[0] == 1 and len(outcomes) == 2
         assert isinstance(outcomes[1], ExecutionError) and str(outcomes[1]) == "ValueError: two\nran 2"
@@ -531,9 +543,9 @@ class TestForkServer:
     def test_each_argument_set_has_its_own_timeout(self, tmp_path):
         source = write_source(tmp_path, "import time\ndef f(*, s):\n    time.sleep(s)\n    return s\n")
         with ForkServer() as server:
-            assert server.run(source, "f", [{"s": 0.3}] * 3, timeout=0.6) == [0.3] * 3
-            outcomes = server.run(source, "f", [{"s": 0.0}, {"s": 30}, {"s": 0.0}], timeout=0.5)
-            assert server.run(source, "f", {"s": 0.0}) == 0.0
+            assert server.run(*source_of(source), "f", [{"s": 0.3}] * 3, timeout=0.6) == [0.3] * 3
+            outcomes = server.run(*source_of(source), "f", [{"s": 0.0}, {"s": 30}, {"s": 0.0}], timeout=0.5)
+            assert server.run(*source_of(source), "f", {"s": 0.0}) == 0.0
         assert outcomes[0] == 0.0 and len(outcomes) == 2
         assert isinstance(outcomes[1], ExecutionTimeout) and "exceeded 0.5s" in str(outcomes[1])
 
@@ -541,8 +553,8 @@ class TestForkServer:
         monkeypatch.setattr(runner, "MAX_RESPONSE_BYTES", 1024)
         source = write_source(tmp_path, "def f(*, n):\n    return 'x' * n\n")
         with ForkServer() as server:
-            assert server.run(source, "f", [{"n": 700}] * 3) == ["x" * 700] * 3  # 2,100 bytes in all
-            outcomes = server.run(source, "f", [{"n": 700}, {"n": 2048}, {"n": 700}])
+            assert server.run(*source_of(source), "f", [{"n": 700}] * 3) == ["x" * 700] * 3  # 2,100 bytes in all
+            outcomes = server.run(*source_of(source), "f", [{"n": 700}, {"n": 2048}, {"n": 700}])
             assert server.alive  # the run's child was killed, not the zygote
         assert outcomes[0] == "x" * 700 and len(outcomes) == 2
         assert isinstance(outcomes[1], ExecutionError) and "exceeds 1024 bytes" in str(outcomes[1])
@@ -553,10 +565,10 @@ class TestForkServer:
         try:
             server = ForkServer()
             try:
-                server.run(source, "f", {})
+                server.run(*source_of(source), "f", {})
             except ExecutionError:
                 pass
-            outcomes = server.run(source, "f", [{}, {}])  # held by this frame, which called the run
+            outcomes = server.run(*source_of(source), "f", [{}, {}])  # held by this frame, which called the run
             assert isinstance(outcomes[0], ExecutionError) and len(outcomes) == 1
             proc, collected = server._proc, weakref.ref(server)
             del server
@@ -572,7 +584,7 @@ class TestForkServer:
         def work(caller):
             try:
                 for i in range(5):
-                    results[caller, i] = server.run(source, "add", {"x": caller, "y": i})
+                    results[caller, i] = server.run(*source_of(source), "add", {"x": caller, "y": i})
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -593,7 +605,7 @@ class TestForkServer:
             "import os\ndef f():\n    return [os.getcwd(), os.environ['TMPDIR'], os.environ['HOME']]\n",
         )
         with ForkServer() as server:
-            cwd, tmpdir, home = server.run(source, "f", {})
+            cwd, tmpdir, home = server.run(*source_of(source), "f", {})
             zygote_scratch = os.path.dirname(server._proc.args[4])
         assert cwd == tmpdir == home
         assert os.path.dirname(cwd) == os.path.realpath(zygote_scratch)  # made by the zygote, in its own directory
@@ -614,24 +626,24 @@ class TestForkServer:
         failing = write_source(tmp_path, body, name="failing.py")
         good = write_source(tmp_path, ADD_SOURCE)
         with ForkServer() as server:
-            assert server.run(good, "add", {"x": 1, "y": 1}) == 2
+            assert server.run(*source_of(good), "add", {"x": 1, "y": 1}) == 2
             zygote = server._proc.pid
             with pytest.raises(error, match=match):
-                server.run(failing, "f", {}, timeout=0.5)
-            assert server.run(good, "add", {"x": 2, "y": 3}) == 5
+                server.run(*source_of(failing), "f", {}, timeout=0.5)
+            assert server.run(*source_of(good), "add", {"x": 2, "y": 3}) == 5
             assert server._proc.pid == zygote
 
     def test_a_run_outlives_its_zygote(self, tmp_path):
         slow = write_source(tmp_path, SLOW_PID_SOURCE, name="slow.py")
         good = write_source(tmp_path, ADD_SOURCE)
         with ForkServer() as server:
-            assert server.run(good, "add", {"x": 1, "y": 1}) == 2
+            assert server.run(*source_of(good), "add", {"x": 1, "y": 1}) == 2
             zygote = server._proc
             killer = threading.Timer(0.3, zygote.kill)
             killer.start()
-            child = server.run(slow, "f", {}, timeout=5)
+            child = server.run(*source_of(slow), "f", {}, timeout=5)
             killer.join()
-            assert server.run(good, "add", {"x": 2, "y": 3}) == 5
+            assert server.run(*source_of(good), "add", {"x": 2, "y": 3}) == 5
             assert server._proc is not zygote and zygote.returncode is not None  # a new zygote; the old one reaped
         assert gone(child, zombie_ok=True)  # orphaned with its zygote gone: killed, reaped by init
 
@@ -639,28 +651,28 @@ class TestForkServer:
         noisy = write_source(tmp_path, "def f(*, tag):\n    print(tag)\n    raise ValueError(tag)\n")
         with ForkServer() as server:
             with pytest.raises(ExecutionError) as first:
-                server.run(noisy, "f", {"tag": "first-run"})
+                server.run(*source_of(noisy), "f", {"tag": "first-run"})
             with pytest.raises(ExecutionError) as second:
-                server.run(noisy, "f", {"tag": "second-run"})
+                server.run(*source_of(noisy), "f", {"tag": "second-run"})
         assert "first-run" in str(first.value)
         assert "first-run" not in str(second.value) and "second-run" in str(second.value)
 
     def test_a_fast_run_is_not_held_up_by_a_slow_one(self, tmp_path):
         slow = write_source(tmp_path, SLOW_SOURCE, name="slow.py")
-        with _running_in_a_thread(lambda: run_once(slow, "f", {}, timeout=30)):
+        with _running_in_a_thread(lambda: run_once(*source_of(slow), "f", {}, timeout=30)):
             started = time.perf_counter()
-            assert run_once(write_source(tmp_path, ADD_SOURCE), "add", {"x": 1, "y": 2}) == 3
+            assert run_once(*source_of(write_source(tmp_path, ADD_SOURCE)), "add", {"x": 1, "y": 2}) == 3
             assert time.perf_counter() - started < 0.5
 
     def test_concurrent_failing_runs_overlap_and_carry_only_their_own_tails(self, tmp_path):
         noisy = write_source(
             tmp_path, "import sys, time\ndef f(*, tag):\n    print(tag, file=sys.stderr)\n"
                       "    time.sleep(0.5)\n    raise ValueError(tag)\n")
-        assert run_once(write_source(tmp_path, ADD_SOURCE, name="add.py"), "add", {"x": 1, "y": 2}) == 3  # zygote up
+        assert run_once(*source_of(write_source(tmp_path, ADD_SOURCE, name="add.py")), "add", {"x": 1, "y": 2}) == 3  # zygote up
         errors = {}
 
         def fail(tag):
-            errors[tag] = str(run_once(noisy, "f", [{"tag": tag}])[0])
+            errors[tag] = str(run_once(*source_of(noisy), "f", [{"tag": tag}])[0])
 
         threads = [threading.Thread(target=fail, args=(tag,)) for tag in ("first-run", "second-run")]
         started = time.perf_counter()
@@ -682,18 +694,18 @@ class TestForkServer:
         with ForkServer() as server:
             for _ in range(3):
                 with pytest.raises(OSError, match="Too many open files"):
-                    server.run(source, "add", {"x": 1, "y": 2})
+                    server.run(*source_of(source), "add", {"x": 1, "y": 2})
         assert sorted(path.name for path in tmp_path.iterdir()) == ["gen.py"]
 
     def test_close_reaps_zygote_and_run_once_starts_its_own(self, tmp_path):
         source = write_source(tmp_path, ADD_SOURCE)
         server = ForkServer()
         assert not server.alive  # started by the first run, not before
-        assert server.run(source, "add", {"x": 1, "y": 2}) == 3
+        assert server.run(*source_of(source), "add", {"x": 1, "y": 2}) == 3
         assert server.alive
         server.close()
         assert not server.alive
-        assert run_once(source, "add", {"x": 1, "y": 2}) == 3
+        assert run_once(*source_of(source), "add", {"x": 1, "y": 2}) == 3
 
 
 class TestForkPool:
@@ -702,7 +714,7 @@ class TestForkPool:
     PARENT_SOURCE = "import os\ndef f():\n    return os.getppid()\n"
 
     def test_close_kills_and_reaps_the_zygote_at_once(self, tmp_path):
-        with Worker(write_source(tmp_path, ADD_SOURCE)) as worker:
+        with Worker(*source_of(write_source(tmp_path, ADD_SOURCE))) as worker:
             assert worker.call("add", {"x": 1, "y": 2}) == 3
             zygote = worker._zygote._proc
             started = time.perf_counter()
@@ -715,35 +727,35 @@ class TestForkPool:
         source = write_source(tmp_path, ADD_SOURCE)
         server = runner.fork_server()
         assert runner.fork_server() is server
-        assert run_once(source, "add", {"x": 1, "y": 2}) == 3
-        assert run_once(source, "add", {"x": 2, "y": 2}) == 4
+        assert run_once(*source_of(source), "add", {"x": 1, "y": 2}) == 3
+        assert run_once(*source_of(source), "add", {"x": 2, "y": 2}) == 4
         zygote = server._proc
         assert zygote.poll() is None
         del server
         assert zygote.poll() is not None
-        assert run_once(source, "add", {"x": 3, "y": 2}) == 5  # a new server, for this run alone
+        assert run_once(*source_of(source), "add", {"x": 3, "y": 2}) == 5  # a new server, for this run alone
 
     def test_close_ends_the_zygotes_and_the_next_run_starts_one(self, tmp_path):
         source = write_source(tmp_path, self.PARENT_SOURCE)
         server = runner.fork_server()
-        first = run_once(source, "f", {})
+        first = run_once(*source_of(source), "f", {})
         runner.close()
         assert not server.alive
-        assert run_once(source, "f", {}) != first
+        assert run_once(*source_of(source), "f", {}) != first
         assert runner.fork_server() is server
         server.close()
 
     def test_forked_child_starts_a_pool_of_its_own(self, tmp_path):
         source = write_source(tmp_path, self.PARENT_SOURCE)
         server = runner.fork_server()
-        zygote = run_once(source, "f", {})
+        zygote = run_once(*source_of(source), "f", {})
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:
             status = 1
             try:
                 os.close(read_fd)
-                mine = run_once(source, "f", {})
+                mine = run_once(*source_of(source), "f", {})
                 os.write(write_fd, f"{runner.fork_server() is not server} {mine != zygote}".encode())
                 status = 0
             finally:
@@ -753,7 +765,7 @@ class TestForkPool:
             assert answer.read() == "True True"
         assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
         assert server.alive
-        assert run_once(source, "f", {}) == zygote  # the caller's zygote still serves
+        assert run_once(*source_of(source), "f", {}) == zygote  # the caller's zygote still serves
         server.close()
 
 
@@ -761,17 +773,17 @@ class TestCompileOnce:
     def test_source_rewritten_in_place_with_same_size_and_mtime_is_recompiled(self, tmp_path):
         source = write_source(tmp_path, "def f():\n    return 1\n")
         with ForkServer() as server:
-            assert server.run(source, "f", {}) == 1
+            assert server.run(*source_of(source), "f", {}) == 1
             stat = os.stat(source)
             source.write_text("def f():\n    return 2\n", encoding="utf-8")
             os.utime(source, ns=(stat.st_atime_ns, stat.st_mtime_ns))
             assert os.stat(source).st_size == stat.st_size
-            assert server.run(source, "f", {}) == 2
+            assert server.run(*source_of(source), "f", {}) == 2
 
     @pytest.mark.parametrize(
         "content",
-        [b"def f(:\n    return 1\n", b"def f():\n    return '\xe9'\n", b"def f():\n    return 1\x00\n"],
-        ids=["syntax-error", "not-utf-8", "null-byte"],
+        [b"def f(:\n    return 1\n", b"def f():\n    return 1\x00\n"],
+        ids=["syntax-error", "null-byte"],
     )
     def test_load_errors_match_the_one_shot_mode_on_every_run(self, tmp_path, content):
         source = tmp_path / "gen.py"
@@ -785,31 +797,30 @@ class TestCompileOnce:
         with ForkServer() as server:
             for _ in range(2):
                 with pytest.raises(ExecutionError) as raised:
-                    server.run(source, "f", {})
+                    server.run(*source_of(source), "f", {})
                 assert str(raised.value) == expected
 
     def test_compile_once_reuses_the_code_object_until_the_text_changes(self, tmp_path):
         source, cache = str(write_source(tmp_path, ADD_SOURCE)), {}
-        first = harness.compile_once(source, cache)
-        assert harness.compile_once(source, cache) is first
+        first = harness.compile_once(*source_of(source), cache)
+        assert harness.compile_once(*source_of(source), cache) is first
         write_source(tmp_path, ADD_SOURCE.replace("x + y", "y + x"))
-        second = harness.compile_once(source, cache)
+        second = harness.compile_once(*source_of(source), cache)
         assert second is not first and second.co_filename == source
         assert cache == {source: (ADD_SOURCE.replace("x + y", "y + x"), second)}
-        # What cannot be read or compiled comes back as the exception, for the child to report.
-        assert isinstance(harness.compile_once(str(tmp_path / "missing.py"), cache), FileNotFoundError)
-        assert isinstance(harness.compile_once(str(write_source(tmp_path, "def (", name="bad.py")), cache), SyntaxError)
-        assert isinstance(harness.compile_once(str(write_source(tmp_path, "x = 1\x00\n", name="nul.py")), cache), (SyntaxError, ValueError))
+        # What cannot be compiled comes back as the exception, for the child to report.
+        assert isinstance(harness.compile_once("bad.py", "def (", cache), SyntaxError)
+        assert isinstance(harness.compile_once("nul.py", "x = 1\x00\n", cache), (SyntaxError, ValueError))
 
     def test_compile_once_keeps_a_code_object_per_path_up_to_a_bound(self, tmp_path):
         cache = {}
         first, second = (str(write_source(tmp_path, ADD_SOURCE, name=name)) for name in ("a.py", "b.py"))
-        codes = [harness.compile_once(path, cache) for path in (first, second)]
+        codes = [harness.compile_once(*source_of(path), cache) for path in (first, second)]
         assert codes[0] is not codes[1]
-        again = [harness.compile_once(path, cache) for path in (first, second, first)]
+        again = [harness.compile_once(*source_of(path), cache) for path in (first, second, first)]
         assert all(code is expected for code, expected in zip(again, [*codes, codes[0]]))
         for index in range(2 * harness.COMPILED_PATHS):
-            harness.compile_once(str(write_source(tmp_path, ADD_SOURCE, name=f"c{index}.py")), cache)
+            harness.compile_once(*source_of(write_source(tmp_path, ADD_SOURCE, name=f"c{index}.py")), cache)
             assert 1 <= len(cache) <= harness.COMPILED_PATHS
 
     @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"), reason="Linux /proc only")
@@ -817,7 +828,7 @@ class TestCompileOnce:
         source = write_source(tmp_path, ADD_SOURCE)
         with ForkServer() as server:
             for i in range(3):
-                assert server.run(source, "add", {"x": i, "y": 1}) == i + 1
+                assert server.run(*source_of(source), "add", {"x": i, "y": 1}) == i + 1
                 zygote = server._proc.pid
                 children = Path(f"/proc/{zygote}/task/{zygote}/children")
                 deadline = time.monotonic() + 1.0
@@ -833,9 +844,9 @@ class TestCompileOnce:
         source = write_source(tmp_path, ADD_SOURCE)
         server = runner.fork_server()
         try:
-            assert run_once(source, "add", {"x": 0, "y": 1}) == 1
+            assert run_once(*source_of(source), "add", {"x": 0, "y": 1}) == 1
             zygote = server._proc.pid
-            assert [run_once(source, "add", {"x": i, "y": 1}) for i in range(1000)] == list(range(1, 1001))
+            assert [run_once(*source_of(source), "add", {"x": i, "y": 1}) for i in range(1000)] == list(range(1, 1001))
             assert server._proc.pid == zygote
             children = Path(f"/proc/{zygote}/task/{zygote}/children")
             deadline = time.monotonic() + 1.0
@@ -845,12 +856,12 @@ class TestCompileOnce:
         finally:
             server.close()
 
-    @pytest.mark.parametrize("start", [lambda source: Worker(source), lambda source: ForkServer()], ids=["worker", "fork_server"])
+    @pytest.mark.parametrize("start", [lambda source: Worker(*source_of(source)), lambda source: ForkServer()], ids=["worker", "fork_server"])
     def test_harness_starts_from_bytecode_in_its_own_scratch(self, tmp_path, start):
         source = write_source(tmp_path, ADD_SOURCE)
         with start(source) as process:
             if isinstance(process, ForkServer):
-                assert process.run(source, "add", {"x": 1, "y": 2}) == 3
+                assert process.run(*source_of(source), "add", {"x": 1, "y": 2}) == 3
             else:
                 assert process.call("add", {"x": 1, "y": 2}) == 3
             started = process if isinstance(process, ForkServer) else process._zygote  # a worker is forked
@@ -862,14 +873,14 @@ class TestCompileOnce:
                 assert os.path.basename(process._scratch).startswith("askit-worker-")
 
 
-def _run_by_worker(source, entry, args):
-    with Worker(source) as worker:
+def _run_by_worker(name, text, entry, args):
+    with Worker(name, text) as worker:
         return worker.call(entry, args)
 
 
-def _run_by_fork_server(source, entry, args):
+def _run_by_fork_server(name, text, entry, args):
     with ForkServer() as server:
-        return server.run(source, entry, args)
+        return server.run(name, text, entry, args)
 
 
 class TestStdlibOnly:
@@ -883,7 +894,7 @@ class TestStdlibOnly:
         "run", [run_once, _run_by_fork_server, _run_by_worker], ids=["run_once", "fork_server", "worker"]
     )
     def test_generated_code_runs_without_site(self, tmp_path, run):
-        assert run(write_source(tmp_path, self.SITE_SOURCE), "f", {}) == [1, []]
+        assert run(*source_of(write_source(tmp_path, self.SITE_SOURCE)), "f", {}) == [1, []]
 
     # The harness starts on built-in and C modules only; these pure-Python
     # ones cost about 25 ms of every harness start.
@@ -897,7 +908,7 @@ class TestStdlibOnly:
         "run", [run_once, _run_by_fork_server, _run_by_worker], ids=["run_once", "fork_server", "worker"]
     )
     def test_harness_imports_no_heavy_modules(self, tmp_path, run):
-        assert run(write_source(tmp_path, self.HEAVY_SOURCE), "f", {}) == []
+        assert run(*source_of(write_source(tmp_path, self.HEAVY_SOURCE)), "f", {}) == []
 
     # A source that imports a standard-library module the zygote lacks
     # makes it load json and traceback before it forks, once for all children.
@@ -911,12 +922,7 @@ class TestStdlibOnly:
 
     def test_fork_server_children_inherit_json_and_traceback_for_imports(self, tmp_path):
         source = write_source(tmp_path, self.PRELOAD_SOURCE)
-        assert _run_by_fork_server(source, "f", {}) == ["json", "traceback", "re"]
-
-    def test_preload_ignores_a_source_it_cannot_read(self, tmp_path):
-        harness.preload(str(tmp_path / "missing.py"))
-        (tmp_path / "latin1.py").write_bytes(b"import re  # \xe9\n")
-        harness.preload(str(tmp_path / "latin1.py"))
+        assert _run_by_fork_server(*source_of(source), "f", {}) == ["json", "traceback", "re"]
 
 
 def _open_fds(pid="self"):
@@ -972,13 +978,13 @@ class TestChannelFaults:
         source = str(write_source(tmp_path, RAN_SOURCE))
         mine, children = _open_fds(), live_children()
         with ForkServer() as server:
-            assert server.run(source, "f", {}) == ""
+            assert server.run(*source_of(source), "f", {}) == ""
             zygote = server._proc.pid
             pipes = [os.pipe() for _ in range(handed)]
             try:
                 kind = "run" if run else "worker"
                 with pytest.raises(ExecutionError, match=rf"^fork request is malformed: ValueError\('\d descriptors for a {kind}'\)$"):
-                    server.spawn(source, [end for _, end in pipes], **({"entry": "f", "args": [{}]} if run else {"scratch": str(tmp_path)}))
+                    server.spawn(*source_of(source), [end for _, end in pipes], **({"entry": "f", "args": [{}]} if run else {"scratch": str(tmp_path)}))
                 _without_children(zygote)  # and so closed its copy of the first run's pipe
                 assert len(_open_fds(zygote)) == 4  # its standard descriptors and its socket: none of those sent
             finally:
@@ -988,17 +994,34 @@ class TestChannelFaults:
                 os.set_blocking(reader, False)
                 assert os.read(reader, 1) == b""
                 os.close(reader)
-            assert server.run(source, "f", {"n": 2}) == "xx" and server._proc.pid == zygote
+            assert server.run(*source_of(source), "f", {"n": 2}) == "xx" and server._proc.pid == zygote
         assert sorted(path.name for path in tmp_path.iterdir()) == ["gen.py"]
         assert (_open_fds(), live_children()) == (mine, children)
+
+    @pytest.mark.parametrize("run", [True, False], ids=["run", "worker"])
+    def test_a_request_without_text_is_refused(self, tmp_path, run):
+        pipes, log = [os.pipe() for _ in range(1 if run else 2)], os.memfd_create("log")
+        request = {"source": "gen.py", **({"entry": "f", "args": [{}]} if run else {"scratch": str(tmp_path)})}
+        try:
+            with ForkServer() as server:
+                assert server.run("gen.py", RAN_SOURCE, "f", {}) == ""
+                with server._lock:
+                    line, pidfd = server._exchange(harness.dumps(request), [end for _, end in pipes] + [log], 5)
+                assert server.run("gen.py", RAN_SOURCE, "f", {"n": 2}) == "xx"
+        finally:
+            for fd in (*(fd for pipe in pipes for fd in pipe), log):
+                os.close(fd)
+        assert pidfd == []
+        with pytest.raises(ExecutionError, match=r"^fork request is malformed: KeyError\('text'\)$"):
+            _decode_response(line)
 
     def test_a_worker_killed_mid_answer_longer_than_a_pipe(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         source = write_source(tmp_path, RAN_SOURCE)
         server = runner.fork_server()
-        assert server.run(source, "f", {}) == ""  # the zygote is up before the count
+        assert server.run(*source_of(source), "f", {}) == ""  # the zygote is up before the count
         mine = _open_fds()
-        with Worker(source) as worker:
+        with Worker(*source_of(source)) as worker:
             out, pidfd = worker._fds["out"], worker._fds["pidfd"]
             capacity = fcntl.fcntl(out, fcntl.F_GETPIPE_SZ)
             harness.write_line(worker._fds["in"], json.dumps({"entry": "f", "args": {"n": 4 * capacity}}))
@@ -1018,7 +1041,7 @@ class TestChannelFaults:
 
     def test_a_worker_killed_while_its_caller_drains_a_long_answer(self, tmp_path):
         source = write_source(tmp_path, RAN_SOURCE)
-        with Worker(source) as worker:
+        with Worker(*source_of(source)) as worker:
             out, pidfd = worker._fds["out"], worker._fds["pidfd"]
             capacity = fcntl.fcntl(out, fcntl.F_GETPIPE_SZ)
             harness.write_line(worker._fds["in"], json.dumps({"entry": "f", "args": {"n": 200_000}}))
@@ -1048,15 +1071,15 @@ class TestChannelFaults:
 
         mine, children = _open_fds(), live_children()
         with ForkServer() as server:
-            assert server.run(source, "f", {}) == ""
+            assert server.run(*source_of(source), "f", {}) == ""
             zygote = server._proc
             monkeypatch.setattr(runner, "send_line", send_and_kill)
             # Killed with the request unread, the zygote resets the connection.
             with pytest.raises(ExecutionError, match=r"^fork server failed \(\[Errno 104\] Connection reset by peer\): $"):
-                server.run(source, "f", {"n": 1})
+                server.run(*source_of(source), "f", {"n": 1})
             assert zygote.returncode == -signal.SIGKILL
             monkeypatch.setattr(runner, "send_line", send)
-            assert server.run(source, "f", {"n": 2}) == "xx"  # by a new zygote
+            assert server.run(*source_of(source), "f", {"n": 2}) == "xx"  # by a new zygote
             assert server._proc is not zygote
         assert logged == ["ran\n", "", "ran\n"]  # the killed request forked nothing
         assert sorted(path.name for path in tmp_path.iterdir()) == ["gen.py"]
@@ -1082,14 +1105,14 @@ class TestRunDirectories:
         dirty = write_source(tmp_path, f"import os\ndef f():\n    {body}\n    return os.getcwd()\n", name="dirty.py")
         probe = write_source(tmp_path, self.PROBE_SOURCE, name="probe.py")
         with ForkServer() as server:
-            clean = server.run(probe, "f", {})
+            clean = server.run(*source_of(probe), "f", {})
             home = os.path.dirname(server._proc.args[4])  # the zygote's scratch directory
             _without_children(server._proc.pid)
-            used = server.run(dirty, "f", {})
+            used = server.run(*source_of(dirty), "f", {})
             _without_children(server._proc.pid)
-            cwd, tmpdir, home_env, listed, writable = server.run(probe, "f", {})
+            cwd, tmpdir, home_env, listed, writable = server.run(*source_of(probe), "f", {})
             _without_children(server._proc.pid)
-            assert server.run(probe, "f", {})[0] == cwd  # a directory left as made is kept
+            assert server.run(*source_of(probe), "f", {})[0] == cwd  # a directory left as made is kept
         assert used == clean[0]  # the directory of the clean run before
         assert (listed, writable) == ([], True) and cwd == tmpdir == home_env != used
         assert not os.path.exists(used) and not os.path.exists(home)  # close() leaves no run directory
@@ -1098,14 +1121,21 @@ class TestRunDirectories:
         slow = write_source(tmp_path, "import os, time\ndef f():\n    time.sleep(0.6)\n"
                                       "    open('out.txt', 'w').write('x')\n    return [os.getcwd(), os.listdir('.')]\n", name="slow.py")
         with ForkServer() as server:
-            assert server.run(write_source(tmp_path, ADD_SOURCE), "add", {"x": 1, "y": 2}) == 3
+            assert server.run(*source_of(write_source(tmp_path, ADD_SOURCE)), "add", {"x": 1, "y": 2}) == 3
             home = os.path.dirname(server._proc.args[4])
             closer = threading.Timer(0.2, server.close)
             closer.start()
-            cwd, listed = server.run(slow, "f", {})
+            cwd, listed = server.run(*source_of(slow), "f", {})
             closer.join()
         assert listed == ["out.txt"] and os.path.dirname(cwd) == home
         assert not os.path.exists(home)  # removed once the run let go of it
+
+    def test_back_to_back_runs_use_a_few_directories(self):
+        # A request often comes before the last child is reaped: two idle directories cover it.
+        text = "import os\ndef f():\n    return os.getcwd()\n"
+        with ForkServer() as server:
+            used = {server.run("probe.py", text, "f", {}) for _ in range(500)}
+        assert len(used) <= 6, len(used)
 
     def test_isolated_calls_and_vetting_runs_create_nothing_in_the_temp_dir(self, tmp_path, monkeypatch):
         from askit.api import define
@@ -1135,7 +1165,7 @@ class TestRunDirectories:
             assert (os.stat(temp).st_mtime_ns, sorted(os.listdir(temp))) == before
             _without_children(zygote.pid)
             left = set(os.listdir(os.path.dirname(zygote.args[4]))) - {"harness.pyc"}
-            assert len(left) <= 1 and all(name.startswith("askit-run-") for name in left), left
+            assert len(left) <= 2 and all(name.startswith("askit-run-") for name in left), left
 
 
 class TestResponseCap:
@@ -1143,7 +1173,7 @@ class TestResponseCap:
 
     def test_oversized_worker_response_kills_the_worker(self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner, "MAX_RESPONSE_BYTES", 1024)
-        with Worker(write_source(tmp_path, self.BIG_SOURCE)) as worker:
+        with Worker(*source_of(write_source(tmp_path, self.BIG_SOURCE))) as worker:
             with pytest.raises(ExecutionError, match="exceeds 1024 bytes"):
                 worker.call("f", {})
             assert not worker.alive
@@ -1153,17 +1183,17 @@ class TestResponseCap:
         good = write_source(tmp_path, ADD_SOURCE)
         big = write_source(tmp_path, "import os\ndef f():\n    print(os.getpid())\n    return 'x' * 2048\n", name="big.py")
         with ForkServer() as server:
-            assert server.run(good, "add", {"x": 1, "y": 1}) == 2
+            assert server.run(*source_of(good), "add", {"x": 1, "y": 1}) == 2
             zygote = server._proc.pid
-            (outcome,) = server.run(big, "f", [{}])
+            (outcome,) = server.run(*source_of(big), "f", [{}])
             assert isinstance(outcome, ExecutionError) and "exceeds 1024 bytes" in str(outcome)
             assert gone(int(str(outcome).split()[-1]))  # the child, which the zygote reaped
             assert server.alive and server._proc.pid == zygote
-            assert server.run(good, "add", {"x": 2, "y": 3}) == 5
+            assert server.run(*source_of(good), "add", {"x": 2, "y": 3}) == 5
 
     def test_an_oversized_answer_carries_only_what_the_function_logged(self, tmp_path):
         source = write_source(tmp_path, "def f():\n    print('big')\n    return 'x' * (17 << 20)\n")
-        (outcome,) = run_once(source, "f", [{}])  # an exception without traceback
+        (outcome,) = run_once(*source_of(source), "f", [{}])  # an exception without traceback
         assert isinstance(outcome, ExecutionError)
         assert str(outcome) == f"response exceeds {harness.MAX_RESPONSE_BYTES} bytes\nbig"
 

@@ -15,9 +15,10 @@ the script profiles that checkout), the medians (perf_counter_ns, in
 µs) of each of those steps for a 3-int list and `def double(*, xs): return
 [x * 2 for x in xs]`, together with whole Worker.call and CompiledFunction
 calls. The caller's steps are taken one at a time on a real worker; the
-worker's steps run in this process over a pipe with the harness's own
-functions (harness.requests, handle_request, encode_response, write_line),
-so they exclude the wake-ups that a real worker's turn pays.
+worker's steps run in this process over a pipe as harness.serve takes them
+(a line read from a file object and harness.loads, then handle_request,
+encode_response and write_line), so they exclude the wake-ups that a real
+worker's turn pays.
 
 With --against DIR (another checkout of this repository), it also runs the
 interleaved microbenchmark: --pairs pairs of fresh processes, one per tree
@@ -127,13 +128,13 @@ def worker_steps(calls: int) -> dict[str, float]:
     line = (harness.dumps({"entry": "double", "args": ARGS}) + "\n").encode("utf-8")
     request_in, request_out = os.pipe()
     answer_in, answer_out = os.pipe()
-    requests = harness.requests(request_in, answer_out)
+    requests = os.fdopen(request_in, "rb")  # as serve reads its lines
     steps = {name: [] for name in ("read_and_decode", "handle", "encode", "write")}
     try:
         for i in range(calls + calls // 5):
             os.write(request_out, line)
             clock = [time.perf_counter_ns()]
-            request = next(requests)
+            request = harness.loads(requests.readline().decode("utf-8").strip())
             clock.append(time.perf_counter_ns())
             response = harness.handle_request(namespace, error, request)
             clock.append(time.perf_counter_ns())

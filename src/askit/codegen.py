@@ -25,7 +25,7 @@ import shutil
 import subprocess
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping
@@ -189,12 +189,15 @@ def cache_lookup(spec: TaskSpec, config: CodegenConfig) -> GeneratedFunction | N
     """Return the cached function for this spec, marked from_cache, or None on a miss.
 
     Both files are read from disk (os.read) at every lookup, so a hand edit shows at the next
-    hit. The source decodes as in text mode; a source that is not UTF-8 is a miss.
+    hit. The source decodes as in text mode; one that is not UTF-8 or is empty (a crash in
+    cache_store can leave it so) is a miss. generate returns what this reads after its store.
     """
     code_path, meta_path = cache_paths(spec, config)
     try:
         source = _read_bytes(code_path).decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except (FileNotFoundError, UnicodeDecodeError):
+        return None
+    if not source:
         return None
     try:
         metadata = loads(_read_bytes(meta_path).decode("utf-8"))
@@ -300,8 +303,9 @@ def generate(client, spec: TaskSpec, config: CodegenConfig | None = None) -> Gen
 
     Loops up to max_retries + 1 attempts: send the prompt, extract the fenced
     code, syntax-check it, run every test example through the harness. The
-    winning candidate is cached and returned with its retry count. Raises
-    GenerationFailed with the last violation and the full attempt transcript.
+    winning candidate is cached and returned as cache_lookup reads it back,
+    with its retry count. Raises GenerationFailed with the last violation and
+    the full attempt transcript.
     Test examples run on the shared zygote, held until this returns or
     raises. Concurrent calls for the same cache key are serialized by a file
     lock; whoever enters second finds the cache populated.
@@ -320,14 +324,8 @@ def generate(client, spec: TaskSpec, config: CodegenConfig | None = None) -> Gen
                 response = client.complete(messages, temperature=config.temperature)
                 source, violation = _vet_candidate(response, spec, config)
                 if source is not None:
-                    path = cache_store(spec, source, config, retries_used=attempt)
-                    return GeneratedFunction(
-                        source=source,
-                        entry=spec.name,
-                        language=spec.target_language,
-                        cache_path=path,
-                        retries_used=attempt,
-                    )
+                    cache_store(spec, source, config, retries_used=attempt)
+                    return replace(cache_lookup(spec, config), from_cache=False)  # the text each later hit reads
                 transcript.append((response, violation))
         finally:
             del zygote  # a traceback kept by the caller must not keep it running

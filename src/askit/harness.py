@@ -33,13 +33,13 @@ A run's child answers the sets on `out` in order, each in a fresh namespace,
 up to its first error document, and leaves (answer_each); a worker loads the
 source once and answers each line on `in` until end of file (serve). The
 caller enforces timeouts and the size cap and kills through the pidfd. The
-zygote keeps its copy of each child's `out`: before it reaps an exited
-child (on SIGCHLD) it writes {"ok": false, "error": "harness exited with
-status N"} there, after a newline, which ends the line of a child killed in
-mid-answer. Its owner ends it with SIGKILL; a child needs nothing from it.
-End of input means that the owner has gone without ending it: the zygote
-kills every child, reaps them, and removes their scratch directories and its
-own.
+zygote keeps its copy of each child's `out`: once it has reaped an exited
+child (on SIGCHLD, one waitid) it writes {"ok": false, "error": "harness
+exited with status N"} there, after a newline, which ends the line of a
+child killed in mid-answer. Its owner ends it with SIGKILL; a child needs
+nothing from it. End of input means that the owner has gone without ending
+it: the zygote kills every child, reaps them, and removes their scratch
+directories and its own.
 
 Before executing the generated source an audit-hook sandbox is installed in
 the process that runs it: file writes, renames and deletes outside the
@@ -338,19 +338,6 @@ def receive_line(channel):
     return bytes(data[:-1]), fds
 
 
-def requests(protocol_in, protocol_out):
-    """Each JSON request line on `protocol_in` until end of file; a line that
-    is not JSON is answered on `protocol_out` with an error document."""
-    for line in os.fdopen(protocol_in, "rb"):
-        if line := line.decode("utf-8").strip():
-            try:
-                request = loads(line)
-            except ValueError as exc:
-                write_line(protocol_out, encode_response({"ok": False, "error": f"request is not valid JSON: {exc}"}))
-                continue
-            yield request
-
-
 def fork_child(scratch, log, inherited, body):
     """Fork a child that logs to `log` (its fds 1 and 2), closes the zygote's
     descriptors in `inherited`, changes into `scratch` (also its TMPDIR and
@@ -420,13 +407,18 @@ def fork_request(line, fds, channel, children, compiled, idle):
 
 
 def serve(pipe_in, out, source, code, scratch):
-    """A worker's life: load once, answer until end of input. That, or a
-    closed `out`, means that its caller, who would kill it, has gone: then
-    it removes its scratch directory."""
+    """A worker's life: load once, answer each line on `pipe_in` until end of
+    input. That, or a closed `out`, means that its caller, who would kill it,
+    has gone: then it removes its scratch directory."""
     namespace, load_error = load(source, code)
     try:
-        for request in requests(pipe_in, out):
-            write_line(out, encode_response(handle_request(namespace, load_error, request)))
+        for line in os.fdopen(pipe_in, "rb"):
+            if line := line.decode("utf-8").strip():
+                try:
+                    response = handle_request(namespace, load_error, loads(line))
+                except ValueError as exc:  # from loads: handle_request raises no ValueError
+                    response = {"ok": False, "error": f"request is not valid JSON: {exc}"}
+                write_line(out, encode_response(response))
     except BrokenPipeError:
         pass
     remove_tree(scratch)
@@ -447,28 +439,27 @@ def answer_each(source_path, request, code, fd):
 
 
 def reap(children, idle):
-    """Reap the children in `children` that have exited. It maps a pid to the
-    zygote's copy of that child's `out`, its scratch directory and whether it
-    ran a run (whose directory goes to recycle): the child's exit status goes
-    to `out` as an error document, which its caller reads in place of an
-    answer; a full pipe drops it (the copy shares the child's file
+    """Reap each child in `children` that has exited, with one waitid. It maps a
+    pid to the zygote's copy of that child's `out`, its scratch directory and
+    whether it ran a run (whose directory goes to recycle): the child's exit
+    status then goes to `out` as an error document, which its caller reads in
+    place of an answer; a full pipe drops it (the copy shares the child's file
     description, so it is made non-blocking only now)."""
     for pid in list(children):
         try:
-            exited = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG)
+            exited = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG)
         except ChildProcessError:  # reaped meanwhile, by a reap that interrupted this one
             continue
-        if exited is None or (claimed := children.pop(pid, None)) is None:
+        if exited is None:
             continue
         status = exited.si_status if exited.si_code == os.CLD_EXITED else -exited.si_status
-        out, scratch, run = claimed
+        out, scratch, run = children.pop(pid)
         try:
             os.set_blocking(out, False)  # after a newline: a child killed in mid-answer left its line open
             write_line(out, "\n" + encode_response({"ok": False, "error": f"harness exited with status {status}"}))
         except OSError:  # the caller has gone, or reads no more
             pass
         os.close(out)
-        os.waitpid(pid, 0)
         if run:
             recycle(scratch, idle)
 

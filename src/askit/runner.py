@@ -5,19 +5,19 @@ Its lock covers one fork request, sent over a socket pair with the child's
 pipe ends and its log, which the zygote answers with the pid and a pidfd of
 a child. The caller then talks to that child alone over the pipes, enforces
 each answer's timeout and size cap (MAX_RESPONSE_BYTES), and kills it
-through the pidfd, which never names a reused pid; the zygote reaps it and
+through the pidfd, which never names a reused pid; the zygote reaps it, then
 answers for it with its exit status. Every child logs to an anonymous file
-in memory that its caller makes (_Child) and reads with pread (_tail).
-Each run() forks one fresh child that answers a list of argument sets in
-order, each in a fresh module namespace (process-wide state carries over),
-in a directory (askit-run-*) that the zygote makes in its own and keeps for
-the next run when the child left it as made. A Worker loads the generated
-module once, so module state persists across calls, in a directory
-(askit-worker-*) its caller makes, since a worker outlives a zygote that
-close() kills. Every fork request carries the source's text inline, so a
-child runs the text its caller holds and the zygote reads no caller file.
-The zygote starts at the first fork request and is replaced when found dead
-before one.
+in memory that its caller makes (_Child) and reads with pread (_tail). Each
+run() forks one fresh child that answers a list of argument sets in order,
+each in a fresh module namespace (process-wide state carries over), in a
+directory (askit-run-*) that the zygote makes in its own and keeps for the
+next run when the child left it as made. A Worker loads the generated module
+once, so module state persists across calls, and answers each line on `in`
+until end of input, in a directory (askit-worker-*) its caller makes, since
+a worker outlives a zygote that close() kills. Every fork request carries
+the source's text inline, so a child runs the text its caller holds and the
+zygote reads no caller file. The zygote starts at the first fork request and
+is replaced when found dead before one.
 
 A process shares one ForkServer, which fork_server() returns and this module
 holds by a weak reference only. run_once (codegen's vetting, call_isolated)
@@ -403,9 +403,7 @@ def _kill(pidfd: int, wait: float = 0.0) -> None:
 
 def _has_left(fds: dict[str, int], unread: bytearray, exits: select.poll) -> bool:
     """Whether a forked child has exited, or none was forked; `exits` polls
-    `out` and the pidfd. The zygote writes the exit status on `out` before it
-    reaps, and a child writes nothing there past the answers its caller asked
-    for, so while nothing more is there the child is not reaped."""
+    `out` (a late answer, or the exit status) and the pidfd."""
     return "pidfd" not in fds or bool(unread) or bool(exits.poll(0))
 
 

@@ -99,7 +99,7 @@ def substitute_direct(template: PromptTemplate, args: ArgBinding) -> str:
     booleans true/false). Zero-parameter templates return the raw text.
     """
     _check_binding(template, args)
-    task = _quote_placeholders(template)
+    task = substitute_comment(template)
     if not template.params:
         return task
     bound = ", ".join(f"'{name}' = {canonical_json(args[name])}" for name in template.params)
@@ -108,10 +108,6 @@ def substitute_direct(template: PromptTemplate, args: ArgBinding) -> str:
 
 def substitute_comment(template: PromptTemplate) -> str:
     """Task text with placeholders reduced to quoted names, no where-clause."""
-    return _quote_placeholders(template)
-
-
-def _quote_placeholders(template: PromptTemplate) -> str:
     parts = []
     for segment in template.segments:
         if isinstance(segment, Placeholder):

@@ -7,8 +7,11 @@ import random
 import re
 import shutil
 import subprocess
+import tempfile
 import threading
+import traceback
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -343,12 +346,14 @@ class TestCacheStoreLookup:
 
 def _text_mode_lookup(spec, config):
     """cache_lookup as it read both files before its raw reads: a text-mode
-    open for each, and json.load for the sidecar."""
+    open for each, and json.load for the sidecar; an empty source is a miss."""
     code_path, meta_path = cache_paths(spec, config)
     try:
         with open(code_path, encoding="utf-8") as handle:
             source = handle.read()
     except (FileNotFoundError, UnicodeDecodeError):
+        return None
+    if not source:
         return None
     try:
         with open(meta_path, encoding="utf-8") as handle:
@@ -590,6 +595,14 @@ class TestGenerate:
         assert client.call_count == 1
         assert second.source == first.source
 
+    def test_a_miss_returns_the_text_every_later_hit_reads(self, tmp_path):
+        config = CodegenConfig(cache_dir=tmp_path)
+        missed = generate(ScriptedClient([code_response("def add(*, x, y):\r\n    return x + y")]), add_spec(), config)
+        hit = generate(ScriptedClient([]), add_spec(), config)
+        assert missed.source == hit.source == ADD_PY + "\n"  # line ends as a text-mode read gives them
+        assert (missed.from_cache, hit.from_cache) == (False, True)
+        assert replace(missed, from_cache=True) == hit
+
     def test_hit_under_the_lock_builds_no_prompt(self, tmp_path, monkeypatch):
         config = CodegenConfig(cache_dir=tmp_path)
         cache_store(add_spec(), ADD_PY + "\n", config, retries_used=1)
@@ -706,6 +719,125 @@ class TestForkServerOwnership:
         client = ScriptedClient([code_response(FIB_WRONG), code_response(FIB_RIGHT)])
         assert generate(client, fib_spec(), CodegenConfig(cache_dir=tmp_path)).retries_used == 1
         assert starts == [["--fork-server"]]
+
+
+def _add_defined(client):
+    return define(INT, "add {{x}} and {{y}}", param_schemas={"x": INT, "y": INT},
+                  tests=[{"input": {"x": 1, "y": 2}, "output": 3}], name="add", client=client)
+
+
+def _next_compile_is_sound(config):
+    """The cache rule after a fault: the next compile serves a complete entry
+    whose source passes its tests, or generates again. Returns what it compiled."""
+    client = ScriptedClient([code_response(ADD_PY)])
+    defined = _add_defined(client)
+    with defined.compile(config) as compiled:
+        generated = compiled.generated
+    if generated.from_cache:
+        assert client.call_count == 0
+        assert codegen_mod._run_test_examples(generated.source, defined.spec, config) is None, generated.source
+    else:
+        assert client.call_count == 1 and generated.source == ADD_PY + "\n"
+        assert cache_lookup(defined.spec, config) == replace(generated, from_cache=True)
+    return generated
+
+
+# Damage that leaves a code file that still decodes, which lookup serves as it
+# is: a sidecar digest of the source (ROADMAP item 2) is what would catch it.
+SERVED_DAMAGE = pytest.mark.xfail(strict=True, raises=AssertionError, reason="a damaged source that decodes is served (FOUND in CHANGES.md)")
+
+
+class TestCacheFaults:
+    """Faults in a cache entry: a crash inside cache_store, damaged files,
+    and one key compiled from two processes at once. After each, the next
+    compile serves a complete entry whose source passes its tests, or
+    generates again."""
+
+    @pytest.mark.parametrize("step", ["sidecar", "tmp", "replace"])
+    def test_a_crash_in_cache_store(self, tmp_path, step):
+        config = CodegenConfig(cache_dir=tmp_path)
+        code_path, meta_path = cache_paths(add_spec(), config)
+        pid = os.fork()
+        if pid == 0:
+            try:  # the child ends at the step as a crash would: os._exit runs no cleanup
+                write, move = codegen_mod._atomic_write, Path.replace
+
+                def atomic_write(path, content):
+                    write(path, content)
+                    if (step, path) in (("sidecar", meta_path), ("replace", code_path)):
+                        os._exit(0)
+
+                def replace_file(self, target):
+                    if (step, target) == ("tmp", code_path):
+                        os._exit(0)
+                    return move(self, target)
+
+                codegen_mod._atomic_write, Path.replace = atomic_write, replace_file
+                cache_store(add_spec(), ADD_PY + "\n", config, retries_used=1)
+            finally:
+                os._exit(1)  # the step was never reached
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        left = {"sidecar": [meta_path.name], "tmp": [code_path.name + ".tmp", meta_path.name],
+                "replace": [code_path.name, meta_path.name]}[step]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(left)
+        assert _next_compile_is_sound(config).from_cache == (step == "replace")
+
+    @pytest.mark.parametrize(
+        "target, damage, seed",
+        [
+            ("code", "empty", 0),
+            *[pytest.param("code", damage, seed, marks=SERVED_DAMAGE) for damage in ("truncate", "flip") for seed in range(3)],
+            *[("sidecar", damage, seed) for damage, seeds in (("empty", [0]), ("truncate", range(3)), ("flip", range(3))) for seed in seeds],
+        ],
+    )
+    def test_a_damaged_file(self, tmp_path, target, damage, seed):
+        config = CodegenConfig(cache_dir=tmp_path)
+        cache_store(add_spec(), ADD_PY + "\n", config, retries_used=1)
+        path = cache_paths(add_spec(), config)[target == "sidecar"]
+        rng, data = random.Random(seed), bytearray(path.read_bytes())
+        if damage == "empty":
+            data.clear()
+        elif damage == "truncate":
+            del data[rng.randrange(1, len(data)):]
+        else:
+            for position in rng.sample(range(len(data)), 2):
+                data[position] ^= 1 << rng.randrange(8)
+        path.write_bytes(data)
+        _next_compile_is_sound(config)
+
+    def test_one_key_compiled_from_two_processes_at_once(self, tmp_path, monkeypatch):
+        temp, config = tmp_path / "temp", CodegenConfig(cache_dir=tmp_path / "cache")
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        go_read, go_write = os.pipe()
+        pids = []
+        for index in range(2):
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(go_write)
+                    os.read(go_read, 1)  # both go on at once
+                    client = ScriptedClient([code_response(ADD_PY)])
+                    with _add_defined(client).compile(config) as compiled:
+                        generated = compiled.generated
+                        report = [client.call_count, generated.from_cache, generated.source, compiled(x=2, y=3)]
+                    askit.close()
+                    (tmp_path / f"report{index}.json").write_text(json.dumps(report))
+                    status = 0
+                except Exception:  # noqa: BLE001 - shown in the test's captured stderr
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        os.close(go_read)
+        os.write(go_write, b"go")
+        os.close(go_write)
+        assert [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids] == [0, 0]
+        reports = sorted(json.loads((tmp_path / f"report{index}.json").read_text()) for index in range(2))
+        assert reports == [[0, True, ADD_PY + "\n", 5], [1, False, ADD_PY + "\n", 5]]  # generated once
+        assert os.listdir(temp) == []
+        _next_compile_is_sound(config)
 
 
 def _fork_that_exits_normally():

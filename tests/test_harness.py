@@ -82,6 +82,19 @@ class TestWireProtocol:
         )
         assert run_once(*source_of(source), "f", {"x": 7}) == 7
 
+    def test_a_line_that_is_not_json_is_answered_and_the_worker_reads_on(self, tmp_path):
+        # A blank line gets no answer; the next request line is answered as usual.
+        with Worker(*source_of(write_source(tmp_path, ADD_SOURCE))) as worker:
+            os.write(worker._fds["in"], b'\n{not json\n{"entry": "add", "args": {"x": 2, "y": 3}}\n')
+            answer = b""
+            while answer.count(b"\n") < 2:
+                assert select.select([worker._fds["out"]], [], [], 30)[0], "no answer"
+                answer += os.read(worker._fds["out"], 65536)
+        assert answer == (
+            b'{"ok": false, "error": "request is not valid JSON: Expecting property name enclosed in double quotes:'
+            b' line 1 column 2 (char 1)"}\n{"ok": true, "result": 5}\n'
+        )
+
 
 class TestRunOnce:
     def test_add(self, tmp_path):
@@ -954,12 +967,30 @@ def _logs_of_each_child(monkeypatch):
     return logged
 
 
+def _askit_entries(directory):
+    return sorted(name for name in os.listdir(directory) if name.startswith("askit-"))
+
+
 def _state(pid):
     """A process's state letter: R, S, T (stopped), Z and so on."""
     return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
 
 
 RAN_SOURCE = "import sys\ndef f(*, n=0):\n    print('ran', file=sys.stderr, flush=True)\n    return 'x' * n\n"
+HELD_SOURCE = "import sys, time\ndef f(*, n):\n    print('ran', file=sys.stderr, flush=True)\n    time.sleep(n)\n    return n\n"
+
+
+def _compiled(cache_dir, source, task="Repeat x {{n}} times"):
+    """The CompiledFunction `f` of a cache hit on `source`: no client call."""
+    from askit.api import define
+    from askit.clients import ScriptedClient
+    from askit.codegen import CodegenConfig, cache_store
+    from askit.types import INT, STR
+
+    defined = define(STR, task, param_schemas={"n": INT}, name="f", client=ScriptedClient([]))
+    config = CodegenConfig(cache_dir=cache_dir)
+    cache_store(defined.spec, source, config)
+    return defined.compile(config)
 
 
 class TestChannelFaults:
@@ -1084,6 +1115,68 @@ class TestChannelFaults:
         assert logged == ["ran\n", "", "ran\n"]  # the killed request forked nothing
         assert sorted(path.name for path in tmp_path.iterdir()) == ["gen.py"]
         assert (_open_fds(), live_children()) == (mine, children)
+
+    def test_an_idle_worker_killed_and_called_at_once(self, tmp_path, monkeypatch):
+        # The call runs at most once: on a replacement, or it fails and names the exit.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        server = runner.fork_server()
+        assert server.run("gen.py", RAN_SOURCE, "f", {}) == ""  # the zygote is up before the count
+        logged = _logs_of_each_child(monkeypatch)
+        mine, children, scratch = _open_fds(), live_children(), _askit_entries(tmp_path)
+        with _compiled(tmp_path / "cache", RAN_SOURCE) as compiled:
+            assert compiled(n=1) == "x"
+            worker = compiled._worker
+            signal.pidfd_send_signal(worker._fds["pidfd"], signal.SIGKILL)
+            outcome = _outcome(compiled, {"n": 2})  # no wait for the exit
+            replaced = compiled._worker is not worker
+            assert outcome == (("value", "'xx'") if replaced else (ExecutionError, "harness exited with status -9\nran"))
+        assert gone(worker.pid)
+        assert "".join(logged).count("ran") == 1 + replaced
+        assert (_open_fds(), live_children(), _askit_entries(tmp_path)) == (mine, children, scratch)
+
+    def test_a_worker_killed_after_its_call_started(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        server = runner.fork_server()
+        assert server.run("gen.py", RAN_SOURCE, "f", {}) == ""  # the zygote is up before the count
+        logged = _logs_of_each_child(monkeypatch)
+        mine, children, scratch = _open_fds(), live_children(), _askit_entries(tmp_path)
+        with _compiled(tmp_path / "cache", HELD_SOURCE) as compiled:
+            outcome = []
+            caller = threading.Thread(target=lambda: outcome.append(_outcome(compiled, {"n": 60})))
+            caller.start()
+            deadline = time.monotonic() + 10
+            while (worker := compiled._worker) is None or os.pread(worker._fds["log"], 8, 0) != b"ran\n":
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            signal.pidfd_send_signal(worker._fds["pidfd"], signal.SIGKILL)
+            caller.join(10)
+            assert outcome == [(ExecutionError, "harness exited with status -9\nran")]
+            assert compiled(n=0) == 0 and compiled._worker is not worker  # the next call, on a replacement
+        assert gone(worker.pid)
+        assert logged == ["ran\n", "ran\n"]  # the killed call was not run again
+        assert (_open_fds(), live_children(), _askit_entries(tmp_path)) == (mine, children, scratch)
+
+    def test_the_zygote_killed_while_its_workers_sit_idle(self, tmp_path, monkeypatch):
+        gc.collect()
+        runner.close()  # the zygote starts again, under tmp_path
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        starts, logged = count_starts(monkeypatch), _logs_of_each_child(monkeypatch)
+        mine, children = _open_fds(), live_children()
+        with _compiled(tmp_path / "cache", RAN_SOURCE) as first, _compiled(tmp_path / "cache", RAN_SOURCE, "Echo {{n}}") as second:
+            assert (first(n=1), second(n=2)) == ("x", "xx")
+            workers, zygote = [first._worker, second._worker], runner.fork_server()._proc
+            zygote.kill()
+            zygote.wait()
+            assert (first(n=3), second(n=1)) == ("xxx", "x")  # the workers still answer
+            assert [first._worker, second._worker] == workers
+            assert first.call_isolated(n=2) == "xx"  # on a new zygote
+            assert len(starts) == 2 and runner.fork_server()._proc is not zygote
+            runner._kill(workers[0]._fds["pidfd"], wait=10)  # an orphan now: no zygote writes its exit status
+            assert first(n=1) == "x" and first._worker is not workers[0]  # replaced on the next call
+        runner.close()
+        assert all(gone(worker.pid, zombie_ok=True) for worker in workers)  # orphans: reaped by init
+        assert "".join(logged).count("ran") == 6  # each call once
+        assert (_open_fds(), live_children(), _askit_entries(tmp_path)) == (mine, children, [])
 
 
 class TestRunDirectories:

@@ -260,9 +260,9 @@ def handle_request(namespace, load_error, request):
     try:
         entry = request["entry"]
         args = request.get("args") or {}
-    except (TypeError, KeyError):
+        function = namespace.get(entry)
+    except (TypeError, KeyError):  # not a dict, no entry, or an unhashable one
         return {"ok": False, "error": "request must be an object with an 'entry' field"}
-    function = namespace.get(entry)
     if not callable(function):
         return {"ok": False, "error": f"generated source defines no function named {entry!r}"}
     try:

@@ -7,6 +7,11 @@ decoded JSON values so answers can be extracted mechanically.
 The algebra is deliberately small: integer, float, boolean, text, scalar
 literals, lists, records with fixed fields, and unions. No `any`, no dates,
 no recursion.
+
+One walk (`_mismatch`) checks values for `validate` and for `coerce`'s
+unions. A value that conforms builds no report and no path text, and a
+scalar whose type is exactly int, float, bool or str passes on an identity
+test. Only a mismatch, or a union member that fails, builds its texts.
 """
 
 from __future__ import annotations
@@ -152,10 +157,6 @@ class ValidationReport:
     found: str = ""
 
     @classmethod
-    def success(cls) -> "ValidationReport":
-        return cls(ok=True)
-
-    @classmethod
     def mismatch(cls, path: str, expected: str, found: str) -> "ValidationReport":
         return cls(ok=False, path=path, expected=expected, found=found)
 
@@ -216,56 +217,8 @@ def validate(schema: TypeSchema, value: Any, path: str = "value") -> ValidationR
     fractional part; Float accepts any JSON number. Union tries members in
     order and succeeds on the first match.
     """
-    if isinstance(schema, Integer):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return ValidationReport.mismatch(path, "number", _describe(value))
-        if isinstance(value, float) and not value.is_integer():
-            return ValidationReport.mismatch(path, "number", "non-integral number")
-        return ValidationReport.success()
-    if isinstance(schema, Float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return ValidationReport.mismatch(path, "number", _describe(value))
-        return ValidationReport.success()
-    if isinstance(schema, Boolean):
-        if not isinstance(value, bool):
-            return ValidationReport.mismatch(path, "boolean", _describe(value))
-        return ValidationReport.success()
-    if isinstance(schema, Text):
-        if not isinstance(value, str):
-            return ValidationReport.mismatch(path, "string", _describe(value))
-        return ValidationReport.success()
-    if isinstance(schema, Literal):
-        if _literal_matches(schema.value, value):
-            return ValidationReport.success()
-        return ValidationReport.mismatch(path, render(schema), _describe(value, reveal=True))
-    if isinstance(schema, ListOf):
-        if not isinstance(value, list):
-            return ValidationReport.mismatch(path, render(schema), _describe(value))
-        for index, element in enumerate(value):
-            report = validate(schema.element, element, f"{path}[{index}]")
-            if not report.ok:
-                return report
-        return ValidationReport.success()
-    if isinstance(schema, Record):
-        if not isinstance(value, dict):
-            return ValidationReport.mismatch(path, render(schema), _describe(value))
-        declared = {name for name, _ in schema.fields}
-        for name, sub in schema.fields:
-            if name not in value:
-                return ValidationReport.mismatch(f"{path}.{name}", render(sub), "missing field")
-            report = validate(sub, value[name], f"{path}.{name}")
-            if not report.ok:
-                return report
-        for key in value:
-            if key not in declared:
-                return ValidationReport.mismatch(f"{path}.{key}", "no declared field", _describe(value[key]))
-        return ValidationReport.success()
-    if isinstance(schema, UnionOf):
-        for member in schema.members:
-            if validate(member, value, path).ok:
-                return ValidationReport.success()
-        return ValidationReport.mismatch(path, render(schema), _describe(value, reveal=True))
-    raise SchemaError(f"cannot validate against {schema!r}")
+    miss = _mismatch(schema, value)
+    return _SUCCESS if miss is None else ValidationReport.mismatch(path + miss[0], *miss[1:])
 
 
 def coerce(schema: TypeSchema, value: Any) -> Any:
@@ -280,15 +233,65 @@ def coerce(schema: TypeSchema, value: Any) -> Any:
     if isinstance(schema, Literal):
         return schema.value
     if isinstance(schema, ListOf):
-        return [coerce(schema.element, element) for element in value]
+        exact = _EXACT.get(type(schema.element), ())  # what coerce keeps as it is
+        return [item if type(item) in exact else coerce(schema.element, item) for item in value]
     if isinstance(schema, Record):
         return {name: coerce(sub, value[name]) for name, sub in schema.fields}
     if isinstance(schema, UnionOf):
         for member in schema.members:
-            if validate(member, value).ok:
+            if _mismatch(member, value) is None:
                 return coerce(member, value)
-        return value
     return value
+
+
+_SUCCESS = ValidationReport(ok=True)
+# The exact types of JSON values that conform to a scalar schema with no closer look.
+_EXACT = {Integer: (int,), Float: (int, float), Boolean: (bool,), Text: (str,)}
+
+
+def _mismatch(schema: TypeSchema, value: Any) -> tuple[str, str, str] | None:
+    """The one walk behind validate and coerce: None if `value` conforms,
+    else its first mismatch as (path suffix, expected, found)."""
+    if type(value) in _EXACT.get(type(schema), ()):
+        return None
+    if isinstance(schema, (Integer, Float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return "", "number", _describe(value)
+        if isinstance(schema, Integer) and isinstance(value, float) and not value.is_integer():
+            return "", "number", "non-integral number"
+        return None
+    if isinstance(schema, Boolean):
+        return None if isinstance(value, bool) else ("", "boolean", _describe(value))
+    if isinstance(schema, Text):
+        return None if isinstance(value, str) else ("", "string", _describe(value))
+    if isinstance(schema, Literal):
+        return None if _literal_matches(schema.value, value) else ("", render(schema), _describe(value, reveal=True))
+    if isinstance(schema, ListOf):
+        if not isinstance(value, list):
+            return "", render(schema), _describe(value)
+        element, exact = schema.element, _EXACT.get(type(schema.element), ())
+        for index, item in enumerate(value):
+            if type(item) not in exact and (miss := _mismatch(element, item)):
+                return f"[{index}]{miss[0]}", miss[1], miss[2]
+        return None
+    if isinstance(schema, Record):
+        if not isinstance(value, dict):
+            return "", render(schema), _describe(value)
+        for name, sub in schema.fields:
+            if name not in value:
+                return f".{name}", render(sub), "missing field"
+            if miss := _mismatch(sub, value[name]):
+                return f".{name}{miss[0]}", miss[1], miss[2]
+        if len(value) > len(schema.fields):  # every declared field is there, and something else
+            key = next(key for key in value if key not in dict(schema.fields))
+            return f".{key}", "no declared field", _describe(value[key])
+        return None
+    if isinstance(schema, UnionOf):
+        for member in schema.members:
+            if _mismatch(member, value) is None:
+                return None
+        return "", render(schema), _describe(value, reveal=True)
+    raise SchemaError(f"cannot validate against {schema!r}")
 
 
 def _literal_matches(expected: ScalarValue, value: Any) -> bool:
@@ -303,21 +306,11 @@ def _describe(value: Any, reveal: bool = False) -> str:
     """Short description of a JSON value for mismatch reports."""
     if value is None:
         return "null"
-    if isinstance(value, bool):
-        kind = "boolean"
-    elif isinstance(value, (int, float)):
-        kind = "number"
-    elif isinstance(value, str):
-        kind = "string"
-    elif isinstance(value, list):
-        return "array"
-    elif isinstance(value, dict):
-        return "object"
-    else:
+    if isinstance(value, (list, dict)):
+        return "array" if isinstance(value, list) else "object"
+    if not isinstance(value, (int, float, str)):  # bool is an int
         return type(value).__name__
     if reveal:
         shown = json.dumps(value, ensure_ascii=False)
-        if len(shown) > 40:
-            shown = shown[:37] + "..."
-        return shown
-    return kind
+        return shown if len(shown) <= 40 else shown[:37] + "..."
+    return "boolean" if isinstance(value, bool) else "string" if isinstance(value, str) else "number"

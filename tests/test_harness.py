@@ -95,6 +95,14 @@ class TestWireProtocol:
             b' line 1 column 2 (char 1)"}\n{"ok": true, "result": 5}\n'
         )
 
+    @pytest.mark.parametrize("entry", [b'["add"]', b'{"name": "add"}'], ids=["list", "object"])
+    def test_an_unhashable_entry_is_answered_and_the_worker_reads_on(self, tmp_path, entry):
+        with Worker(*source_of(write_source(tmp_path, ADD_SOURCE))) as worker:
+            os.write(worker._fds["in"], b'{"entry": ' + entry + b', "args": {}}\n')
+            assert select.select([worker._fds["out"]], [], [], 30)[0], "no answer"
+            assert os.read(worker._fds["out"], 65536) == b'{"ok": false, "error": "request must be an object with an \'entry\' field"}\n'
+            assert worker.call("add", {"x": 2, "y": 3}) == 5
+
 
 class TestRunOnce:
     def test_add(self, tmp_path):
@@ -943,12 +951,22 @@ def _open_fds(pid="self"):
     return sorted(os.listdir(f"/proc/{pid}/fd"))
 
 
-def _without_children(zygote):
-    """Wait until the zygote has reaped every child, and with it closed its copy of their pipes."""
-    children, deadline = Path(f"/proc/{zygote}/task/{zygote}/children"), time.monotonic() + 10
-    while children.read_text().split():
+def _until(condition):
+    """Wait up to 10 s for condition() to hold. A reaped child leaves its
+    zygote's children list at the waitid, before the zygote writes its status
+    on the child's `out`, closes its copy of it and recycles its directory: so
+    a row waits for what it asserts, not for the list to empty."""
+    deadline = time.monotonic() + 10
+    while not condition():
         assert time.monotonic() < deadline
         time.sleep(0.001)
+
+
+def _settled(zygote):
+    """Wait until the zygote holds only its standard descriptors and its
+    socket: every child's `out` closed. The reap that closes the last one
+    recycles its directory next, before the zygote reads another request."""
+    _until(lambda: len(_open_fds(zygote)) == 4)
 
 
 def _unread_bytes(fd):
@@ -1016,8 +1034,7 @@ class TestChannelFaults:
                 kind = "run" if run else "worker"
                 with pytest.raises(ExecutionError, match=rf"^fork request is malformed: ValueError\('\d descriptors for a {kind}'\)$"):
                     server.spawn(*source_of(source), [end for _, end in pipes], **({"entry": "f", "args": [{}]} if run else {"scratch": str(tmp_path)}))
-                _without_children(zygote)  # and so closed its copy of the first run's pipe
-                assert len(_open_fds(zygote)) == 4  # its standard descriptors and its socket: none of those sent
+                _settled(zygote)  # the first run's pipe closed, and none of those sent kept
             finally:
                 for _, end in pipes:
                     os.close(end)
@@ -1061,7 +1078,8 @@ class TestChannelFaults:
                 assert time.monotonic() < deadline
                 time.sleep(0.001)
             signal.pidfd_send_signal(pidfd, signal.SIGKILL)
-            assert gone(worker.pid)  # reaped: the full pipe left no room for its exit status
+            assert gone(worker.pid)
+            _settled(server._proc.pid)  # reaped, and the full pipe left no room for its exit status
             with pytest.raises(WorkerLeft, match="^harness closed its output\nran$"):
                 worker.call("f", {"n": 1})  # nothing sent: it has left
             assert os.pread(worker._fds["log"], 100, 0) == b"ran\n"  # the call ran once
@@ -1200,11 +1218,11 @@ class TestRunDirectories:
         with ForkServer() as server:
             clean = server.run(*source_of(probe), "f", {})
             home = os.path.dirname(server._proc.args[4])  # the zygote's scratch directory
-            _without_children(server._proc.pid)
+            _settled(server._proc.pid)  # the clean run's directory back in the pool
             used = server.run(*source_of(dirty), "f", {})
-            _without_children(server._proc.pid)
+            _settled(server._proc.pid)
             cwd, tmpdir, home_env, listed, writable = server.run(*source_of(probe), "f", {})
-            _without_children(server._proc.pid)
+            _settled(server._proc.pid)
             assert server.run(*source_of(probe), "f", {})[0] == cwd  # a directory left as made is kept
         assert used == clean[0]  # the directory of the clean run before
         assert (listed, writable) == ([], True) and cwd == tmpdir == home_env != used
@@ -1256,9 +1274,9 @@ class TestRunDirectories:
             for task in tasks[1:]:
                 task.compile(config).close()
             assert (os.stat(temp).st_mtime_ns, sorted(os.listdir(temp))) == before
-            _without_children(zygote.pid)
-            left = set(os.listdir(os.path.dirname(zygote.args[4]))) - {"harness.pyc"}
-            assert len(left) <= 2 and all(name.startswith("askit-run-") for name in left), left
+            home = os.path.dirname(zygote.args[4])
+            _until(lambda: len(set(os.listdir(home)) - {"harness.pyc"}) <= 2)  # each reaped run's directory recycled
+            assert all(name.startswith("askit-run-") for name in os.listdir(home) if name != "harness.pyc")
 
 
 class TestResponseCap:

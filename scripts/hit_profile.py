@@ -9,14 +9,14 @@ repository root:
     python3 scripts/hit_profile.py
     python3 scripts/hit_profile.py --against ../askit-parent
 
-The first form prints, as one JSON object (copied into another checkout, the
-script profiles that checkout), the medians (perf_counter_ns, in µs) of
---hits bare cache_lookup hits and --hits DefinedFunction.compile hits on a
-three-line source, with the process's fork server held as a compiled
-function holds it; and, from a fresh interpreter that only runs
-`import askit`, its ru_maxrss in MB and which of the modules of the HTTP
-stack (http.client, urllib.request, ssl, email) and OpenSSL's hashlib
-(_hashlib) that import loaded.
+The first form prints, as one JSON object (copied into another checkout with
+scripts/interleave.py, the script profiles that checkout), the medians
+(perf_counter_ns, in µs) of --hits bare cache_lookup hits and --hits
+DefinedFunction.compile hits on a three-line source, with the process's fork
+server held as a compiled function holds it; and, from a fresh interpreter
+that only runs `import askit`, its ru_maxrss in MB and which of the modules
+of the HTTP stack (http.client, urllib.request, ssl, email) and OpenSSL's
+hashlib (_hashlib) that import loaded.
 
 With --against DIR (another checkout of this repository), it also runs the
 interleaved microbenchmark: --pairs pairs of fresh processes, one per tree
@@ -29,15 +29,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parents[1]
-SOURCE = "def double(*, xs):\n    return [x * 2 for x in xs]\n"
+from interleave import REPO, SOURCE, interleaved, time_calls
+
 HEAVY_MODULES = ("http.client", "urllib.request", "ssl", "email", "_hashlib")
 IMPORT_PROBE = (
     "import resource, sys, json\n"
@@ -45,21 +43,6 @@ IMPORT_PROBE = (
     "print(json.dumps({'import_maxrss_mb': round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),\n"
     f"                  'heavy_modules_loaded': [name for name in {HEAVY_MODULES!r} if name in sys.modules]}}))\n"
 )
-
-
-def _median_us(samples: list[int]) -> float:
-    return round(statistics.median(samples) / 1000, 2)
-
-
-def _time(call, hits: int) -> float:
-    for _ in range(hits // 5):  # warm-up
-        call()
-    samples = []
-    for _ in range(hits):
-        started = time.perf_counter_ns()
-        call()
-        samples.append(time.perf_counter_ns() - started)
-    return _median_us(samples)
 
 
 def hits(count: int) -> dict[str, float]:
@@ -81,8 +64,8 @@ def hits(count: int) -> dict[str, float]:
         zygote = runner.fork_server()  # held, as the compile path holds it; no zygote starts
         try:
             return {
-                "cache_lookup_us": _time(lambda: codegen.cache_lookup(defined.spec, config), count),
-                "compile_hit_us": _time(lambda: defined.compile(config), count),
+                "cache_lookup_us": time_calls(lambda: codegen.cache_lookup(defined.spec, config), count),
+                "compile_hit_us": time_calls(lambda: defined.compile(config), count),
             }
         finally:
             del zygote
@@ -103,34 +86,6 @@ def one_side(count: int) -> dict:
     return {**import_cost(src), **hits(count)}
 
 
-def interleaved(against: Path, pairs: int, count: int) -> dict:
-    """Medians from fresh processes, alternating the trees."""
-    trees = {"against": against.resolve(), "this": REPO}
-    runs = {side: [] for side in trees}
-    for pair in range(pairs):
-        order = ("against", "this") if pair % 2 == 0 else ("this", "against")
-        for side in order:
-            env = {**os.environ, "PYTHONPATH": str(trees[side] / "src")}
-            out = subprocess.run(
-                [sys.executable, __file__, "--one-side", "--hits", str(count)],
-                env=env, capture_output=True, text=True, check=True, timeout=600,
-            ).stdout
-            runs[side].append(json.loads(out))
-    summary = {"pairs": pairs, "hits_per_run": count, "trees": {side: str(path) for side, path in trees.items()}}
-    for metric in ("cache_lookup_us", "compile_hit_us", "import_maxrss_mb"):
-        against_runs = [run[metric] for run in runs["against"]]
-        this_runs = [run[metric] for run in runs["this"]]
-        summary[metric] = {
-            "against_median": round(statistics.median(against_runs), 2),
-            "this_median": round(statistics.median(this_runs), 2),
-            "this_wins": sum(mine < theirs for mine, theirs in zip(this_runs, against_runs)),
-            "against_runs": against_runs,
-            "this_runs": this_runs,
-        }
-    summary["heavy_modules_loaded"] = {side: runs[side][0]["heavy_modules_loaded"] for side in trees}
-    return summary
-
-
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--against", type=Path, help="another checkout to run the interleaved microbenchmark against")
@@ -149,7 +104,10 @@ def main(argv: list[str]) -> int:
         **hits(args.hits),
     }
     if args.against is not None:
-        report["interleaved"] = interleaved(args.against, args.pairs, args.hits)
+        summary, runs = interleaved(__file__, ["--one-side", "--hits", str(args.hits)], args.against, args.pairs,
+                                    ("cache_lookup_us", "compile_hit_us", "import_maxrss_mb"), hits_per_run=args.hits)
+        summary["heavy_modules_loaded"] = {side: side_runs[0]["heavy_modules_loaded"] for side, side_runs in runs.items()}
+        report["interleaved"] = summary
     print(json.dumps(report, indent=1))
     return 0
 

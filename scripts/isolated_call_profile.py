@@ -12,12 +12,12 @@ and closes its descriptors (_end_child). Run from the repository root:
     python3 scripts/isolated_call_profile.py --against ../askit-parent
     python3 scripts/isolated_call_profile.py --vetting --against ../askit-parent
 
-The first form prints, as one JSON object (copied into another checkout,
-the script profiles that checkout), the medians (perf_counter_ns, in µs)
-of each of those caller-side steps for `def double(*, xs): return [x * 2
-for x in xs]` on a 3-int list, together with whole call_isolated calls.
-Each step is timed by wrapping the function that does it; "set_up" is
-_Child.__init__ less the fork request it makes.
+The first form prints, as one JSON object (copied into another checkout with
+scripts/interleave.py, the script profiles that checkout), the medians
+(perf_counter_ns, in µs) of each of those caller-side steps for `def
+double(*, xs): return [x * 2 for x in xs]` on a 3-int list, together with
+whole call_isolated calls. Each step is timed by wrapping the function that
+does it; "set_up" is _Child.__init__ less the fork request it makes.
 
 With --against DIR (another checkout of this repository), it also runs the
 interleaved microbenchmark: --pairs pairs of fresh processes, one per tree
@@ -36,50 +36,23 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parents[1]
-SOURCE = "def double(*, xs):\n    return [x * 2 for x in xs]\n"
+from interleave import REPO, SOURCE, compiled, interleaved, median_us, time_calls
+
 ARGS = {"xs": [1, 2, 3]}
 VETTING_SETS = [{"xs": [1, 2, 3]}, {"xs": []}, {"xs": [-4]}, {"xs": list(range(10))}]
-
-
-def _median_us(samples: list[int]) -> float:
-    return round(statistics.median(samples) / 1000, 2)
-
-
-def _compiled(askit, cache_dir: str):
-    """A CompiledFunction for SOURCE from a cache hit: no client call."""
-    defined = askit.define(
-        askit.list_of(askit.INT),
-        "Double each of {{xs}}",
-        param_schemas={"xs": askit.list_of(askit.INT)},
-        name="double",
-        client=askit.ScriptedClient([]),
-    )
-    config = askit.CodegenConfig(cache_dir=Path(cache_dir))
-    askit.cache_store(defined.spec, SOURCE, config)
-    return defined.compile(config)
 
 
 def whole_calls(calls: int) -> dict[str, float]:
     """The median of whole call_isolated calls, in µs."""
     import askit
 
-    with tempfile.TemporaryDirectory() as cache_dir, _compiled(askit, cache_dir) as compiled:
-        for _ in range(calls // 5):  # warm-up
-            compiled.call_isolated(ARGS)
-        samples = []
-        for _ in range(calls):
-            started = time.perf_counter_ns()
-            compiled.call_isolated(ARGS)
-            samples.append(time.perf_counter_ns() - started)
-    return {"call_isolated_us": _median_us(samples)}
+    with tempfile.TemporaryDirectory() as cache_dir, compiled(askit, cache_dir) as function:
+        return {"call_isolated_us": time_calls(lambda: function.call_isolated(ARGS), calls)}
 
 
 def vetting_runs(calls: int) -> dict[str, float]:
@@ -96,7 +69,7 @@ def vetting_runs(calls: int) -> dict[str, float]:
             if i >= calls // 5:
                 samples.append(time.perf_counter_ns() - started)
             assert outcomes == [[2, 4, 6], [], [-8], list(range(0, 20, 2))], outcomes
-    return {"vetting_run_us": _median_us(samples)}
+    return {"vetting_run_us": median_us(samples)}
 
 
 def caller_steps(calls: int) -> dict[str, float]:
@@ -121,11 +94,11 @@ def caller_steps(calls: int) -> dict[str, float]:
         setattr(owner, name, timed(name.strip("_"), function))
     steps = {name: [] for name in ("set_up", "spawn", "receive", "end_child", "call")}
     try:
-        with tempfile.TemporaryDirectory() as cache_dir, _compiled(askit, cache_dir) as compiled:
+        with tempfile.TemporaryDirectory() as cache_dir, compiled(askit, cache_dir) as function:
             for i in range(calls + calls // 5):
                 spent.clear()
                 started = time.perf_counter_ns()
-                compiled.call_isolated(ARGS)
+                function.call_isolated(ARGS)
                 spent["call"] = time.perf_counter_ns() - started
                 if i >= calls // 5:
                     steps["set_up"].append(spent["init"] - spent["spawn"])
@@ -134,35 +107,7 @@ def caller_steps(calls: int) -> dict[str, float]:
     finally:
         for owner, name, function in saved:
             setattr(owner, name, function)
-    return {f"{name}_us": _median_us(samples) for name, samples in steps.items()}
-
-
-def interleaved(against: Path, pairs: int, calls: int, vetting: bool) -> dict:
-    """Whole-call (or whole vetting run) medians from fresh processes, alternating the trees."""
-    trees = {"against": against.resolve(), "this": REPO}
-    runs = {side: [] for side in trees}
-    metric = "vetting_run_us" if vetting else "call_isolated_us"
-    for pair in range(pairs):
-        order = ("against", "this") if pair % 2 == 0 else ("this", "against")
-        for side in order:
-            env = {**os.environ, "PYTHONPATH": str(trees[side] / "src")}
-            out = subprocess.run(
-                [sys.executable, __file__, "--whole-calls-only", "--calls", str(calls), *(["--vetting"] if vetting else [])],
-                env=env, capture_output=True, text=True, check=True, timeout=600,
-            ).stdout
-            runs[side].append(json.loads(out)[metric])
-    return {
-        "pairs": pairs,
-        "calls_per_run": calls,
-        "trees": {side: str(path) for side, path in trees.items()},
-        metric: {
-            "against_median": round(statistics.median(runs["against"]), 2),
-            "this_median": round(statistics.median(runs["this"]), 2),
-            "this_wins": sum(mine < theirs for mine, theirs in zip(runs["this"], runs["against"])),
-            "against_runs": runs["against"],
-            "this_runs": runs["this"],
-        },
-    }
+    return {f"{name}_us": median_us(samples) for name, samples in steps.items()}
 
 
 def main(argv: list[str]) -> int:
@@ -183,7 +128,8 @@ def main(argv: list[str]) -> int:
         report["caller"] = caller_steps(args.calls)
     report["whole"] = whole(args.calls)
     if args.against is not None:
-        report["interleaved"] = interleaved(args.against, args.pairs, args.calls, args.vetting)
+        argv = ["--whole-calls-only", "--calls", str(args.calls), *(["--vetting"] if args.vetting else [])]
+        report["interleaved"] = interleaved(__file__, argv, args.against, args.pairs, calls_per_run=args.calls)[0]
     print(json.dumps(report, indent=1))
     return 0
 

@@ -22,7 +22,6 @@ sys.path.insert(0, str(REPO / "src"))
 
 from askit import (  # noqa: E402
     CodegenConfig,
-    EngineConfig,
     RecordingClient,
     ScriptedClient,
     ask_until_valid,
@@ -106,7 +105,7 @@ def code_block(source: str) -> str:
 
 def record_ask(store: Path, spec, args, response: str) -> None:
     client = RecordingClient(ScriptedClient([response], model_id=DEFAULT_MODEL_ID), store)
-    ask_until_valid(client, spec.template, args, spec.return_schema, spec.fewshot, EngineConfig())
+    ask_until_valid(client, spec.template, args, spec.return_schema, spec.fewshot)
 
 
 def record_codegen(store: Path, spec, response: str, cache_dir: Path) -> None:

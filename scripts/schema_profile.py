@@ -28,13 +28,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parents[1]
+from interleave import REPO, interleaved, median_us
 
 
 def cases(askit) -> dict:
@@ -61,7 +59,7 @@ def _median_us(run, seconds: float) -> float:
         started = time.perf_counter_ns()
         run()
         samples.append(time.perf_counter_ns() - started)
-    return round(statistics.median(samples) / 1000, 2)
+    return median_us(samples)
 
 
 def medians(seconds: float) -> dict[str, float]:
@@ -79,33 +77,6 @@ def medians(seconds: float) -> dict[str, float]:
     return result
 
 
-def interleaved(against: Path, pairs: int, seconds: float) -> dict:
-    """Medians from fresh processes, alternating the trees."""
-    trees = {"against": against.resolve(), "this": REPO}
-    runs = {side: [] for side in trees}
-    for pair in range(pairs):
-        order = ("against", "this") if pair % 2 == 0 else ("this", "against")
-        for side in order:
-            env = {**os.environ, "PYTHONPATH": str(trees[side] / "src")}
-            out = subprocess.run(
-                [sys.executable, __file__, "--medians-only", "--seconds", str(seconds)],
-                env=env, capture_output=True, text=True, check=True, timeout=600,
-            ).stdout
-            runs[side].append(json.loads(out))
-    summary = {"pairs": pairs, "seconds_per_measure": seconds, "trees": {side: str(path) for side, path in trees.items()}}
-    for metric in runs["this"][0]:
-        against_runs = [run[metric] for run in runs["against"]]
-        this_runs = [run[metric] for run in runs["this"]]
-        summary[metric] = {
-            "against_median": round(statistics.median(against_runs), 2),
-            "this_median": round(statistics.median(this_runs), 2),
-            "this_wins": sum(mine < theirs for mine, theirs in zip(this_runs, against_runs)),
-            "against_runs": against_runs,
-            "this_runs": this_runs,
-        }
-    return summary
-
-
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--against", type=Path, help="another checkout to run the interleaved microbenchmark against")
@@ -119,7 +90,8 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(REPO / "src"))
     report = {"python": sys.version.split()[0], "nproc": os.cpu_count(), "medians": medians(args.seconds)}
     if args.against is not None:
-        report["interleaved"] = interleaved(args.against, args.pairs, args.seconds)
+        report["interleaved"] = interleaved(__file__, ["--medians-only", "--seconds", str(args.seconds)], args.against,
+                                            args.pairs, seconds_per_measure=args.seconds)[0]
     print(json.dumps(report, indent=1))
     return 0
 

@@ -10,15 +10,15 @@ function, encodes the response and writes it. Run from the repository root:
     python3 scripts/warm_call_profile.py
     python3 scripts/warm_call_profile.py --against ../askit-parent
 
-The first form prints, as one JSON object (copied into another checkout,
-the script profiles that checkout), the medians (perf_counter_ns, in
-µs) of each of those steps for a 3-int list and `def double(*, xs): return
-[x * 2 for x in xs]`, together with whole Worker.call and CompiledFunction
-calls. The caller's steps are taken one at a time on a real worker; the
-worker's steps run in this process over a pipe as harness.serve takes them
-(a line read from a file object and harness.loads, then handle_request,
-encode_response and write_line), so they exclude the wake-ups that a real
-worker's turn pays.
+The first form prints, as one JSON object (copied into another checkout with
+scripts/interleave.py, the script profiles that checkout), the medians
+(perf_counter_ns, in µs) of each of those steps for a 3-int list and `def
+double(*, xs): return [x * 2 for x in xs]`, together with whole Worker.call
+and CompiledFunction calls. The caller's steps are taken one at a time on a
+real worker; the worker's steps run in this process over a pipe as
+harness.serve takes them (a line read from a file object and harness.loads,
+then handle_request, encode_response and write_line), so they exclude the
+wake-ups that a real worker's turn pays.
 
 With --against DIR (another checkout of this repository), it also runs the
 interleaved microbenchmark: --pairs pairs of fresh processes, one per tree
@@ -33,57 +33,26 @@ import argparse
 import json
 import os
 import select
-import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parents[1]
-SOURCE = "def double(*, xs):\n    return [x * 2 for x in xs]\n"
+from interleave import REPO, SOURCE, compiled, interleaved, median_us, time_calls
+
 ARGS = {"xs": [1, 2, 3]}
-
-
-def _median_us(samples: list[int]) -> float:
-    return round(statistics.median(samples) / 1000, 2)
-
-
-def _compiled(askit, cache_dir: str):
-    """A CompiledFunction for SOURCE from a cache hit: no client call."""
-    defined = askit.define(
-        askit.list_of(askit.INT),
-        "Double each of {{xs}}",
-        param_schemas={"xs": askit.list_of(askit.INT)},
-        name="double",
-        client=askit.ScriptedClient([]),
-    )
-    config = askit.CodegenConfig(cache_dir=Path(cache_dir))
-    askit.cache_store(defined.spec, SOURCE, config)
-    return defined.compile(config)
-
-
-def _time_calls(call, calls: int) -> float:
-    for _ in range(calls // 5):  # warm-up
-        call()
-    samples = []
-    for _ in range(calls):
-        started = time.perf_counter_ns()
-        call()
-        samples.append(time.perf_counter_ns() - started)
-    return _median_us(samples)
 
 
 def whole_calls(calls: int) -> dict[str, float]:
     """Medians of warm Worker.call and CompiledFunction calls, in µs."""
     import askit
 
-    with tempfile.TemporaryDirectory() as cache_dir, _compiled(askit, cache_dir) as compiled:
-        compiled(ARGS)
-        worker, entry = compiled._worker, compiled.generated.entry
+    with tempfile.TemporaryDirectory() as cache_dir, compiled(askit, cache_dir) as function:
+        function(ARGS)
+        worker, entry = function._worker, function.generated.entry
         return {
-            "worker_call_us": _time_calls(lambda: worker.call(entry, ARGS), calls),
-            "compiled_call_us": _time_calls(lambda: compiled(ARGS), calls),
+            "worker_call_us": time_calls(lambda: worker.call(entry, ARGS), calls),
+            "compiled_call_us": time_calls(lambda: function(ARGS), calls),
         }
 
 
@@ -95,9 +64,9 @@ def caller_steps(calls: int) -> dict[str, float]:
     # The request encoder of the tree under test: older trees used json.dumps.
     encode = getattr(runner, "dumps", None) or (lambda value: json.dumps(value, ensure_ascii=False))
     steps = {name: [] for name in ("encode", "liveness_check", "send", "wait", "read", "decode")}
-    with tempfile.TemporaryDirectory() as cache_dir, _compiled(askit, cache_dir) as compiled:
-        compiled(ARGS)
-        worker, entry = compiled._worker, compiled.generated.entry
+    with tempfile.TemporaryDirectory() as cache_dir, compiled(askit, cache_dir) as function:
+        function(ARGS)
+        worker, entry = function._worker, function.generated.entry
         fds, unread = worker._fds, worker._unread
         for i in range(calls + calls // 5):
             clock = [time.perf_counter_ns()]
@@ -116,7 +85,7 @@ def caller_steps(calls: int) -> dict[str, float]:
             if i >= calls // 5:
                 for name, start, end in zip(steps, clock, clock[1:]):
                     steps[name].append(end - start)
-    return {f"{name}_us": _median_us(samples) for name, samples in steps.items()}
+    return {f"{name}_us": median_us(samples) for name, samples in steps.items()}
 
 
 def worker_steps(calls: int) -> dict[str, float]:
@@ -150,36 +119,9 @@ def worker_steps(calls: int) -> dict[str, float]:
         requests.close()
         for fd in (request_out, answer_in, answer_out):
             os.close(fd)
-    result = {f"{name}_us": _median_us(samples) for name, samples in steps.items()}
+    result = {f"{name}_us": median_us(samples) for name, samples in steps.items()}
     result["turn_us"] = round(sum(result.values()), 2)
     return result
-
-
-def interleaved(against: Path, pairs: int, calls: int) -> dict:
-    """Whole-call medians from fresh processes, alternating the trees."""
-    trees = {"against": against.resolve(), "this": REPO}
-    runs = {side: [] for side in trees}
-    for pair in range(pairs):
-        order = ("against", "this") if pair % 2 == 0 else ("this", "against")
-        for side in order:
-            env = {**os.environ, "PYTHONPATH": str(trees[side] / "src")}
-            out = subprocess.run(
-                [sys.executable, __file__, "--whole-calls-only", "--calls", str(calls)],
-                env=env, capture_output=True, text=True, check=True, timeout=600,
-            ).stdout
-            runs[side].append(json.loads(out))
-    summary = {"pairs": pairs, "calls_per_run": calls, "trees": {side: str(path) for side, path in trees.items()}}
-    for metric in ("worker_call_us", "compiled_call_us"):
-        against_runs = [run[metric] for run in runs["against"]]
-        this_runs = [run[metric] for run in runs["this"]]
-        summary[metric] = {
-            "against_median": round(statistics.median(against_runs), 2),
-            "this_median": round(statistics.median(this_runs), 2),
-            "this_wins": sum(mine < theirs for mine, theirs in zip(this_runs, against_runs)),
-            "against_runs": against_runs,
-            "this_runs": this_runs,
-        }
-    return summary
 
 
 def main(argv: list[str]) -> int:
@@ -201,7 +143,8 @@ def main(argv: list[str]) -> int:
         "whole": whole_calls(args.calls),
     }
     if args.against is not None:
-        report["interleaved"] = interleaved(args.against, args.pairs, args.calls)
+        report["interleaved"] = interleaved(__file__, ["--whole-calls-only", "--calls", str(args.calls)], args.against,
+                                            args.pairs, calls_per_run=args.calls)[0]
     print(json.dumps(report, indent=1))
     return 0
 

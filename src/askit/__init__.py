@@ -27,7 +27,7 @@ from .codegen import (
     output_equal,
     syntax_check,
 )
-from .engine import Dialogue, EngineConfig, EngineResult, Message, ask_until_valid, feedback_text
+from .engine import Dialogue, ask_until_valid, feedback_text
 from .errors import (
     AskitError,
     BlockNotFound,
@@ -56,6 +56,7 @@ from .prompts import (
     CodegenPrompt,
     DirectPrompt,
     Example,
+    Message,
     ParsedAnswer,
     Violation,
     ViolationKind,

@@ -9,7 +9,7 @@ nothing about the task description changes between modes.
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping
 
 from .clients import LiveClient
 from .codegen import (
@@ -23,18 +23,12 @@ from .codegen import (
     require_harness,
 )
 from .encoding import stable_digest
-from .engine import EngineConfig, ask_until_valid
+from .engine import AskResult, ask_until_valid
 from .errors import NotCodable, SchemaError
 from .prompts import examples_from
 from .runner import Worker, WorkerLeft, _Closing, fork_server
 from .template import _check_binding, parse
 from .types import TypeSchema, VoidType, render
-
-
-class AskResult(NamedTuple):
-    value: Any
-    reason: str
-    attempts: int
 
 
 def _merge_args(args, kwargs):
@@ -48,7 +42,7 @@ def ask(
     *,
     fewshot: Iterable = (),
     client=None,
-    config: EngineConfig | None = None,
+    config: CodegenConfig | None = None,
 ) -> AskResult:
     """One-shot direct path: parse the template, query until the answer validates.
 
@@ -56,7 +50,7 @@ def ask(
     the model's stated reasoning, and the attempt count.
     """
     template = parse(template_text)
-    result = ask_until_valid(
+    return ask_until_valid(
         client or LiveClient(),
         template,
         dict(args or {}),
@@ -64,7 +58,6 @@ def ask(
         examples_from(fewshot, "fewshot"),
         config,
     )
-    return AskResult(result.value, result.reason, result.attempts)
 
 
 def define(
@@ -78,12 +71,13 @@ def define(
     target_language: str = "python",
     reuse_fewshot_as_tests: bool = False,
     client=None,
-    config: EngineConfig | None = None,
+    config: CodegenConfig | None = None,
 ) -> "DefinedFunction":
     """Build a reusable function from a prompt template.
 
     Calling the result runs the direct path; compile() switches it to
-    generated code. When a name is omitted a digest-derived one is assigned.
+    generated code. The config drives both (DEFAULT_CONFIG when omitted).
+    When a name is omitted a digest-derived one is assigned.
     The few-shot set conditions prompts; the test set gates generated code
     (pass reuse_fewshot_as_tests=True to use the former as the latter).
     """
@@ -109,14 +103,14 @@ def define(
 
 
 class DefinedFunction:
-    """A task bound to the direct path. Immutable; safe to share. From its
-    first compile miss on it keeps the shared zygote alive, so that later
-    misses do not start it again."""
+    """A task bound to the direct path, with its config for both modes.
+    Immutable; safe to share. From its first compile miss on it keeps the
+    shared zygote alive, so that later misses do not start it again."""
 
-    def __init__(self, spec: TaskSpec, client=None, config: EngineConfig | None = None):
+    def __init__(self, spec: TaskSpec, client=None, config: CodegenConfig | None = None):
         self._spec = spec
         self._client = client
-        self._config = config
+        self._config = config or DEFAULT_CONFIG
         self._zygote = None
 
     @property
@@ -129,7 +123,7 @@ class DefinedFunction:
 
     def ask(self, args: Mapping[str, Any] | None = None, /, **kwargs) -> AskResult:
         """Run the direct path and return value, reason, and attempt count."""
-        result = ask_until_valid(
+        return ask_until_valid(
             self._client or LiveClient(),
             self._spec.template,
             _merge_args(args, kwargs),
@@ -137,13 +131,13 @@ class DefinedFunction:
             self._spec.fewshot,
             self._config,
         )
-        return AskResult(result.value, result.reason, result.attempts)
 
     def __call__(self, args: Mapping[str, Any] | None = None, /, **kwargs) -> Any:
         return self.ask(args, **kwargs).value
 
     def compile(self, config: CodegenConfig | None = None, client=None) -> "CompiledFunction":
-        """Generate (or load from cache) code for this task and wrap it."""
+        """Generate (or load from cache) code for this task and wrap it;
+        without a config, under the task's own."""
         return compile(self, config=config, client=client)
 
 
@@ -152,11 +146,12 @@ def compile(
 ) -> "CompiledFunction":
     """Switch a defined task to the generated-code path.
 
-    Cache hits make zero client calls. Raises NotCodable when an allowlist is
-    configured and excludes this name, GenerationFailed when every candidate
-    was rejected.
+    Without a config it runs under the task's own, which is DEFAULT_CONFIG
+    when define() got none. Cache hits make zero client calls. Raises
+    NotCodable when an allowlist is configured and excludes this name,
+    GenerationFailed when every candidate was rejected.
     """
-    config = config or DEFAULT_CONFIG
+    config = config or defined._config
     spec = defined.spec
     if not config.allows(spec.name):
         raise NotCodable(f"{spec.name!r} is not in the codable allowlist")
@@ -232,6 +227,6 @@ class CompiledFunction(_Closing):
         """The open worker; a new one when there is none or it is `gone`."""
         with self._lock:
             if self._worker is None or self._worker is gone:
-                require_harness(self._generated)
+                require_harness(self._generated.language)
                 self._worker = Worker(self._generated.cache_path, self._generated.source, call_timeout=self._config.invoke_timeout)
             return self._worker

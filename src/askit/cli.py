@@ -21,7 +21,6 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 from . import api
 from .clients import (
@@ -32,8 +31,7 @@ from .clients import (
     RecordingClient,
     ReplayClient,
 )
-from .codegen import DEFAULT_CACHE_DIR, CodegenConfig
-from .engine import DEFAULT_MAX_RETRIES, DEFAULT_TEMPERATURE, EngineConfig
+from .codegen import DEFAULT_CACHE_DIR, DEFAULT_CONFIG, CodegenConfig
 from .errors import (
     AskitError,
     ClientError,
@@ -79,6 +77,14 @@ def _parse_args_json(raw: str) -> dict:
     return decoded
 
 
+def _config(args, **fields) -> CodegenConfig:
+    """The command's one config; a value it rejects is a usage error."""
+    try:
+        return CodegenConfig(temperature=args.temperature, require_param_schemas=False, **fields)
+    except ValueError as exc:
+        raise SystemExit(_fail(str(exc), EXIT_USAGE))
+
+
 def _add_backend_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--backend", choices=["live", "replay", "record"], default="replay",
@@ -86,7 +92,7 @@ def _add_backend_options(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--fixtures", help="fixture store path for replay/record")
     sub.add_argument("--model", help=f"model id (default: ${MODEL_ENV_VAR} or {DEFAULT_MODEL_ID})")
-    sub.add_argument("--temperature", type=float, default=DEFAULT_TEMPERATURE)
+    sub.add_argument("--temperature", type=float, default=DEFAULT_CONFIG.temperature)
     sub.add_argument(
         "--replay-delay-ms", type=float, default=0.0,
         help="simulated latency per replayed call, in milliseconds",
@@ -124,8 +130,7 @@ def _cmd_show_prompt(args) -> int:
 def _cmd_ask(args) -> int:
     task_file = load_task_file(args.task_file)
     entry = _entry(task_file, args.name)
-    client = _build_client(args)
-    defined = api.DefinedFunction(entry.spec, client, EngineConfig(temperature=args.temperature))
+    defined = api.DefinedFunction(entry.spec, _build_client(args), _config(args))
     result = defined.ask(_parse_args_json(args.args))
     _emit({"answer": result.value, "reason": result.reason, "attempts": result.attempts})
     return EXIT_OK
@@ -151,21 +156,16 @@ def _cmd_codegen(args) -> int:
         entries = [entry for entry in task_file.entries.values() if entry.codable]
     if not entries:
         return _fail("no codable tasks selected", EXIT_USAGE)
+    config = _config(args, cache_dir=args.cache_dir, max_retries=args.max_retries)
     client = _build_client(args)
-    config = CodegenConfig(
-        temperature=args.temperature,
-        cache_dir=Path(args.cache_dir),
-        max_retries=args.max_retries,
-        require_param_schemas=False,
-    )
     failed = threading.Event()  # an error that ends the command: start no more tasks
 
     def compile_one(entry):
         if failed.is_set():
             return None  # never read: pool.map raises the earlier task's error first
-        defined = api.DefinedFunction(entry.to_spec(target_language=args.target), client)
+        defined = api.DefinedFunction(entry.to_spec(target_language=args.target), client, config)
         try:
-            return defined.name, api.compile(defined, config).generated, None
+            return defined.name, api.compile(defined).generated, None
         except GenerationFailed as exc:  # exc, kept, would hold main()'s zygote until gc
             return defined.name, None, exc.violation
         except BaseException:
@@ -208,14 +208,10 @@ def _cmd_bench(args) -> int:
         return _fail("no intersecting tasks (codable with tests) selected", EXIT_USAGE)
     client = _build_client(args, cycle=True)
     with scratch_dir("askit-bench-") as scratch:  # the cache without --cache-dir
-        config = CodegenConfig(
-            temperature=args.temperature, cache_dir=Path(args.cache_dir or scratch), require_param_schemas=False
-        )
-        engine_config = EngineConfig(temperature=args.temperature)
-
+        config = _config(args, cache_dir=args.cache_dir or scratch)
         rows = []
         for entry in entries:
-            defined = api.DefinedFunction(entry.spec, client, engine_config)
+            defined = api.DefinedFunction(entry.spec, client, config)
             probe = dict(defined.spec.tests[0].input)
 
             direct_times = []
@@ -226,7 +222,7 @@ def _cmd_bench(args) -> int:
             latency_s = statistics.fmean(direct_times)
 
             started = time.perf_counter()
-            compiled = api.compile(defined, config)
+            compiled = api.compile(defined)
             compile_time_s = time.perf_counter() - started
 
             with compiled:
@@ -278,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     codegen_cmd.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     codegen_cmd.add_argument("--target", default=None)
     codegen_cmd.add_argument("--jobs", type=int, default=1)
-    codegen_cmd.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)
+    codegen_cmd.add_argument("--max-retries", type=int, default=DEFAULT_CONFIG.max_retries)
     _add_backend_options(codegen_cmd)
     codegen_cmd.set_defaults(func=_cmd_codegen)
 
@@ -289,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_cmd.add_argument("--cache-dir", default=None)
     bench_cmd.add_argument("--fixtures", required=True)
     bench_cmd.add_argument("--model", default=None)
-    bench_cmd.add_argument("--temperature", type=float, default=DEFAULT_TEMPERATURE)
+    bench_cmd.add_argument("--temperature", type=float, default=DEFAULT_CONFIG.temperature)
     bench_cmd.add_argument("--replay-delay-ms", type=float, default=0.0)
     bench_cmd.set_defaults(func=_cmd_bench, backend="replay")
 

@@ -33,7 +33,7 @@ from .errors import (
     ResponseTooLarge,
     ScriptExhausted,
 )
-from .engine import Message
+from .prompts import Message
 
 MODEL_ENV_VAR = "ASKIT_MODEL"
 API_KEY_ENV_VAR = "OPENAI_API_KEY"

@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .encoding import canonical_json, stable_digest
-from .engine import DEFAULT_MAX_RETRIES, DEFAULT_TEMPERATURE, Message, check_temperature
 from .errors import (
     AskitError,
     BlockNotFound,
@@ -41,7 +40,7 @@ from .errors import (
     ToolchainUnavailable,
 )
 from .harness import loads
-from .prompts import LANGUAGES, Example, Violation, ViolationKind, build_codegen, extract_block
+from .prompts import LANGUAGES, Example, Message, Violation, ViolationKind, build_codegen, extract_block
 from .runner import DEFAULT_INVOKE_TIMEOUT, fork_server, run_once, scratch_dir
 from .template import PromptTemplate, _check_binding, substitute_comment
 from .types import IDENT_RE, TypeSchema, VoidType, render
@@ -73,7 +72,10 @@ class TaskSpec:
         if self.target_language not in LANGUAGES:
             raise SchemaError(f"unsupported target language {self.target_language!r}")
         if self.param_schemas is not None:
-            declared = {name for name, _ in self.param_schemas}
+            names = [name for name, _ in self.param_schemas]
+            declared = set(names)
+            if len(declared) != len(names):
+                raise SchemaError(f"duplicate parameter names in parameter schemas: {names}")
             expected = set(self.template.params)
             if declared != expected:
                 raise SchemaError(
@@ -99,8 +101,11 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class CodegenConfig:
-    max_retries: int = DEFAULT_MAX_RETRIES
-    temperature: float = DEFAULT_TEMPERATURE
+    """A task's settings for both modes: max_retries and temperature drive a
+    direct ask's attempts as well as code generation's candidates."""
+
+    max_retries: int = 9
+    temperature: float = 1.0
     cache_dir: Path = field(default_factory=lambda: Path(DEFAULT_CACHE_DIR))
     codable_allowlist: frozenset[str] | None = None
     require_param_schemas: bool = True
@@ -110,7 +115,8 @@ class CodegenConfig:
     def __post_init__(self):
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        check_temperature(self.temperature)
+        if not 0.0 <= self.temperature <= 2.0:
+            raise ValueError("temperature must be within [0.0, 2.0]")
         if self.invoke_timeout <= 0:
             raise ValueError("invoke_timeout must be positive")
         object.__setattr__(self, "cache_dir", Path(self.cache_dir))
@@ -256,15 +262,15 @@ def syntax_check(source: str, language: str) -> Violation | None:
     return Violation(ViolationKind.SYNTAX_ERROR, diagnostics[-500:])
 
 
-def require_harness(fn: GeneratedFunction) -> None:
-    """Raise ToolchainUnavailable unless the harness can run the function's language."""
-    if not LANGUAGES[fn.language].runnable:
-        raise ToolchainUnavailable(f"no execution harness for {fn.language}")
+def require_harness(language: str) -> None:
+    """Raise ToolchainUnavailable unless the harness can run this language."""
+    if not LANGUAGES[language].runnable:
+        raise ToolchainUnavailable(f"no execution harness for {language}")
 
 
 def invoke(fn: GeneratedFunction, args: Mapping[str, Any], timeout: float = DEFAULT_INVOKE_TIMEOUT) -> Any:
     """Run a cached function in a fresh forked process and return its value."""
-    require_harness(fn)
+    require_harness(fn.language)
     return run_once(fn.cache_path, fn.source, fn.entry, args, timeout=timeout)
 
 
@@ -351,8 +357,7 @@ def _vet_candidate(response: str, spec: TaskSpec, config: CodegenConfig) -> tupl
 def _run_test_examples(source: str, spec: TaskSpec, config: CodegenConfig) -> Violation | None:
     if not spec.tests:
         return None
-    if not LANGUAGES[spec.target_language].runnable:
-        raise ToolchainUnavailable(f"cannot run test examples: no execution harness for {spec.target_language}")
+    require_harness(spec.target_language)
     sets = [example.input for example in spec.tests]
     candidate = f"candidate.{LANGUAGES[spec.target_language].extension}"  # its name in the run's directory; not written
     outcomes = run_once(candidate, source, spec.name, sets, timeout=config.invoke_timeout)

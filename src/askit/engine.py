@@ -3,57 +3,26 @@
 On an invalid response the dialogue grows by exactly two messages, the
 model's raw reply and a feedback instruction naming what was wrong, then the
 whole dialogue is re-sent. The loop stops at the first valid answer or after
-max_direct_retries extra attempts.
+the task config's max_retries extra attempts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
+from .codegen import DEFAULT_CONFIG, CodegenConfig
 from .errors import RetriesExhausted
-from .prompts import Example, ParsedAnswer, Violation, ViolationKind, build_direct, parse_answer
+from .prompts import Example, Message, ParsedAnswer, Violation, ViolationKind, build_direct, parse_answer
 from .template import ArgBinding, PromptTemplate
 from .types import TypeSchema
 
-
-@dataclass(frozen=True)
-class Message:
-    role: str  # "user" or "assistant"
-    content: str
-
-    def to_wire(self) -> dict:
-        return {"role": self.role, "content": self.content}
-
-
 Dialogue = Sequence[Message]
 
-DEFAULT_MAX_RETRIES = 9
-DEFAULT_TEMPERATURE = 1.0
 
-
-def check_temperature(temperature: float) -> None:
-    if not 0.0 <= temperature <= 2.0:
-        raise ValueError("temperature must be within [0.0, 2.0]")
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    max_direct_retries: int = DEFAULT_MAX_RETRIES
-    temperature: float = DEFAULT_TEMPERATURE
-
-    def __post_init__(self):
-        if self.max_direct_retries < 0:
-            raise ValueError("max_direct_retries must be >= 0")
-        check_temperature(self.temperature)
-
-
-@dataclass(frozen=True)
-class EngineResult:
+class AskResult(NamedTuple):
     value: Any
     reason: str
     attempts: int
-    dialogue: tuple[Message, ...]
 
 
 _FEEDBACK_FIXED = {
@@ -94,26 +63,24 @@ def ask_until_valid(
     args: ArgBinding,
     answer_schema: TypeSchema,
     fewshot: Iterable[Example] = (),
-    config: EngineConfig | None = None,
-) -> EngineResult:
+    config: CodegenConfig | None = None,
+) -> AskResult:
     """Run the direct path until the answer validates.
 
-    Returns the first valid answer with a 1-based attempt count. Raises
-    RetriesExhausted (carrying the last violation and the full dialogue)
-    after max_direct_retries + 1 attempts. Client errors propagate.
+    Returns the first valid answer with its reason and a 1-based attempt
+    count. Raises RetriesExhausted (carrying the last violation and the full
+    dialogue) after config.max_retries + 1 attempts. Client errors propagate.
     """
-    config = config or EngineConfig()
+    config = config or DEFAULT_CONFIG
     prompt = build_direct(template, args, answer_schema, fewshot)
     messages: list[Message] = [Message("user", prompt.text)]
-    max_attempts = config.max_direct_retries + 1
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, config.max_retries + 2):
         response = client.complete(messages, temperature=config.temperature)
         parsed = parse_answer(response, answer_schema)
         if isinstance(parsed, ParsedAnswer):
-            dialogue = (*messages, Message("assistant", response))
-            return EngineResult(parsed.value, parsed.reason, attempt, dialogue)
+            return AskResult(parsed.value, parsed.reason, attempt)
         messages.append(Message("assistant", response))
-        if attempt == max_attempts:
+        if attempt > config.max_retries:
             raise RetriesExhausted(parsed, tuple(messages))
         messages.append(Message("user", feedback_text(parsed)))
     raise AssertionError("unreachable")

@@ -39,6 +39,15 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
+class Message:
+    role: str  # "user" or "assistant"
+    content: str
+
+    def to_wire(self) -> dict:
+        return {"role": self.role, "content": self.content}
+
+
+@dataclass(frozen=True)
 class Example:
     """One demonstration or validation pair: named inputs and the output."""
 

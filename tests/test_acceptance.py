@@ -16,7 +16,7 @@ import pytest
 from askit.cli import main
 from askit.clients import DEFAULT_MODEL_ID, ReplayClient, ScriptedClient
 from askit.codegen import CodegenConfig, TaskSpec, generate, invoke, output_equal
-from askit.engine import EngineConfig, ask_until_valid
+from askit.engine import ask_until_valid
 from askit.errors import RetriesExhausted
 from askit.prompts import Example
 from askit.taskfile import load_task_file
@@ -163,7 +163,7 @@ def test_05_retry_feedback_contract():
         client = ScriptedClient(
             ["let me think about this", '```json\n{"reason": "partial"}\n```', envelope(42, "done")]
         )
-        result = ask_until_valid(client, parse("What is the answer?"), {}, INT, config=EngineConfig())
+        result = ask_until_valid(client, parse("What is the answer?"), {}, INT, config=CodegenConfig())
         assert result.attempts == 3
         assert result.value == 42
         transcript = [message.content for message in client.requests[2][0]]
@@ -229,7 +229,7 @@ def test_08_unified_interface_transition(tmp_path):
             direct_values = []
             for case in spec.tests:
                 result = ask_until_valid(
-                    replay, spec.template, dict(case.input), spec.return_schema, spec.fewshot, EngineConfig()
+                    replay, spec.template, dict(case.input), spec.return_schema, spec.fewshot, CodegenConfig()
                 )
                 direct_values.append(result.value)
             generated = generate(replay, spec, config)
@@ -277,7 +277,7 @@ def test_10_offline_guarantee():
             {"review": "The product is fantastic. It exceeds all my expectations."},
             spec.return_schema,
             spec.fewshot,
-            EngineConfig(),
+            CodegenConfig(),
         )
         assert result.value == "positive"
 
@@ -286,4 +286,4 @@ def test_retries_exhausted_path_still_offline():
     """Companion check: the failure path reports cleanly without network."""
     client = ScriptedClient(["prose"] * 3)
     with pytest.raises(RetriesExhausted):
-        ask_until_valid(client, parse("x?"), {}, INT, config=EngineConfig(max_direct_retries=2))
+        ask_until_valid(client, parse("x?"), {}, INT, config=CodegenConfig(max_retries=2))

@@ -14,16 +14,18 @@ import askit.runner as runner
 from askit import api
 from askit.api import AskResult, ask, define
 from askit.clients import ScriptedClient
-from askit.codegen import CodegenConfig, cache_store, generate, output_equal
+from askit.codegen import CodegenConfig, TaskSpec, cache_store, generate, output_equal
 from askit.errors import (
     AskitError,
     ExecutionError,
     NotCodable,
+    RetriesExhausted,
     SchemaError,
     ToolchainUnavailable,
     UnboundParameter,
 )
 from askit.prompts import Example
+from askit.template import parse
 from askit.types import INT, STR, VOID, list_of, literal, record, union, validate
 from conftest import count_starts, gone
 
@@ -118,6 +120,22 @@ class TestDefine:
     def test_param_schema_mismatch(self):
         with pytest.raises(SchemaError):
             define(INT, "use {{x}}", param_schemas={"x": INT, "extra": INT})
+
+    def test_duplicate_param_schema_names_are_rejected(self):
+        with pytest.raises(SchemaError, match="^duplicate parameter names"):
+            define(INT, "add {{x}}", param_schemas=[("x", INT), ("x", STR)])
+        with pytest.raises(SchemaError, match="^duplicate parameter names"):
+            TaskSpec(name="add", template=parse("add {{x}}"), return_schema=INT, param_schemas=(("x", INT), ("x", STR)))
+
+    def test_the_tasks_max_retries_bound_its_direct_asks(self):
+        config = CodegenConfig(max_retries=0)
+        client = ScriptedClient(["prose", "prose", envelope(3)])
+        with pytest.raises(RetriesExhausted):
+            define(INT, "What is {{a}} plus {{b}}?", client=client, config=config)(a=1, b=2)
+        assert client.call_count == 1
+        with pytest.raises(RetriesExhausted):
+            ask(INT, "What is {{a}} plus {{b}}?", {"a": 1, "b": 2}, client=client, config=config)
+        assert client.call_count == 2
 
     def test_default_name_is_digest_derived(self):
         function = define(INT, "What is {{a}} plus {{b}}?")
@@ -224,6 +242,20 @@ class TestCompile:
                 assert compiled.generated.from_cache
             assert generate(client, defined.spec).from_cache
         assert built == [] and client.call_count == 1
+
+    @pytest.mark.parametrize("compile_task", [lambda defined: defined.compile(), api.compile], ids=["method", "function"])
+    def test_compile_without_a_config_uses_the_tasks_config(self, tmp_path, monkeypatch, compile_task):
+        monkeypatch.chdir(tmp_path)  # DEFAULT_CONFIG would cache under ./askit
+        client = ScriptedClient([code_response(FACTORIAL_CODE)])
+        config = CodegenConfig(temperature=0.3, cache_dir=tmp_path / "cache")
+        defined = define(INT, "Calculate the factorial of {{n}}", param_schemas={"n": INT},
+                         tests=[{"input": {"n": 5}, "output": 120}], name="calculateFactorial",
+                         client=client, config=config)
+        with compile_task(defined) as compiled:
+            assert compiled(n=5) == 120
+        assert [temperature for _, temperature in client.requests] == [0.3]
+        assert compiled.generated.cache_path.parent == tmp_path / "cache"
+        assert not (tmp_path / "askit").exists()
 
     def test_allowlist_excluding_name(self, tmp_path):
         config = CodegenConfig(cache_dir=tmp_path, codable_allowlist={"somethingElse"})

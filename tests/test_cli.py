@@ -11,8 +11,8 @@ import askit.cli as cli
 import askit.codegen as codegen_mod
 from askit.clients import DEFAULT_MODEL_ID, RecordingClient, ScriptedClient, fixture_key
 from askit.cli import main
-from askit.codegen import CodegenConfig, generate
-from askit.engine import DEFAULT_TEMPERATURE, EngineConfig, Message, ask_until_valid
+from askit.codegen import DEFAULT_CONFIG, CodegenConfig, generate
+from askit.engine import Message, ask_until_valid
 from askit.prompts import build_codegen
 from askit.taskfile import load_task_file
 from askit.errors import GenerationFailed, ToolchainUnavailable
@@ -57,7 +57,7 @@ def write_fixtures(path, task_path, candidates):
     with open(path, "w", encoding="utf-8") as handle:
         for name, entry in load_task_file(task_path).entries.items():
             prompt = [Message("user", build_codegen(entry.to_spec()).text)]
-            key = fixture_key(DEFAULT_MODEL_ID, DEFAULT_TEMPERATURE, prompt)
+            key = fixture_key(DEFAULT_MODEL_ID, DEFAULT_CONFIG.temperature, prompt)
             for source in candidates[name]:
                 handle.write(json.dumps({"key": key, "response": code_response(source)}) + "\n")
     return str(path)
@@ -175,7 +175,7 @@ class TestAskCommand:
         spec = load_task_file(tasks).get("addNumbers").to_spec()
         recorder = RecordingClient(ScriptedClient(["prose"] * 10, DEFAULT_MODEL_ID), store)
         with pytest.raises(RetriesExhausted):
-            ask_until_valid(recorder, spec.template, {"x": 1, "y": 2}, spec.return_schema, (), EngineConfig())
+            ask_until_valid(recorder, spec.template, {"x": 1, "y": 2}, spec.return_schema, (), CodegenConfig())
         code = main(
             [
                 "ask", tasks, "addNumbers",
@@ -559,6 +559,29 @@ class TestBenchCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ask", str(DEMO_TASKS), "getSentiment", "--args", '{"review": "x"}', "--fixtures", str(DEMO_FIXTURES),
+          "--temperature", "5"], "temperature must be within [0.0, 2.0]"),
+        (["bench", str(DEMO_TASKS), "--fixtures", str(DEMO_FIXTURES), "--temperature", "-1"],
+         "temperature must be within [0.0, 2.0]"),
+        (["codegen", str(DEMO_TASKS), "--backend", "replay", "--fixtures", str(DEMO_FIXTURES), "--max-retries", "-1"],
+         "max_retries must be >= 0"),
+    ],
+    ids=["ask-temperature", "bench-temperature", "codegen-max-retries"],
+)
+def test_a_config_value_out_of_range_exits_2(capsys, tmp_path, argv, message):
+    if argv[0] != "ask":
+        argv = [*argv, "--cache-dir", str(tmp_path / "cache")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"askit: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "cache").exists()
+
+
 @pytest.fixture
 def no_gc():
     """Only reference counts free objects: a holder kept alive by a cycle stays alive."""
@@ -599,6 +622,6 @@ def test_engine_answers_match_direct_library_use():
         {"review": "The product is fantastic. It exceeds all my expectations."},
         spec.return_schema,
         spec.fewshot,
-        EngineConfig(),
+        CodegenConfig(),
     )
     assert result.value == "positive"

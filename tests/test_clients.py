@@ -20,7 +20,8 @@ from askit.clients import (
     _urllib_transport,
     fixture_key,
 )
-from askit.engine import EngineConfig, Message, ask_until_valid
+from askit.codegen import CodegenConfig
+from askit.engine import Message, ask_until_valid
 from askit.errors import (
     ClientError,
     FixtureMiss,
@@ -145,10 +146,10 @@ class TestRecordReplay:
         args = {"a": 1, "b": 2}
         scripted = ScriptedClient(["thinking out loud", envelope(3)], model_id="m")
         recorded = ask_until_valid(
-            RecordingClient(scripted, store), template, args, INT, config=EngineConfig()
+            RecordingClient(scripted, store), template, args, INT, config=CodegenConfig()
         )
         replayed = ask_until_valid(
-            ReplayClient(store, model_id="m"), template, args, INT, config=EngineConfig()
+            ReplayClient(store, model_id="m"), template, args, INT, config=CodegenConfig()
         )
         assert replayed.value == recorded.value == 3
         assert replayed.attempts == recorded.attempts == 2

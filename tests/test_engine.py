@@ -6,15 +6,8 @@ import pytest
 from askit import codegen
 from askit.cli import build_parser
 from askit.clients import ScriptedClient
-from askit.codegen import CodegenConfig
-from askit.engine import (
-    DEFAULT_MAX_RETRIES,
-    DEFAULT_TEMPERATURE,
-    EngineConfig,
-    Message,
-    ask_until_valid,
-    feedback_text,
-)
+from askit.codegen import DEFAULT_CONFIG, CodegenConfig
+from askit.engine import Message, ask_until_valid, feedback_text
 from askit.errors import RetriesExhausted
 from askit.prompts import Violation, ViolationKind
 from askit.runner import DEFAULT_INVOKE_TIMEOUT
@@ -58,7 +51,7 @@ class TestAskUntilValid:
     def test_retries_exhausted_at_bound(self):
         client = ScriptedClient(["prose"] * 10)
         with pytest.raises(RetriesExhausted) as err:
-            ask_until_valid(client, TEMPLATE, {"a": 1, "b": 2}, INT, config=EngineConfig(max_direct_retries=9))
+            ask_until_valid(client, TEMPLATE, {"a": 1, "b": 2}, INT, config=CodegenConfig(max_retries=9))
         assert client.call_count == 10
         assert err.value.violation.kind is ViolationKind.NO_JSON_BLOCK
         # dialogue: prompt + 9 x (assistant, feedback) + final assistant
@@ -68,7 +61,7 @@ class TestAskUntilValid:
     def test_zero_retries_means_single_attempt(self):
         client = ScriptedClient(["prose", envelope(1)])
         with pytest.raises(RetriesExhausted):
-            ask_until_valid(client, TEMPLATE, {"a": 1, "b": 2}, INT, config=EngineConfig(max_direct_retries=0))
+            ask_until_valid(client, TEMPLATE, {"a": 1, "b": 2}, INT, config=CodegenConfig(max_retries=0))
         assert client.call_count == 1
 
     def test_each_retry_extends_dialogue_by_two(self):
@@ -96,7 +89,7 @@ class TestAskUntilValid:
 
     def test_temperature_forwarded(self):
         client = ScriptedClient([envelope(1)])
-        ask_until_valid(client, TEMPLATE, {"a": 0, "b": 1}, INT, config=EngineConfig(temperature=0.3))
+        ask_until_valid(client, TEMPLATE, {"a": 0, "b": 1}, INT, config=CodegenConfig(temperature=0.3))
         assert client.requests[0][1] == 0.3
 
     def test_unbound_parameter_fails_before_any_call(self):
@@ -131,35 +124,33 @@ class TestFeedbackText:
 
 
 class TestEngineConfig:
+    """The task's one config, CodegenConfig, which the direct engine reads too."""
+
     def test_defaults(self):
-        config = EngineConfig()
-        assert config.max_direct_retries == 9
+        config = CodegenConfig()
+        assert config.max_retries == 9
         assert config.temperature == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            EngineConfig(max_direct_retries=-1)
+            CodegenConfig(max_retries=-1)
         with pytest.raises(ValueError):
-            EngineConfig(temperature=2.5)
+            CodegenConfig(temperature=2.5)
 
-    @pytest.mark.parametrize("config", [EngineConfig, CodegenConfig])
     @pytest.mark.parametrize("temperature", [-0.1, 2.5])
-    def test_every_config_checks_temperature_alike(self, config, temperature):
+    def test_temperature_check(self, temperature):
         with pytest.raises(ValueError, match=r"^temperature must be within \[0\.0, 2\.0\]$"):
-            config(temperature=temperature)
+            CodegenConfig(temperature=temperature)
 
     def test_one_retry_default(self):
-        assert CodegenConfig().max_retries == EngineConfig().max_direct_retries == DEFAULT_MAX_RETRIES
-        assert build_parser().parse_args(["codegen", "tasks.json"]).max_retries == DEFAULT_MAX_RETRIES
+        assert build_parser().parse_args(["codegen", "tasks.json"]).max_retries == DEFAULT_CONFIG.max_retries
 
     def test_one_temperature_default(self):
         defaults = [
-            EngineConfig().temperature,
-            CodegenConfig().temperature,
             build_parser().parse_args(["ask", "tasks.json", "name"]).temperature,
             build_parser().parse_args(["bench", "tasks.json", "--fixtures", "f"]).temperature,
         ]
-        assert defaults == [DEFAULT_TEMPERATURE] * len(defaults)
+        assert defaults == [DEFAULT_CONFIG.temperature] * len(defaults)
 
     def test_one_invoke_timeout_default(self):
         assert CodegenConfig().invoke_timeout == DEFAULT_INVOKE_TIMEOUT

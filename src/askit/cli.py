@@ -7,8 +7,9 @@
 
 Machine-readable output is a single JSON document on stdout (show-prompt
 prints the raw prompt bytes, nothing appended); diagnostics go to stderr.
-Exit codes: 0 success, 2 usage or unknown name, 3 retries exhausted or
-generation failed, 4 fixture miss, 5 toolchain unavailable.
+Exit codes: 0 success, 1 client error (a failed model request, a malformed
+fixture store), 2 usage or unknown name, 3 retries exhausted or generation
+failed, 4 fixture miss, 5 toolchain unavailable.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .runner import fork_server, scratch_dir
 from .taskfile import TaskFile, load_task_file
 
 EXIT_OK = 0
+EXIT_CLIENT = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 EXIT_FIXTURE_MISS = 4
@@ -245,7 +247,7 @@ def _cmd_bench(args) -> int:
                     },
                 }
             )
-    _emit({"tasks": rows, "repeat": args.repeat})
+    _emit({"tasks": rows, "repeat": args.repeat, "replay_delay_ms": args.replay_delay_ms})
     return EXIT_OK
 
 
@@ -306,7 +308,7 @@ def main(argv=None) -> int:
     except ToolchainUnavailable as exc:
         return _fail(str(exc), EXIT_NO_TOOLCHAIN)
     except ClientError as exc:
-        return _fail(str(exc), 1)
+        return _fail(str(exc), EXIT_CLIENT)
     except AskitError as exc:
         return _fail(str(exc), EXIT_USAGE)
 

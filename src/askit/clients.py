@@ -242,8 +242,15 @@ class ReplayClient:
         self._cursors: dict[str, int] = {}
         self._lock = threading.Lock()
         self.call_count = 0
-        for record in _read_jsonl(Path(path)):
-            self._store.setdefault(record["key"], []).append(record["response"])
+        if os.path.exists(path):
+            with open(path, "rb") as handle:  # decoded per line, so a line that is not UTF-8 is named too
+                for number, line in enumerate(handle, 1):
+                    try:
+                        if line.strip():
+                            record = json.loads(line.decode("utf-8"))
+                            self._store.setdefault(record["key"], []).append(record["response"])
+                    except (ValueError, KeyError, TypeError) as exc:
+                        raise ClientError(f"malformed fixture store {path}, line {number}: {exc!r}") from None
 
     def complete(self, messages: Sequence[Message], *, temperature: float) -> str:
         key = fixture_key(self.model_id, temperature, messages)
@@ -288,15 +295,3 @@ class ScriptedClient:
             response = self._responses[self._next]
             self._next += 1
             return response
-
-
-def _read_jsonl(path: Path) -> list[dict]:
-    if not path.exists():
-        return []
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records

@@ -25,9 +25,10 @@ runs on it and every Worker is forked by it. Its holders keep it alive:
 codegen.generate while it runs, each open CompiledFunction (in a forked
 copy, from its first call_isolated on), a DefinedFunction from its first
 compile miss on, the `askit` command line, and each Worker. When the last
-holder goes, or at close(), the zygote is killed (open workers still answer),
-and a later request starts it again; at end of input (the process has gone)
-it kills every child it forked. A forked copy of the process starts its own.
+holder goes, or at close(), the zygote is killed and its directory removed:
+open workers still answer, and so does a run in flight, but its directory is
+gone. A later request starts the zygote again; at end of input (the process
+has gone) it kills every child it forked. A forked copy starts its own.
 
 The zygote is the only interpreter askit starts: `python -I -S -B
 <scratch>/harness.pyc`, from bytecode compiled once per process, in its
@@ -35,8 +36,8 @@ own askit-worker-* scratch directory, without `site` (generated code sees
 the standard library only) and with a minimal environment. A fork request is
 one line each way under a deadline; the zygote logs to an anonymous file in
 memory too. Only the process that made a scratch directory removes it
-(scratch_dir; the zygote's, with the run directories in it, once no run in
-flight holds it: _Home), or once it has gone the harness, and only the one
+(scratch_dir; the zygote's, with the run directories in it, when the zygote
+ends: _shutdown), or once it has gone the harness, and only the one
 that started the zygote or asked for a child signals it: in a forked copy
 either reads as not alive, and closing it there closes that copy's descriptors.
 """
@@ -127,16 +128,6 @@ def scratch_dir(prefix: str):
         _remove_scratch(path, owner)
 
 
-class _Home:
-    """A zygote's scratch directory, with the run directories in it: removed, by
-    the process that made it only, once neither the ForkServer that started the
-    zygote nor a run forked by it holds this object."""
-
-    def __init__(self):
-        self.path = tempfile.mkdtemp(prefix="askit-worker-")
-        self.remove = weakref.finalize(self, _remove_scratch, self.path, os.getpid())
-
-
 def _remove_scratch(path: str | None, owner: int) -> None:
     if path is not None and os.getpid() == owner:
         shutil.rmtree(path, ignore_errors=True)
@@ -172,8 +163,7 @@ class _Child(_Closing):
                 reader, fds["in"] = os.pipe()
                 handed.append(reader)
                 run["scratch"] = self._scratch
-            self.pid, fds["pidfd"], home = zygote.spawn(name, text, [*handed, fds["log"]], **run)
-            self._home = home if self._scratch is None else None  # a run works in it
+            self.pid, fds["pidfd"] = zygote.spawn(name, text, [*handed, fds["log"]], **run)
             for fd in (fds["out"], fds["pidfd"]):
                 self._exits.register(fd, select.POLLIN)
         except BaseException:
@@ -260,12 +250,12 @@ class Worker(_Child):
 class ForkServer(_Closing):
     """The zygote: a harness process that never runs generated code and
     forks the child of each run and each warm worker; see the module
-    docstring. Thread-safe: only a fork request holds its lock."""
+    docstring. Thread-safe: a fork request and close() hold its lock (an RLock)."""
 
     _finalizer = None
 
     def __init__(self):
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     def run(self, name: str | Path, text: str, entry: str, args: Mapping[str, Any] | Sequence[Mapping[str, Any]],
             timeout: float | None = DEFAULT_INVOKE_TIMEOUT) -> Any:
@@ -293,20 +283,19 @@ class ForkServer(_Closing):
             outcomes.append(type(exc)(*exc.args))
         return outcomes
 
-    def spawn(self, name: str | Path, text: str, fds: Sequence[int], **fields) -> tuple[int, int, _Home]:
+    def spawn(self, name: str | Path, text: str, fds: Sequence[int], **fields) -> tuple[int, int]:
         """The pid and a pidfd of a child forked for the source `text`, named
-        `name`, that answers on the pipe end fds[0] and logs to fds[-1], and
-        the zygote's _Home: given an `entry` and a list of `args`, a run's
-        child in a directory of the zygote's, else a warm worker in the
-        directory `scratch`, which reads the pipe end fds[1]; see harness.fork_request."""
+        `name`, that answers on the pipe end fds[0] and logs to fds[-1]: given
+        an `entry` and a list of `args`, a run's child in a directory of the
+        zygote's, else a warm worker in the directory `scratch`, which reads the
+        pipe end fds[1]; see harness.fork_request."""
         request = dumps({"source": os.fspath(name), "text": text, **fields})
         with self._lock:
             if not self.alive:
                 self.close()
                 self._start()
-            home = self._home  # taken before a close() can drop it
             line, pidfd = self._exchange(request, fds, FORK_SERVER_GRACE)
-        return _decode_response(line).get("result"), *pidfd, home  # the zygote sends a pidfd with a pid only
+        return _decode_response(line).get("result"), *pidfd  # the zygote sends a pidfd with a pid only
 
     @property
     def alive(self) -> bool:
@@ -314,13 +303,12 @@ class ForkServer(_Closing):
         return bool(self._finalizer and self._finalizer.alive) and self._owner == os.getpid() and self._proc.poll() is None
 
     def close(self) -> None:
-        if self._finalizer is not None:
-            self._finalizer()
-            self._home = None  # its directory goes when no run holds it
+        with self._lock:  # not under a fork request, which reads the socket and the log
+            if self._finalizer is not None:
+                self._finalizer()
 
     def _start(self) -> None:
-        home, ends = _Home(), ()
-        scratch = home.path
+        scratch, ends = tempfile.mkdtemp(prefix="askit-worker-"), ()
         try:
             channel, zygote_end = ends = _socket.socketpair()
             ends += (log := os.fdopen(os.memfd_create("askit-log"), "rb", buffering=0),)  # the zygote's stderr
@@ -339,16 +327,16 @@ class ForkServer(_Closing):
         except BaseException:
             for end in ends:
                 end.close()
-            home.remove()
+            shutil.rmtree(scratch, ignore_errors=True)
             raise
         zygote_end.close()
-        self._owner, self._channel, self._log, self._home = os.getpid(), channel, log.fileno(), home
-        self._finalizer = weakref.finalize(self, _shutdown, self._proc, (channel, log), self._owner)
+        self._owner, self._channel, self._log = os.getpid(), channel, log.fileno()
+        self._finalizer = weakref.finalize(self, _shutdown, self._proc, (channel, log), scratch, self._owner)
 
     def _exchange(self, request: str, fds: Sequence[int], timeout: float) -> tuple[str, list[int]]:
         """One fork request out with the pipe ends `fds`, its one-line answer
         back with the descriptors sent along; hold self._lock. A zygote that
-        does not answer in time is killed."""
+        fails it, or does not answer in time, is closed."""
         self._channel.settimeout(timeout)
         try:
             send_line(self._channel, request, fds)
@@ -357,9 +345,9 @@ class ForkServer(_Closing):
         except OSError as exc:
             why, received = str(exc), []
         if why is not None:
-            self._proc.kill()
-            self._proc.wait()
-            raise ExecutionError(f"fork server failed ({why}): {_tail(self._log)}")
+            tail = _tail(self._log)  # before close() closes the log
+            self.close()
+            raise ExecutionError(f"fork server failed ({why}): {tail}")
         return line.decode("utf-8", errors="replace"), received
 
 
@@ -421,9 +409,10 @@ def _end_child(fds: dict[str, int], unread: bytearray, exits: select.poll, scrat
         _remove_scratch(scratch, owner)
 
 
-def _shutdown(proc, ends, owner):
-    """Kill and reap the zygote and close its socket and its log; in a forked
-    copy, close them alone. Its directory is its _Home's to remove."""
+def _shutdown(proc, ends, scratch, owner):
+    """The one way a zygote ends: kill and reap it, close its socket and its
+    log, and remove its directory with the run directories in it, even under a
+    run in flight; in a forked copy, close them alone."""
     try:
         if os.getpid() == owner:
             proc.kill()
@@ -431,3 +420,4 @@ def _shutdown(proc, ends, owner):
     finally:
         for end in ends:
             end.close()
+        _remove_scratch(scratch, owner)

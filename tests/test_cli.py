@@ -207,6 +207,23 @@ class TestAskCommand:
         assert code == 4
         assert "no recorded response" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad, cause",
+        [(b"{not json", "JSONDecodeError"), (b'{"response": "x"}', "KeyError('key')"),
+         (b'{"key": "k"}', "KeyError('response')"), (b"[1, 2]", "TypeError"), (b'{"key": [], "response": "x"}', "TypeError"),
+         (b'{"key": "k\xff", "response": "x"}', "UnicodeDecodeError")],
+        ids=["not-json", "no-key", "no-response", "not-an-object", "unhashable-key", "not-utf-8"],
+    )
+    def test_malformed_fixture_store_exits_1_naming_file_and_line(self, capsys, tmp_path, bad, cause):
+        store = tmp_path / "bad.jsonl"
+        store.write_bytes(DEMO_FIXTURES.read_bytes().splitlines()[0] + b"\n\n" + bad + b"\n")
+        code = main(["ask", str(DEMO_TASKS), "getSentiment", "--args", '{"review": "ok"}',
+                     "--backend", "replay", "--fixtures", str(store)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"askit: malformed fixture store {store}, line 3: {cause}"), captured.err
+        assert "Traceback" not in captured.err
+
     def test_record_mode_grows_fixture_file_by_attempts(self, capsys, tmp_path, monkeypatch):
         responses = ["not json yet", envelope(3)]
         monkeypatch.setattr(
@@ -494,6 +511,7 @@ class TestBenchCommand:
         assert [row["name"] for row in document["tasks"]] == ["calculateFactorial"]
         metrics = document["tasks"][0]["metrics"]
         assert set(metrics) == {"latency_s", "execution_time_us", "compile_time_s", "speedup"}
+        assert (document["repeat"], document["replay_delay_ms"]) == (3, 30)  # the model latency the ratio assumes
         assert metrics["latency_s"] >= 0.03
         assert metrics["speedup"] > 1
 
@@ -555,7 +573,8 @@ class TestBenchCommand:
             ]
         )
         assert code == 0
-        assert json.loads(capsys.readouterr().out)["tasks"][0]["name"] == "calculateFactorial"
+        document = json.loads(capsys.readouterr().out)
+        assert document["tasks"][0]["name"] == "calculateFactorial" and document["replay_delay_ms"] == 0
         assert list(tmp_path.iterdir()) == []
 
 

@@ -969,6 +969,18 @@ def _settled(zygote):
     _until(lambda: len(_open_fds(zygote)) == 4)
 
 
+def _children_in(zygote, directory):
+    """The pids of the zygote's children that work in a directory under `directory`."""
+    inside = []
+    for pid in Path(f"/proc/{zygote}/task/{zygote}/children").read_text().split():
+        try:
+            if os.readlink(f"/proc/{pid}/cwd").startswith(directory + os.sep):
+                inside.append(pid)
+        except OSError:  # exited meanwhile
+            pass
+    return inside
+
+
 def _unread_bytes(fd):
     return struct.unpack("i", fcntl.ioctl(fd, termios.FIONREAD, bytes(4)))[0]
 
@@ -996,6 +1008,9 @@ def _state(pid):
 
 RAN_SOURCE = "import sys\ndef f(*, n=0):\n    print('ran', file=sys.stderr, flush=True)\n    return 'x' * n\n"
 HELD_SOURCE = "import sys, time\ndef f(*, n):\n    print('ran', file=sys.stderr, flush=True)\n    time.sleep(n)\n    return n\n"
+# A run that waits until its directory has no link left (its zygote's went), then writes a file there or not.
+UNLINKED_SOURCE = ("import os, time\ndef f(*, write=False):\n    while os.stat('.').st_nlink:\n        time.sleep(0.001)\n"
+                   "    if write:\n        open('out.txt', 'w').write('x')\n    return 'done'\n")
 
 
 def _compiled(cache_dir, source, task="Repeat x {{n}} times"):
@@ -1121,17 +1136,46 @@ class TestChannelFaults:
         mine, children = _open_fds(), live_children()
         with ForkServer() as server:
             assert server.run(*source_of(source), "f", {}) == ""
-            zygote = server._proc
+            zygote, home = server._proc, os.path.dirname(server._proc.args[4])
             monkeypatch.setattr(runner, "send_line", send_and_kill)
             # Killed with the request unread, the zygote resets the connection.
             with pytest.raises(ExecutionError, match=r"^fork server failed \(\[Errno 104\] Connection reset by peer\): $"):
                 server.run(*source_of(source), "f", {"n": 1})
             assert zygote.returncode == -signal.SIGKILL
+            assert not os.path.exists(home)  # removed with its zygote, not at the next spawn
             monkeypatch.setattr(runner, "send_line", send)
             assert server.run(*source_of(source), "f", {"n": 2}) == "xx"  # by a new zygote
             assert server._proc is not zygote
         assert logged == ["ran\n", "", "ran\n"]  # the killed request forked nothing
         assert sorted(path.name for path in tmp_path.iterdir()) == ["gen.py"]
+        assert (_open_fds(), live_children()) == (mine, children)
+
+    def test_closing_the_zygote_during_a_fork_request_waits_for_its_answer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        send, receive, closer = runner.send_line, runner.receive_line, []
+
+        def send_then_close(channel, line, fds=()):
+            send(channel, line, fds)
+            closer.append(threading.Thread(target=server.close))
+            closer[0].start()
+            closer[0].join(0.05)  # over at once, unless close() waits for this request
+
+        def receive_with_the_child_in_place(channel):
+            line, received = receive(channel)
+            pid = json.loads(line)["result"]
+            _until(lambda: os.readlink(f"/proc/{pid}/cwd").startswith(home + os.sep))
+            return line, received
+
+        mine, children = _open_fds(), live_children()
+        with ForkServer() as server:
+            assert server.run("gen.py", RAN_SOURCE, "f", {}) == ""
+            zygote, home = server._proc, os.path.dirname(server._proc.args[4])
+            monkeypatch.setattr(runner, "send_line", send_then_close)
+            monkeypatch.setattr(runner, "receive_line", receive_with_the_child_in_place)
+            assert server.run("slow.py", UNLINKED_SOURCE, "f", {}) == "done"  # closed after the answer, then its directory went
+            closer[0].join(10)
+        assert zygote.returncode == -signal.SIGKILL and not os.path.exists(home)
+        assert sorted(path.name for path in tmp_path.iterdir()) == []
         assert (_open_fds(), live_children()) == (mine, children)
 
     def test_an_idle_worker_killed_and_called_at_once(self, tmp_path, monkeypatch):
@@ -1228,21 +1272,27 @@ class TestRunDirectories:
         assert (listed, writable) == ([], True) and cwd == tmpdir == home_env != used
         assert not os.path.exists(used) and not os.path.exists(home)  # close() leaves no run directory
 
-    def test_a_run_keeps_its_directory_when_its_zygote_is_closed_under_it(self, tmp_path):
-        slow = write_source(tmp_path, "import os, time\ndef f():\n    time.sleep(0.6)\n"
-                                      "    open('out.txt', 'w').write('x')\n    return [os.getcwd(), os.listdir('.')]\n", name="slow.py")
+    def test_a_run_loses_its_directory_when_its_zygote_is_closed_under_it(self, tmp_path):
+        outcomes = {}
         with ForkServer() as server:
             assert server.run(*source_of(write_source(tmp_path, ADD_SOURCE)), "add", {"x": 1, "y": 2}) == 3
-            home = os.path.dirname(server._proc.args[4])
-            closer = threading.Timer(0.2, server.close)
-            closer.start()
-            cwd, listed = server.run(*source_of(slow), "f", {})
-            closer.join()
-        assert listed == ["out.txt"] and os.path.dirname(cwd) == home
-        assert not os.path.exists(home)  # removed once the run let go of it
+            zygote, home = server._proc.pid, os.path.dirname(server._proc.args[4])
+            _settled(zygote)  # the first run's child reaped: the zygote's only children are the two below
+            runs = [threading.Thread(target=lambda write=write: outcomes.update(
+                {write: _outcome(server.run, "slow.py", UNLINKED_SOURCE, "f", {"write": write})})) for write in (True, False)]
+            for run in runs:
+                run.start()
+            _until(lambda: len(_children_in(zygote, home)) == 2)  # both forked, each in its own directory
+            children = _children_in(zygote, home)
+            server.close()
+            assert not os.path.exists(home)  # at once, with both runs in flight
+            for run in runs:
+                run.join(10)
+        assert outcomes[False] == ("value", "'done'")  # its child still answers
+        kind, error = outcomes[True]
+        assert kind is ExecutionError and "FileNotFoundError" in error, error
+        assert all(gone(int(pid), zombie_ok=True) for pid in children)
 
-    @pytest.mark.xfail(strict=True, reason="askit.close() under a run, then an owner that exits without finalizers,"
-                       " leaves the zygote's directory: the run's child may not remove it (ROADMAP items 6 and 7)")
     def test_closing_under_a_run_then_exiting_leaves_nothing_in_the_temp_dir(self, tmp_path):
         temp = tmp_path / "temp"
         temp.mkdir()

@@ -27,7 +27,7 @@ from .codegen import (
     output_equal,
     syntax_check,
 )
-from .engine import Dialogue, ask_until_valid, feedback_text
+from .engine import ask_until_valid, feedback_text
 from .errors import (
     AskitError,
     BlockNotFound,
@@ -39,7 +39,6 @@ from .errors import (
     HttpError,
     InvalidIdentifier,
     MalformedPlaceholder,
-    NotCodable,
     ProtocolError,
     RequestTimeout,
     ResponseTooLarge,

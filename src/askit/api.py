@@ -24,7 +24,7 @@ from .codegen import (
 )
 from .encoding import stable_digest
 from .engine import AskResult, ask_until_valid
-from .errors import NotCodable, SchemaError
+from .errors import SchemaError
 from .prompts import examples_from
 from .runner import Worker, WorkerLeft, _Closing, fork_server
 from .template import _check_binding, parse
@@ -69,7 +69,6 @@ def define(
     tests: Iterable = (),
     name: str | None = None,
     target_language: str = "python",
-    reuse_fewshot_as_tests: bool = False,
     client=None,
     config: CodegenConfig | None = None,
 ) -> "DefinedFunction":
@@ -78,16 +77,11 @@ def define(
     Calling the result runs the direct path; compile() switches it to
     generated code. The config drives both (DEFAULT_CONFIG when omitted).
     When a name is omitted a digest-derived one is assigned.
-    The few-shot set conditions prompts; the test set gates generated code
-    (pass reuse_fewshot_as_tests=True to use the former as the latter).
+    The few-shot set conditions prompts; the test set gates generated code.
     """
     template = parse(template_text)
     if param_schemas is not None:
         param_schemas = tuple(param_schemas.items() if isinstance(param_schemas, Mapping) else param_schemas)
-    fewshot_examples = examples_from(fewshot, "fewshot")
-    test_examples = examples_from(tests, "tests")
-    if not test_examples and reuse_fewshot_as_tests:
-        test_examples = fewshot_examples
     if name is None:
         name = f"task_{stable_digest([template_text, render(answer_schema), target_language])}"
     spec = TaskSpec(
@@ -95,8 +89,8 @@ def define(
         template=template,
         return_schema=answer_schema,
         param_schemas=param_schemas,
-        fewshot=fewshot_examples,
-        tests=test_examples,
+        fewshot=examples_from(fewshot, "fewshot"),
+        tests=examples_from(tests, "tests"),
         target_language=target_language,
     )
     return DefinedFunction(spec, client=client, config=config)
@@ -148,13 +142,10 @@ def compile(
 
     Without a config it runs under the task's own, which is DEFAULT_CONFIG
     when define() got none. Cache hits make zero client calls. Raises
-    NotCodable when an allowlist is configured and excludes this name,
     GenerationFailed when every candidate was rejected.
     """
     config = config or defined._config
     spec = defined.spec
-    if not config.allows(spec.name):
-        raise NotCodable(f"{spec.name!r} is not in the codable allowlist")
     if config.require_param_schemas and spec.param_schemas is None:
         raise SchemaError(
             "parameter schemas are required before code generation;"

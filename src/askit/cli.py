@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import sys
@@ -102,6 +103,8 @@ def _add_backend_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _build_client(args, cycle: bool = False):
+    if not 0.0 <= args.replay_delay_ms < math.inf:
+        raise SystemExit(_fail("--replay-delay-ms must be a finite number >= 0", EXIT_USAGE))
     model = args.model or os.environ.get(MODEL_ENV_VAR, DEFAULT_MODEL_ID)
     if args.backend in ("replay", "record") and not args.fixtures:
         raise SystemExit(_fail(f"--backend {args.backend} needs --fixtures", EXIT_USAGE))
@@ -202,10 +205,11 @@ def _cmd_bench(args) -> int:
     if args.repeat < 1:
         return _fail("--repeat must be >= 1", EXIT_USAGE)
     task_file = load_task_file(args.task_file)
-    entries = [entry for entry in task_file.entries.values() if entry.codable and entry.spec.tests]
-    if args.only:
-        only = set(args.only)
-        entries = [entry for entry in entries if entry.spec.name in only]
+    only = {_entry(task_file, name).spec.name for name in args.only}
+    entries = [
+        entry for entry in task_file.entries.values()
+        if entry.codable and entry.spec.tests and (not only or entry.spec.name in only)
+    ]
     if not entries:
         return _fail("no intersecting tasks (codable with tests) selected", EXIT_USAGE)
     client = _build_client(args, cycle=True)

@@ -17,6 +17,7 @@ per-key cursor. A client holds no temperature: each call names its own.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -146,10 +147,12 @@ class LiveClient:
         if status != 200:
             raise HttpError(status, payload[:200].decode("utf-8", errors="replace"))
         try:
-            decoded = json.loads(payload)
-            return decoded["choices"][0]["message"]["content"]
+            content = json.loads(payload)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ClientError(f"malformed completion response: {exc}") from exc
+        if not isinstance(content, str):
+            raise ClientError(f"malformed completion response: content is {type(content).__name__}, not str")
+        return content
 
     def _post_with_retry(self, url, body, headers):
         def send():
@@ -181,9 +184,10 @@ def _retry_after_seconds(headers: Mapping[str, str], cap: float) -> float:
             raw = value
             break
     try:
-        return min(max(float(raw), 0.0), cap) if raw is not None else 1.0
-    except ValueError:
+        seconds = float(raw)
+    except (TypeError, ValueError):
         return 1.0
+    return 1.0 if math.isnan(seconds) else min(max(seconds, 0.0), cap)
 
 
 class RecordingClient:
@@ -248,7 +252,10 @@ class ReplayClient:
                     try:
                         if line.strip():
                             record = json.loads(line.decode("utf-8"))
-                            self._store.setdefault(record["key"], []).append(record["response"])
+                            response = record["response"]
+                            if not isinstance(response, str):
+                                raise TypeError(f"response is {type(response).__name__}, not str")
+                            self._store.setdefault(record["key"], []).append(response)
                     except (ValueError, KeyError, TypeError) as exc:
                         raise ClientError(f"malformed fixture store {path}, line {number}: {exc!r}") from None
 

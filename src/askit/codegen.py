@@ -107,7 +107,6 @@ class CodegenConfig:
     max_retries: int = 9
     temperature: float = 1.0
     cache_dir: Path = field(default_factory=lambda: Path(DEFAULT_CACHE_DIR))
-    codable_allowlist: frozenset[str] | None = None
     require_param_schemas: bool = True
     invoke_timeout: float = DEFAULT_INVOKE_TIMEOUT
     _paths: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # cache_names -> joined paths
@@ -120,20 +119,6 @@ class CodegenConfig:
         if self.invoke_timeout <= 0:
             raise ValueError("invoke_timeout must be positive")
         object.__setattr__(self, "cache_dir", Path(self.cache_dir))
-        if self.codable_allowlist is not None:
-            object.__setattr__(self, "codable_allowlist", frozenset(self.codable_allowlist))
-
-    def allows(self, name: str) -> bool:
-        """Allowlist check: exact names, or prefix groups written as 'prefix*'."""
-        if self.codable_allowlist is None:
-            return True
-        for entry in self.codable_allowlist:
-            if entry.endswith("*"):
-                if name.startswith(entry[:-1]):
-                    return True
-            elif name == entry:
-                return True
-        return False
 
 
 DEFAULT_CONFIG = CodegenConfig()  # for every call that passes none: built once, its paths joined once

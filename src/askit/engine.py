@@ -8,15 +8,13 @@ the task config's max_retries extra attempts.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple
 
 from .codegen import DEFAULT_CONFIG, CodegenConfig
 from .errors import RetriesExhausted
 from .prompts import Example, Message, ParsedAnswer, Violation, ViolationKind, build_direct, parse_answer
 from .template import ArgBinding, PromptTemplate
 from .types import TypeSchema
-
-Dialogue = Sequence[Message]
 
 
 class AskResult(NamedTuple):

@@ -115,9 +115,5 @@ class ProtocolError(AskitError):
     """The execution harness produced output that is not a valid response document."""
 
 
-class NotCodable(AskitError):
-    """An allowlist is configured and does not include this function."""
-
-
 class TaskFileError(AskitError):
     """A task file is malformed (bad JSON, bad schema text, duplicate names)."""

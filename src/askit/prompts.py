@@ -21,10 +21,9 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from .encoding import canonical_json
 from .errors import BlockNotFound, SchemaError
-from .template import ArgBinding, PromptTemplate, substitute_comment, substitute_direct
+from .template import ArgBinding, PromptTemplate, substitute_direct
 from .types import (
     IDENT_RE,
-    Record,
     TypeSchema,
     ValidationReport,
     VoidType,
@@ -118,14 +117,11 @@ LANGUAGES = {
 @dataclass(frozen=True)
 class DirectPrompt:
     text: str
-    schema: Record  # the wrapped {reason, answer} envelope schema
 
 
 @dataclass(frozen=True)
 class CodegenPrompt:
     text: str
-    target_language_tag: str
-    skeleton: str
 
 
 @dataclass(frozen=True)
@@ -197,13 +193,12 @@ def build_direct(
     """
     if isinstance(answer_schema, VoidType):
         raise SchemaError("a void task has no direct answer; compile it instead")
-    wrapped = wrap_response(answer_schema)
     parts = [
         DIRECT_PREAMBLE,
         "\n",
         TYPE_INTRO,
         "\n```ts\n",
-        render(wrapped),
+        render(wrap_response(answer_schema)),
         "\n```\n",
         REASON_INSTRUCTION,
         "\n\n",
@@ -213,7 +208,7 @@ def build_direct(
         envelope = json.dumps({"reason": "", "answer": example.output}, ensure_ascii=False)
         parts.append(f"{demo_task}\n```json\n{envelope}\n```\n\n")
     parts.append(substitute_direct(template, args))
-    return DirectPrompt(text="".join(parts), schema=wrapped)
+    return DirectPrompt("".join(parts))
 
 
 def synthesize_signature(
@@ -262,7 +257,7 @@ def build_codegen(spec: "TaskSpec") -> CodegenPrompt:
     language = spec.target_language
     skeleton = _skeleton(spec, language)
     text = f"{_ONE_SHOT[language]}\n\nQ: Implement the following function:\n```{language}\n{skeleton}\n```"
-    return CodegenPrompt(text=text, target_language_tag=language, skeleton=skeleton)
+    return CodegenPrompt(text)
 
 
 def _skeleton(spec: "TaskSpec", language: str) -> str:
@@ -271,7 +266,7 @@ def _skeleton(spec: "TaskSpec", language: str) -> str:
     ]
     signature = synthesize_signature(spec.name, spec.return_schema, params, language)
     mark = LANGUAGES[language].comment
-    body = [f"    {mark} {substitute_comment(spec.template)}"]
+    body = [f"    {mark} {spec.template.quoted}"]
     for example in spec.fewshot:
         call = json.dumps(dict(example.input), ensure_ascii=False)
         expected = json.dumps(example.output, ensure_ascii=False)

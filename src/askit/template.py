@@ -9,24 +9,11 @@ keeps the sentence stable across calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Union
+from typing import Any, Mapping
 
 from .encoding import canonical_json
 from .errors import InvalidIdentifier, MalformedPlaceholder, UnboundParameter, UnknownParameter
 from .types import IDENT_RE
-
-
-@dataclass(frozen=True)
-class LiteralText:
-    text: str
-
-
-@dataclass(frozen=True)
-class Placeholder:
-    name: str
-
-
-Segment = Union[LiteralText, Placeholder]
 
 ArgBinding = Mapping[str, Any]
 
@@ -34,18 +21,8 @@ ArgBinding = Mapping[str, Any]
 @dataclass(frozen=True)
 class PromptTemplate:
     raw: str
-    segments: tuple[Segment, ...]
     params: tuple[str, ...]
-
-    def serialize(self) -> str:
-        """Reassemble the template text; equals `raw` byte for byte."""
-        parts = []
-        for segment in self.segments:
-            if isinstance(segment, Placeholder):
-                parts.append("{{" + segment.name + "}}")
-            else:
-                parts.append(segment.text)
-        return "".join(parts)
+    quoted: str  # the task text with each placeholder reduced to its quoted name
 
 
 def parse(text: str) -> PromptTemplate:
@@ -56,14 +33,14 @@ def parse(text: str) -> PromptTemplate:
     (there is no escape for literal double braces), non-identifier contents
     raise InvalidIdentifier.
     """
-    segments: list[Segment] = []
+    parts: list[str] = []
     params: list[str] = []
     pos = 0
     while pos < len(text):
         open_at = text.find("{{", pos)
         close_at = text.find("}}", pos)
         if open_at == -1 and close_at == -1:
-            segments.append(LiteralText(text[pos:]))
+            parts.append(text[pos:])
             break
         if open_at == -1 or (close_at != -1 and close_at < open_at):
             raise MalformedPlaceholder(f"unmatched '}}}}' at offset {close_at}")
@@ -73,13 +50,11 @@ def parse(text: str) -> PromptTemplate:
         name = text[open_at + 2 : end]
         if not IDENT_RE.match(name):
             raise InvalidIdentifier(f"placeholder {name!r} is not a valid identifier")
-        if open_at > pos:
-            segments.append(LiteralText(text[pos:open_at]))
-        segments.append(Placeholder(name))
+        parts.append(f"{text[pos:open_at]}'{name}'")
         if name not in params:
             params.append(name)
         pos = end + 2
-    return PromptTemplate(raw=text, segments=tuple(segments), params=tuple(params))
+    return PromptTemplate(raw=text, params=tuple(params), quoted="".join(parts))
 
 
 def _check_binding(template: PromptTemplate, args: ArgBinding) -> None:
@@ -99,19 +74,12 @@ def substitute_direct(template: PromptTemplate, args: ArgBinding) -> str:
     booleans true/false). Zero-parameter templates return the raw text.
     """
     _check_binding(template, args)
-    task = substitute_comment(template)
     if not template.params:
-        return task
+        return template.quoted
     bound = ", ".join(f"'{name}' = {canonical_json(args[name])}" for name in template.params)
-    return f"{task}\nwhere {bound}"
+    return f"{template.quoted}\nwhere {bound}"
 
 
 def substitute_comment(template: PromptTemplate) -> str:
     """Task text with placeholders reduced to quoted names, no where-clause."""
-    parts = []
-    for segment in template.segments:
-        if isinstance(segment, Placeholder):
-            parts.append(f"'{segment.name}'")
-        else:
-            parts.append(segment.text)
-    return "".join(parts)
+    return template.quoted

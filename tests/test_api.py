@@ -18,7 +18,6 @@ from askit.codegen import CodegenConfig, TaskSpec, cache_store, generate, output
 from askit.errors import (
     AskitError,
     ExecutionError,
-    NotCodable,
     RetriesExhausted,
     SchemaError,
     ToolchainUnavailable,
@@ -155,13 +154,6 @@ class TestDefine:
         result = function.ask()
         assert result.reason == "counted"
 
-    def test_reuse_fewshot_as_tests(self):
-        examples = [{"input": {"n": 3}, "output": 6}]
-        with_reuse = define(INT, "fact {{n}}", fewshot=examples, reuse_fewshot_as_tests=True)
-        without = define(INT, "fact {{n}}", fewshot=examples)
-        assert with_reuse.spec.tests == with_reuse.spec.fewshot
-        assert without.spec.tests == ()
-
     def test_example_spellings_agree(self):
         spellings = [
             [Example({"n": 3}, 6)],
@@ -256,17 +248,6 @@ class TestCompile:
         assert [temperature for _, temperature in client.requests] == [0.3]
         assert compiled.generated.cache_path.parent == tmp_path / "cache"
         assert not (tmp_path / "askit").exists()
-
-    def test_allowlist_excluding_name(self, tmp_path):
-        config = CodegenConfig(cache_dir=tmp_path, codable_allowlist={"somethingElse"})
-        with pytest.raises(NotCodable):
-            self.factorial(ScriptedClient([])).compile(config)
-
-    def test_allowlist_prefix_group(self, tmp_path):
-        client = ScriptedClient([code_response(FACTORIAL_CODE)])
-        config = CodegenConfig(cache_dir=tmp_path, codable_allowlist={"calculate*"})
-        compiled = self.factorial(client).compile(config)
-        compiled.close()
 
     def test_param_schemas_required_by_default(self, tmp_path):
         defined = define(INT, "Calculate the factorial of {{n}}", client=ScriptedClient([]))

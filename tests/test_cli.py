@@ -211,8 +211,11 @@ class TestAskCommand:
         "bad, cause",
         [(b"{not json", "JSONDecodeError"), (b'{"response": "x"}', "KeyError('key')"),
          (b'{"key": "k"}', "KeyError('response')"), (b"[1, 2]", "TypeError"), (b'{"key": [], "response": "x"}', "TypeError"),
-         (b'{"key": "k\xff", "response": "x"}', "UnicodeDecodeError")],
-        ids=["not-json", "no-key", "no-response", "not-an-object", "unhashable-key", "not-utf-8"],
+         (b'{"key": "k\xff", "response": "x"}', "UnicodeDecodeError"),
+         (b'{"key": "k", "response": 42}', "TypeError('response is int, not str')"),
+         (b'{"key": "k", "response": null}', "TypeError('response is NoneType, not str')")],
+        ids=["not-json", "no-key", "no-response", "not-an-object", "unhashable-key", "not-utf-8",
+             "number-response", "null-response"],
     )
     def test_malformed_fixture_store_exits_1_naming_file_and_line(self, capsys, tmp_path, bad, cause):
         store = tmp_path / "bad.jsonl"
@@ -587,8 +590,19 @@ class TestBenchCommand:
          "temperature must be within [0.0, 2.0]"),
         (["codegen", str(DEMO_TASKS), "--backend", "replay", "--fixtures", str(DEMO_FIXTURES), "--max-retries", "-1"],
          "max_retries must be >= 0"),
+        (["ask", str(DEMO_TASKS), "getSentiment", "--args", '{"review": "x"}', "--fixtures", str(DEMO_FIXTURES),
+          "--replay-delay-ms=-5"], "--replay-delay-ms must be a finite number >= 0"),
+        (["codegen", str(DEMO_TASKS), "--fixtures", str(DEMO_FIXTURES), "--replay-delay-ms=-5"],
+         "--replay-delay-ms must be a finite number >= 0"),
+        (["bench", str(DEMO_TASKS), "--fixtures", str(DEMO_FIXTURES), "--replay-delay-ms=-5"],
+         "--replay-delay-ms must be a finite number >= 0"),
+        (["bench", str(DEMO_TASKS), "--fixtures", str(DEMO_FIXTURES), "--replay-delay-ms=nan"],
+         "--replay-delay-ms must be a finite number >= 0"),
+        (["codegen", str(DEMO_TASKS), "--fixtures", str(DEMO_FIXTURES), "--replay-delay-ms=inf"],
+         "--replay-delay-ms must be a finite number >= 0"),
     ],
-    ids=["ask-temperature", "bench-temperature", "codegen-max-retries"],
+    ids=["ask-temperature", "bench-temperature", "codegen-max-retries", "ask-replay-delay", "codegen-replay-delay",
+         "bench-replay-delay", "bench-replay-delay-nan", "codegen-replay-delay-inf"],
 )
 def test_a_config_value_out_of_range_exits_2(capsys, tmp_path, argv, message):
     if argv[0] != "ask":
@@ -597,6 +611,19 @@ def test_a_config_value_out_of_range_exits_2(capsys, tmp_path, argv, message):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == f"askit: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("command", ["codegen", "bench"])
+def test_an_unknown_only_name_exits_2(capsys, tmp_path, command):
+    code = main(
+        [command, str(DEMO_TASKS), "--only", "calculateFactorial", "--only", "nosuch",
+         "--fixtures", str(DEMO_FIXTURES), "--cache-dir", str(tmp_path / "cache")]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "askit: unknown task name 'nosuch'\n"
     assert captured.out == ""
     assert not (tmp_path / "cache").exists()
 

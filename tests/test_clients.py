@@ -17,6 +17,7 @@ from askit.clients import (
     ReplayClient,
     ScriptedClient,
     _TransientTransportFailure,
+    _retry_after_seconds,
     _urllib_transport,
     fixture_key,
 )
@@ -226,10 +227,30 @@ class TestLiveClient:
         with pytest.raises(ClientError):
             client.complete(MESSAGES, temperature=1.0)
 
+    @pytest.mark.parametrize("content", [None, 42, ["hi"]], ids=["null", "number", "list"])
+    def test_content_that_is_not_text_is_a_client_error(self, content):
+        client = LiveClient(self.config(), transport=lambda *a: (200, {}, self.completion_body(content)))
+        with pytest.raises(ClientError, match="^malformed completion response: content is "):
+            client.complete(MESSAGES, temperature=1.0)
+
+    def test_rate_limit_with_a_nan_retry_after_waits_one_second(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        replies = iter([(429, {"Retry-After": "NaN"}, b"slow down"), (200, {}, self.completion_body("ok"))])
+        client = LiveClient(self.config(), transport=lambda *a: next(replies))
+        assert client.complete(MESSAGES, temperature=1.0) == "ok"
+        assert slept == [1.0]
+
     def test_empty_dialogue_rejected(self):
         client = LiveClient(self.config(), transport=lambda *a: (200, {}, b"{}"))
         with pytest.raises(ValueError):
             client.complete([], temperature=1.0)
+
+
+def test_retry_after_seconds_is_finite_and_capped():
+    cap = LiveClient.RETRY_AFTER_CAP_S
+    read = {value: _retry_after_seconds({"Retry-After": value}, cap) for value in ["NaN", "inf", "-1", "abc", "2.5"]}
+    assert read == {"NaN": 1.0, "inf": cap, "-1": 0.0, "abc": 1.0, "2.5": 2.5}
 
 
 REAL_CREATE_CONNECTION = socket.create_connection  # taken before the suite's network guard

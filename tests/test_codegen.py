@@ -949,13 +949,6 @@ class TestCodegenConfig:
         with pytest.raises(ValueError, match="^invoke_timeout must be positive$"):
             CodegenConfig(invoke_timeout=timeout)
 
-    def test_allowlist(self):
-        assert CodegenConfig().allows("anything")
-        config = CodegenConfig(codable_allowlist={"add", "math_*"})
-        assert config.allows("add")
-        assert config.allows("math_sum")
-        assert not config.allows("subtract")
-
 
 def square_spec():
     return TaskSpec(

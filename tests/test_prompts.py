@@ -138,11 +138,11 @@ class TestBuildCodegen:
             param_schemas=(("x", INT), ("y", INT)),
             target_language="typescript",
         )
-        prompt = build_codegen(spec)
-        assert prompt.skeleton == (
+        assert build_codegen(spec).text.endswith(
+            "\n\nQ: Implement the following function:\n```typescript\n"
             "export function func2({x, y}: {x: number, y: number}): number {\n"
             "    // add 'x' and 'y'\n"
-            "}"
+            "}\n```"
         )
 
     def test_fewshot_examples_become_comment_lines(self):
@@ -170,8 +170,11 @@ class TestBuildCodegen:
         assert head_a == head_b
 
     def test_fence_tag_follows_target_language(self):
-        assert build_codegen(factorial_spec("python")).target_language_tag == "python"
-        assert "```python\ndef calculateFactorial(*, n):" in build_codegen(factorial_spec("python")).text
+        for language, signature in [("python", "def calculateFactorial(*, n):"),
+                                    ("typescript", "export function calculateFactorial(")]:
+            task = build_codegen(factorial_spec(language)).text.rsplit("\n\nQ: ", 1)[1]
+            assert task.startswith(f"Implement the following function:\n```{language}\n{signature}")
+            assert task.endswith("\n```")
 
 
 class TestExtractBlock:

@@ -12,7 +12,7 @@ def _script(name):
     return module
 
 
-interleave, leftovers = _script("interleave"), _script("leftovers")
+interleave, leftovers, loc = _script("interleave"), _script("leftovers"), _script("loc")
 
 
 def test_summarize_pairs_runs_and_counts_lower_values_as_wins():
@@ -58,3 +58,37 @@ def test_leftovers_names_each_entry_but_pytests_and_each_process_naming_the_dire
     finally:
         holder.communicate()
     assert leftovers.settled(str(tmp_path), 5) == []
+
+
+SYNTHETIC_MODULE = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment does not hide code
+
+# a comment line
+
+
+class Box:
+    """Class docstring."""
+
+    label = """a string that is no docstring,
+over two lines"""
+
+    def open(self):
+        """Function docstring."""
+        return os.sep
+'''
+
+
+def test_loc_counts_all_lines_and_the_lines_that_hold_code(tmp_path):
+    assert loc.count(SYNTHETIC_MODULE) == (17, 6)  # import, class, label's two lines, def, return
+    (tmp_path / "a.py").write_text(SYNTHETIC_MODULE)
+    (tmp_path / "b.py").write_text("x = 1\n\n")
+    assert loc.counts(tmp_path) == {"a.py": (17, 6), "b.py": (2, 1)}
+    assert loc.table({"a.py": (17, 6), "b.py": (2, 1)}, {"a.py": (20, 8), "c.py": (5, 5)}) == [
+        "module          lines   code  against   code   diff   code",
+        "a.py               17      6       20      8     -3     -2",
+        "b.py                2      1        0      0     +2     +1",
+        "c.py                0      0        5      5     -5     -5",
+        "total              19      7       25     13     -6     -6",
+    ]
